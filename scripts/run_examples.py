@@ -8,14 +8,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from coxlift.lift import decompose_as_roots, run_cox_lift
-from coxlift.serialize import (
-    emit_result,
-    human_log,
-    parse_decompose,
-    parse_problem,
-    result_json,
-)
+from coxlift.cli import load_document, run_document
+from coxlift.serialize import human_log, result_json
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -30,20 +24,9 @@ def main() -> int:
         print(path.name)
         print("=" * 72)
         try:
-            import json
-
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            if "decompose" in raw:
-                spec = parse_decompose(raw)
-                result = decompose_as_roots(spec.stack, spec.options)
-                doc = emit_result(spec.name, result, spec.order)
-            else:
-                spec = parse_problem(raw)
-                result = run_cox_lift(spec.target, spec.source_stack, spec.base, spec.options)
-                doc = emit_result(spec.name, result, spec.order, spec.assertions)
+            doc = run_document(load_document(path))
             print(result_json(doc) if args.json else human_log(doc))
-            if not result.verification.passed:
+            if not doc["verification"]["passed"]:
                 failures += 1
         except Exception as exc:  # keep going so every example reports
             print(f"FAILED: {type(exc).__name__}: {exc}")

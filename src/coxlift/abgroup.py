@@ -251,6 +251,10 @@ class FgAbelianGroup:
     def zero(self) -> "GroupElement":
         return self.element((0,) * self.ambient_rank)
 
+    def basis_element(self, i: int) -> "GroupElement":
+        """Class of the i-th ambient basis vector."""
+        return self.element(tuple(int(j == i) for j in range(self.ambient_rank)))
+
     def canonical_coords(self, coords: Sequence[int]) -> tuple:
         y = self._V.vec_mul(coords)
         return tuple(
@@ -395,7 +399,18 @@ class GroupHomomorphism:
 
     @classmethod
     def identity(cls, G: FgAbelianGroup) -> "GroupHomomorphism":
-        return cls(G, G, [G.element(row) for row in IntMatrix.identity(G.ambient_rank).entries])
+        return coordinate_inclusion(G, G)
+
+
+def coordinate_inclusion(A: FgAbelianGroup, B: FgAbelianGroup) -> GroupHomomorphism:
+    """The map A -> B sending each ambient generator of A to the generator of
+    B with the same index; B's extra ambient coordinates are set to zero.
+
+    Construction checks that A's relations hold in B.
+    """
+    if B.ambient_rank < A.ambient_rank:
+        raise InputDataError("coordinate inclusion into a smaller ambient rank")
+    return GroupHomomorphism(A, B, [B.basis_element(i) for i in range(A.ambient_rank)])
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +492,7 @@ def quotient_group(G: FgAbelianGroup, subgroup_gens: Sequence[GroupElement]):
     """Quotient of G by the subgroup the given elements generate."""
     rows = [list(r) for r in G.relations.entries] + [list(g.coords) for g in subgroup_gens]
     Q = FgAbelianGroup(G.ambient_rank, rows)
-    proj = GroupHomomorphism(
-        G, Q, [Q.element(r) for r in IntMatrix.identity(G.ambient_rank).entries]
-    )
-    return Q, proj
+    return Q, coordinate_inclusion(G, Q)
 
 
 def pushout_root(A: FgAbelianGroup, a: GroupElement, n: int):
@@ -496,10 +508,8 @@ def pushout_root(A: FgAbelianGroup, a: GroupElement, n: int):
     old = [list(r) + [0] for r in A.relations.entries]
     old.append(list(a.coords) + [-n])
     A2 = FgAbelianGroup(A.ambient_rank + 1, old)
-    incl = GroupHomomorphism(
-        A, A2, [A2.element(tuple(row) + (0,)) for row in IntMatrix.identity(A.ambient_rank).entries]
-    )
-    delta = A2.element((0,) * A.ambient_rank + (1,))
+    incl = coordinate_inclusion(A, A2)
+    delta = A2.basis_element(A.ambient_rank)
     if not (n * delta == incl(a)):
         raise InternalInvariantError("pushout failed its defining identity")
     return A2, incl, delta

@@ -11,16 +11,23 @@ import argparse
 import json
 import sys
 
-from .abgroup import FgAbelianGroup
+from .abgroup import FgAbelianGroup, GroupHomomorphism
 from .errors import (
     CoxliftError,
     InputDataError,
     InternalInvariantError,
 )
-from .lift import LiftOptions, decompose_as_roots, run_cox_lift, verify_lift
+from .lift import (
+    CoxLiftResult,
+    VerificationReport,
+    decompose_as_roots,
+    run_cox_lift,
+    verify_lift,
+)
 from .serialize import (
     RESULT_SCHEMA,
     emit_result,
+    emit_verification,
     human_log,
     parse_decompose,
     parse_element,
@@ -74,42 +81,58 @@ def _build_parser():
     return ap
 
 
-def _apply_option_overrides(options: LiftOptions, args) -> LiftOptions:
-    step_cap = args.step_cap if args.step_cap is not None else options.step_cap
-    spot = (
-        args.spotcheck_bound
-        if args.spotcheck_bound is not None
-        else options.spotcheck_bound
-    )
-    return LiftOptions(
-        step_cap=step_cap,
-        spotcheck_bound=spot,
-        root_name_pins=options.root_name_pins,
-    )
+def load_document(path, step_cap=None, spotcheck_bound=None) -> dict:
+    """Read a problem or decompose document.
+
+    Option values that are given are written into the document's
+    "options" block, so the rings parsed from it carry the step cap.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise InputDataError("a problem document must be a JSON object")
+    given = {"step_cap": step_cap, "spotcheck_bound": spotcheck_bound}
+    overrides = {k: v for k, v in given.items() if v is not None}
+    if overrides:
+        raw["options"] = {**raw.get("options", {}), **overrides}
+    return raw
 
 
-def _deliver(doc: dict, args) -> None:
+def run_document(raw: dict) -> dict:
+    """Parse a lift or decompose document, run it (with its built-in
+    verification) and return the result document."""
+    if "decompose" in raw:
+        spec = parse_decompose(raw)
+        result = decompose_as_roots(spec.stack, spec.options)
+        return emit_result(spec.name, result, spec.order)
+    spec = parse_problem(raw)
+    result = run_cox_lift(spec.target, spec.source_stack, spec.base, spec.options)
+    return emit_result(spec.name, result, spec.order, spec.assertions)
+
+
+def _deliver(doc: dict, args, human: str) -> None:
     text = result_json(doc)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     if args.log in ("human", "both"):
-        print(human_log(doc))
+        print(human)
     if args.log in ("json", "both"):
         print(text)
 
 
-def _cmd_lift(args) -> int:
-    spec = parse_problem(args.problem)
-    options = _apply_option_overrides(spec.options, args)
-    result = run_cox_lift(spec.target, spec.source_stack, spec.base, options)
-    doc = emit_result(spec.name, result, spec.order, spec.assertions)
-    _deliver(doc, args)
-    return 0 if result.verification.passed else 1
+def _cmd_run(args) -> int:
+    """The lift and decompose commands."""
+    raw = load_document(args.problem, args.step_cap, args.spotcheck_bound)
+    if ("decompose" in raw) != (args.command == "decompose"):
+        raise InputDataError(f"{args.problem} is not a {args.command} document")
+    doc = run_document(raw)
+    _deliver(doc, args, human_log(doc))
+    return 0 if doc["verification"]["passed"] else 1
 
 
 def _cmd_verify(args) -> int:
-    spec = parse_problem(args.problem)
+    spec = parse_problem(load_document(args.problem, args.step_cap, args.spotcheck_bound))
     with open(args.result, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("schema") != RESULT_SCHEMA:
@@ -120,9 +143,6 @@ def _cmd_verify(args) -> int:
         name: ring.normal_form(parse_element(el, spec.order))
         for name, el in doc["images"].items()
     }
-    from .abgroup import GroupHomomorphism
-    from .lift import CoxLiftResult, VerificationReport
-
     group_map = GroupHomomorphism(
         spec.target.cl,
         stack.pic,
@@ -139,43 +159,22 @@ def _cmd_verify(args) -> int:
         steps=(),
         verification=VerificationReport(()),
     )
-    options = _apply_option_overrides(spec.options, args)
     report = verify_lift(spec.target, spec.source_stack, spec.base, provided,
-                         spotcheck_bound=options.spotcheck_bound)
+                         spotcheck_bound=spec.options.spotcheck_bound)
     out = {
         "schema": RESULT_SCHEMA,
         "problem": spec.name,
-        "verification": {
-            "passed": report.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in report.checks
-            ],
-        },
+        "verification": emit_verification(report),
     }
-    text = result_json(out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    if args.log in ("human", "both"):
-        for c in report.checks:
-            print(f"[{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
-    if args.log in ("json", "both"):
-        print(text)
+    human = "\n".join(
+        f"[{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}" for c in report.checks
+    )
+    _deliver(out, args, human)
     return 0 if report.passed else 1
 
 
-def _cmd_decompose(args) -> int:
-    spec = parse_decompose(args.problem)
-    options = _apply_option_overrides(spec.options, args)
-    result = decompose_as_roots(spec.stack, options)
-    doc = emit_result(spec.name, result, spec.order)
-    _deliver(doc, args)
-    return 0 if result.verification.passed else 1
-
-
 def _cmd_factor(args) -> int:
-    spec = parse_problem(args.problem)
+    spec = parse_problem(load_document(args.problem))
     ring = spec.source_stack.cox_ring
     element = ring.normal_form(parse_element(json.loads(args.element), spec.order))
     fact = ring.h_factorize(element)
@@ -203,9 +202,9 @@ def _cmd_snf(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
-        "lift": _cmd_lift,
+        "lift": _cmd_run,
         "verify": _cmd_verify,
-        "decompose": _cmd_decompose,
+        "decompose": _cmd_run,
         "factor": _cmd_factor,
         "snf": _cmd_snf,
     }

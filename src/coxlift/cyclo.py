@@ -13,12 +13,14 @@ from typing import Optional, Sequence
 
 from .errors import InputDataError
 
-# Polynomials are tuples of Fractions, lowest degree first, no trailing zeros.
+# Dense polynomials are tuples of field elements, lowest degree first, with
+# no trailing zeros.  The field is Q (Fraction coefficients) or Q(zeta_N)
+# (CycScalar coefficients); _padd and _pmul take Fractions only.
 
 
 def _ptrim(c):
     c = list(c)
-    while c and c[-1] == 0:
+    while c and not c[-1]:
         c.pop()
     return tuple(c)
 
@@ -45,21 +47,38 @@ def _pmul(a, b):
 
 
 def _pdivmod(a, b):
+    """Quotient and remainder of a by b over Q or Q(zeta_N)."""
+    b = _ptrim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
+    inv = _recip(b[-1])
+    zero = b[-1] - b[-1]
     a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    inv = Fraction(1) / b[-1]
-    while len(a) >= len(b) and _ptrim(a):
-        a = list(_ptrim(a))
-        if len(a) < len(b):
-            break
-        coef = a[-1] * inv
-        deg = len(a) - len(b)
-        q[deg] = coef
-        for i, y in enumerate(b):
-            a[deg + i] -= coef * y
+    q = [zero] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        top = a.pop()  # the leading term cancels exactly, so it is not computed
+        if top:
+            coef = top * inv
+            deg = len(a) + 1 - len(b)
+            q[deg] = coef
+            for i in range(len(b) - 1):
+                a[deg + i] -= coef * b[i]
     return _ptrim(q), _ptrim(a)
+
+
+def _pgcd(a, b):
+    """Monic gcd over Q or Q(zeta_N); the gcd of two zero polynomials is ()."""
+    a, b = _ptrim(a), _ptrim(b)
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    if not a:
+        return a
+    inv = _recip(a[-1])
+    return tuple(c * inv for c in a)
+
+
+def _recip(x):
+    return x.inverse() if isinstance(x, CycScalar) else Fraction(1) / x
 
 
 def _pxgcd(a, b):
@@ -155,6 +174,9 @@ class CycScalar:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
+
+    def __bool__(self):
+        return any(self.coeffs)
 
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .abgroup import FgAbelianGroup, GroupElement
-from .cyclo import CycOrder, CycScalar
+from .cyclo import CycOrder, CycScalar, _pdivmod, _pgcd
 from .errors import (
     FactorizationOracleRequired,
     InputDataError,
@@ -495,42 +495,6 @@ class GradedRing:
                 terms.append((c, Monomial.gen(name, i) if i else Monomial.one()))
         return HomogeneousElement(terms)
 
-    @staticmethod
-    def _poly_trim(coeffs):
-        coeffs = list(coeffs)
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        return coeffs
-
-    def _poly_divmod(self, a, b):
-        a = self._poly_trim(a)
-        b = self._poly_trim(b)
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [CycScalar.zero(self.scalar_order) for _ in range(max(0, len(a) - len(b) + 1))]
-        inv = b[-1].inverse()
-        while len(a) >= len(b):
-            coef = a[-1] * inv
-            pos = len(a) - len(b)
-            q[pos] = coef
-            for i, y in enumerate(b):
-                a[pos + i] = a[pos + i] - coef * y
-            a = self._poly_trim(a)
-            if not a:
-                break
-        return q, a
-
-    def _poly_gcd(self, a, b):
-        a = self._poly_trim(a)
-        b = self._poly_trim(b)
-        while b:
-            _, r = self._poly_divmod(a, b)
-            a, b = b, r
-        if a:
-            inv = a[-1].inverse()
-            a = [c * inv for c in a]
-        return a
-
     def _univariate_split(self, f: HomogeneousElement):
         """Split a polynomial in a single generator; None when out of scope."""
         names = f.support()
@@ -544,7 +508,7 @@ class GradedRing:
         for c, m in f.terms:
             coeffs[m.total_degree()] = c
         parts = []
-        unit = CycScalar.one(self.scalar_order)
+        unit = one = CycScalar.one(self.scalar_order)
         # strip the monomial content first
         low = next(i for i, c in enumerate(coeffs) if not c.is_zero())
         if low:
@@ -554,22 +518,14 @@ class GradedRing:
             root = self._rational_root(coeffs)
             if root is None:
                 break
-            coeffs = self._deflate(coeffs, root)
-            lin = HomogeneousElement(
-                [
-                    (-root, Monomial.one()),
-                    (CycScalar.one(self.scalar_order), Monomial.gen(name)),
-                ]
-            )
-            parts.append((lin, 1))
+            coeffs, rem = _pdivmod(coeffs, (-root, one))
+            if rem:
+                raise InternalInvariantError("deflation by a non-root")
+            parts.append((self._poly_from_coeffs(name, (-root, one)), 1))
         if len(coeffs) == 2:
             lead = coeffs[1]
             unit = unit * lead
-            const = coeffs[0] * lead.inverse()
-            lin = HomogeneousElement(
-                [(const, Monomial.one()), (CycScalar.one(self.scalar_order), Monomial.gen(name))]
-            )
-            parts.append((lin, 1))
+            parts.append((self._poly_from_coeffs(name, (coeffs[0] * lead.inverse(), one)), 1))
             return unit, parts
         if len(coeffs) == 1:
             unit = unit * coeffs[0]
@@ -579,10 +535,10 @@ class GradedRing:
             CycScalar.from_rational(self.scalar_order, i) * coeffs[i]
             for i in range(1, len(coeffs))
         ]
-        g = self._poly_gcd(coeffs, deriv)
+        g = _pgcd(coeffs, deriv)
         if 1 < len(g) < len(coeffs):
-            q, r = self._poly_divmod(coeffs, g)
-            if self._poly_trim(r):
+            q, r = _pdivmod(coeffs, g)
+            if r:
                 raise InternalInvariantError("square-free division left a remainder")
             parts.append((self._poly_from_coeffs(name, g), 1))
             parts.append((self._poly_from_coeffs(name, q), 1))
@@ -618,18 +574,6 @@ class GradedRing:
                     if val == 0:
                         return CycScalar.from_rational(self.scalar_order, cand)
         return None
-
-    @staticmethod
-    def _deflate(coeffs, root: CycScalar):
-        # synthetic division by (x - root)
-        out = [None] * (len(coeffs) - 1)
-        acc = coeffs[-1]
-        for i in range(len(coeffs) - 2, -1, -1):
-            out[i] = acc
-            acc = coeffs[i] + acc * root
-        if not acc.is_zero():
-            raise InternalInvariantError("deflation by a non-root")
-        return out
 
     def is_h_irreducible(self, e: HomogeneousElement) -> bool:
         e = self.normal_form(e)

@@ -15,7 +15,7 @@ and the size of the solution set is reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from itertools import product as iproduct
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,28 +23,26 @@ from .abgroup import (
     FgAbelianGroup,
     GroupElement,
     GroupHomomorphism,
+    coordinate_inclusion,
     element_order,
     express_in_subgroup,
     kernel_basis_mod_p,
-    pushout_root,
     quotient_group,
-    rank_mod_p,
+    solution_count_mod_p,
     solve_affine_mod_n,
     solve_affine_mod_p,
     solve_linear_over_group,
     subgroup_contains,
     subgroup_relation_lattice,
 )
-from .cyclo import CycOrder, CycScalar, root_of_unity_pth_root
+from .cyclo import CycScalar, root_of_unity_pth_root
 from .errors import InputDataError, InternalInvariantError, LiftInconsistencyError
 from .gring import Factorization, GradedRing, HomogeneousElement, Monomial
 from .mdstack import (
-    CoarseData,
     DivisorRootInfo,
     MdStackData,
     apply_divisor_batch,
     canonical_stack,
-    effective_generators,
     graded_factorial_spotcheck,
     replay_tower,
     root_divisor,
@@ -84,7 +82,8 @@ class BaseMorphism:
 
 @dataclass(frozen=True)
 class LiftOptions:
-    step_cap: int = 10000
+    """Run options.  The rewrite step cap is not here: each ring carries its own."""
+
     spotcheck_bound: int = 4
     root_name_pins: Tuple[Tuple[Tuple[str, int], str], ...] = ()
 
@@ -426,25 +425,24 @@ class _Engine:
                 self._line_step(step - 1, D, p, coset)
         return self._finish()
 
+    def _adopt(self, new_stack, incl, D, delta):
+        """Move to the extended stack (incl: old pic -> new pic) and add the
+        class D, with degree-map image delta, to the current subgroup."""
+        self.stack = new_stack
+        self.K_images = [incl(i) for i in self.K_images] + [delta]
+        self.K_gens.append(D)
+        self._lambda_hom()
+
     # -- line-bundle step ----------------------------------------------------
 
     def _line_step(self, index, D, p, coset):
         L = self._lambda_of(p * D)
         new_stack = root_line_bundle(self.stack, L, p)
-        incl = GroupHomomorphism(
-            self.stack.pic,
-            new_stack.pic,
-            [new_stack.pic.element(tuple(r) + (0,))
-             for r in _identity_rows(self.stack.pic.ambient_rank)],
-        )
-        delta = new_stack.pic.element((0,) * self.stack.pic.ambient_rank + (1,))
-        self.stack = new_stack
-        self.K_images = [incl(i) for i in self.K_images]
-        self.K_gens.append(D)
-        self.K_images.append(delta)
+        incl = coordinate_inclusion(self.stack.pic, new_stack.pic)
+        delta = new_stack.pic.basis_element(self.stack.pic.ambient_rank)
         for mono, F, mj, kj in coset:
             self.table[mono] = HomogeneousElement.zero()
-        self._lambda_hom()
+        self._adopt(new_stack, incl, D, delta)
         self.steps.append(
             StepRecord(
                 index=index,
@@ -525,7 +523,7 @@ class _Engine:
             names.append(f"z{counter}")
             used.add(f"z{counter}")
 
-        new_stack, incl, delta, zdegs, mode = self._extend_group_and_ring(
+        new_stack, incl, delta, mode = self._extend_group_and_ring(
             D, p, coset, Jp, qlist, a, b, rooted, names
         )
         new_ring = new_stack.cox_ring
@@ -583,7 +581,7 @@ class _Engine:
                 "root-of-unity constraint system is inconsistent; "
                 f"constraints {kmonos} cannot be satisfied"
             )
-        count = p ** (len(Jp) - rank_mod_p(rows, len(Jp), p)) if Jp else 1
+        count = solution_count_mod_p(rows, len(Jp), p)
 
         # generator images
         new_images: Dict[Monomial, HomogeneousElement] = {}
@@ -602,12 +600,8 @@ class _Engine:
             if j not in Jp:
                 new_images[mono] = HomogeneousElement.zero()
 
-        self.stack = new_stack
-        self.K_images = [incl(i) for i in self.K_images]
-        self.K_gens.append(D)
-        self.K_images.append(delta)
         self.table.update(new_images)
-        self._lambda_hom()
+        self._adopt(new_stack, incl, D, delta)
         # degree coherence: every new image matches the extended degree map
         for mono, F, mj, kj in coset:
             img = self.table[mono]
@@ -667,41 +661,23 @@ class _Engine:
 
         # --- pushout attempt
         seq_stack = self.stack
-        incls: List[GroupHomomorphism] = []
         for l, name in zip(rooted, names):
-            before = seq_stack.pic
             seq_stack = root_divisor(seq_stack, qlist[l], p, name, check_irreducible=True)
-            after = seq_stack.pic
-            incls.append(
-                GroupHomomorphism(
-                    before,
-                    after,
-                    [after.element(tuple(r) + (0,))
-                     for r in _identity_rows(before.ambient_rank)],
-                )
-            )
-        def lift_through(x: GroupElement, from_stage: int) -> GroupElement:
-            for h in incls[from_stage:]:
-                x = h(x)
-            return x
-
         G_seq = seq_stack.pic
-        eqs = [(p, lift_through(lam_pD, 0))]
+        # each pushout only appends a coordinate, so their composite is one inclusion
+        incl = coordinate_inclusion(pic, G_seq)
+        eqs = [(p, incl(lam_pD))]
         for j in Jp:
             deg_img = G_seq.zero()
             for pos, l in enumerate(rooted):
                 if a[l][j]:
                     zdeg = seq_stack.cox_ring.gen_degrees[names[pos]]
                     deg_img = deg_img + a[l][j] * zdeg
-            deg_img = deg_img + lift_through(unrooted_deg[j], 0)
-            eqs.append((coset[j][2], deg_img - lift_through(lam_k[j], 0)))
+            deg_img = deg_img + incl(unrooted_deg[j])
+            eqs.append((coset[j][2], deg_img - incl(lam_k[j])))
         delta = solve_linear_over_group(G_seq, eqs)
         if delta is not None:
-            incl_total = incls[0] if incls else GroupHomomorphism.identity(pic)
-            for h in incls[1:]:
-                incl_total = h.compose(incl_total)
-            zdegs = [seq_stack.cox_ring.gen_degrees[n] for n in names]
-            return seq_stack, incl_total, delta, zdegs, "pushout"
+            return seq_stack, incl, delta, "pushout"
 
         # --- universal extension
         n_old = pic.ambient_rank
@@ -726,20 +702,15 @@ class _Engine:
         # irreducibility was certified during the pushout attempt above
         new_stack = apply_divisor_batch(self.stack, infos, rows)
         G_new = new_stack.pic
-        incl = GroupHomomorphism(
-            pic,
-            G_new,
-            [G_new.element(tuple(r) + (0,) * (R + 1)) for r in _identity_rows(n_old)],
-        )
+        incl = coordinate_inclusion(pic, G_new)
         for krow in subgroup_relation_lattice(G_new, list(incl.images)):
             if not pic.element(krow).is_zero():
                 raise LiftInconsistencyError(
                     "inconsistent degree data: the grading extension collapses "
                     "existing degrees"
                 )
-        delta = G_new.element((0,) * (n_old + R) + (1,))
-        zdegs = [new_stack.cox_ring.gen_degrees[n] for n in names]
-        return new_stack, incl, delta, zdegs, "universal"
+        delta = G_new.basis_element(n_old + R)
+        return new_stack, incl, delta, "universal"
 
     # -- finish -----------------------------------------------------------------
 
@@ -754,25 +725,12 @@ class _Engine:
                 )
             images[name] = ring.normal_form(self.table[mono])
         cl = self.T.cl
-        hom_images = []
-        for row in _identity_rows(cl.ambient_rank):
-            coeffs = express_in_subgroup(cl, self.K_gens, cl.element(row))
-            if coeffs is None:
-                raise InternalInvariantError("class group not generated at completion")
-            acc = self.stack.pic.zero()
-            for c, img in zip(coeffs, self.K_images):
-                if c:
-                    acc = acc + c * self.stack.pic.element(img.coords)
-            hom_images.append(acc)
+        hom_images = [self._lambda_of(cl.basis_element(i)) for i in range(cl.ambient_rank)]
         try:
             group_map = GroupHomomorphism(cl, self.stack.pic, hom_images)
         except InputDataError as exc:
             raise LiftInconsistencyError(f"final group map is ill defined: {exc}")
         return self.stack, images, group_map, dict(self.table), tuple(self.steps)
-
-
-def _identity_rows(n: int):
-    return [tuple(int(i == j) for j in range(n)) for i in range(n)]
 
 
 def run_cox_lift(target: TargetData, source_stack: MdStackData, base: BaseMorphism,
@@ -793,17 +751,7 @@ def run_cox_lift(target: TargetData, source_stack: MdStackData, base: BaseMorphi
     )
     report = verify_lift(target, source_stack, base, draft,
                          spotcheck_bound=options.spotcheck_bound)
-    return CoxLiftResult(
-        target=target,
-        base=base,
-        source_stack=source_stack,
-        stack=stack,
-        images=images,
-        group_map=group_map,
-        table=table,
-        steps=steps,
-        verification=report,
-    )
+    return replace(draft, verification=report)
 
 
 # ---------------------------------------------------------------------------
@@ -1241,7 +1189,7 @@ def decompose_as_roots(stack: MdStackData,
     base = BaseMorphism(
         images=images,
         group_images=tuple(
-            coarse.group.element(row) for row in _identity_rows(coarse.group.ambient_rank)
+            coarse.group.basis_element(i) for i in range(coarse.group.ambient_rank)
         ),
     )
     result = run_cox_lift(target, source, base, options)
@@ -1267,14 +1215,4 @@ def decompose_as_roots(stack: MdStackData,
             else "replayed stack differs from the input",
         )
     )
-    return CoxLiftResult(
-        target=result.target,
-        base=result.base,
-        source_stack=result.source_stack,
-        stack=result.stack,
-        images=result.images,
-        group_map=result.group_map,
-        table=result.table,
-        steps=result.steps,
-        verification=VerificationReport(tuple(checks)),
-    )
+    return replace(result, verification=VerificationReport(tuple(checks)))

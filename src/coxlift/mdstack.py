@@ -1,19 +1,26 @@
 """Stack data: a graded Cox ring, its Picard-type grading group, the
 irrelevant-ideal generators, and a log of root constructions.
 
-Two pure transformations build new stacks from old: rooting a prime
-divisor (adjoin z with z^n = s and push the grading group out by an n-th
-root of the class of s) and rooting a line bundle (grading group only).
-A tower log records every step so a stack can be replayed from its base.
+Pure transformations build new stacks from old: rooting a prime divisor
+(adjoin z with z^n = s and push the grading group out by an n-th root of
+the class of s), rooting several divisors over an explicitly presented
+group extension, and rooting a line bundle (grading group only).  A tower
+log records every step so a stack can be replayed from its base.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence, Tuple
 
-from .abgroup import FgAbelianGroup, GroupElement, GroupHomomorphism, pushout_root
+from .abgroup import (
+    FgAbelianGroup,
+    GroupElement,
+    GroupHomomorphism,
+    coordinate_inclusion,
+    pushout_root,
+)
 from .cyclo import CycScalar
 from .errors import FactorizationOracleRequired, InputDataError
 from .gring import Factorization, GradedRing, HomogeneousElement, Monomial, RewriteRule
@@ -30,12 +37,15 @@ class DivisorRootInfo:
 class RootStep:
     """One tower entry.
 
-    kind "divisor": a single root along a prime divisor (pushout group).
+    kind "divisor": a single root along a prime divisor; the group gains
+    one slot, the pushout by an n-th root of the section's class.
     kind "line_bundle": grading-group root only.
     kind "divisor_batch": several divisor roots taken in one lift step,
     with the grading extension given by explicit relation rows (the rows
     live in ambient coordinates of pic + one slot per root + one slot for
-    the rooted divisor class).
+    the rooted divisor class).  The trailing slot makes a one-root batch
+    a different group presentation from a "divisor" step.
+    Both divisor kinds adjoin their generators and rules the same way.
     """
 
     kind: str
@@ -63,19 +73,6 @@ class MdStackData:
     tower: Tuple[RootStep, ...]
     coarse: Optional[CoarseData] = None
     assertions: Tuple[Tuple[str, bool], ...] = ()
-
-    def describe_tower(self):
-        out = []
-        for step in self.tower:
-            if step.kind == "line_bundle":
-                out.append(f"line-bundle root: class {list(step.bundle_class)}, order {step.order}")
-            else:
-                for r in step.roots:
-                    out.append(
-                        f"divisor root: section {r.section.key()}, order {r.order},"
-                        f" new generator {r.name}"
-                    )
-        return out
 
 
 def _mature_declared_rules(ring: GradedRing) -> GradedRing:
@@ -165,9 +162,43 @@ def _fresh_name(ring: GradedRing, start: int = 1) -> str:
     return f"z{i}"
 
 
-def _regrade(ring: GradedRing, new_group: FgAbelianGroup,
-             incl: GroupHomomorphism) -> list:
-    return [(n, incl(d)) for n, d in ring.generators]
+def _extend_stack(S: MdStackData, ring: GradedRing, incl: GroupHomomorphism,
+                  step: RootStep) -> MdStackData:
+    """S with its ring replaced by one graded by the larger group, the step
+    logged, and the coarse inclusion composed with incl : S.pic -> new pic."""
+    coarse = S.coarse and replace(S.coarse, inclusion=incl.compose(S.coarse.inclusion))
+    return MdStackData(
+        ring, ring.grading_group, S.irrelevant_gens, S.tower + (step,), coarse, S.assertions
+    )
+
+
+def _adjoin_roots(S: MdStackData, roots: Sequence[DivisorRootInfo],
+                  new_group: FgAbelianGroup, incl: GroupHomomorphism,
+                  deltas: Sequence[GroupElement], step: RootStep) -> MdStackData:
+    """Adjoin one generator z per root, of degree deltas[i] in new_group.
+
+    The old generators are regraded through incl : S.pic -> new_group.
+    Each root adds the rule z^n -> section and the declared factorization
+    section = z^n, after which declared factorizations of single
+    generators that became expressible are matured into rules.
+    """
+    ring = S.cox_ring
+    gens = [(name, incl(d)) for name, d in ring.generators]
+    rules = list(ring.rules)
+    declared = dict(ring.declared_factorizations)
+    one = CycScalar.one(ring.scalar_order)
+    for info, delta in zip(roots, deltas):
+        if info.name in dict(gens):
+            raise InputDataError(f"generator name {info.name!r} already in use")
+        gens.append((info.name, delta))
+        rules.append(RewriteRule(Monomial.gen(info.name, info.order), info.section))
+        z_el = HomogeneousElement.monomial(ring.scalar_order, Monomial.gen(info.name))
+        declared[info.section.key()] = Factorization(one, ((z_el, info.order),))
+    new_ring = GradedRing(
+        gens, new_group, ring.scalar_order, rules,
+        ring.irreducibles, declared, ring.step_cap,
+    )
+    return _extend_stack(S, _mature_declared_rules(new_ring), incl, step)
 
 
 def root_divisor(S: MdStackData, s: HomogeneousElement, n: int,
@@ -201,28 +232,10 @@ def root_divisor(S: MdStackData, s: HomogeneousElement, n: int,
             )
     if zname is None:
         zname = _fresh_name(ring)
-    if zname in ring.gen_degrees:
-        raise InputDataError(f"generator name {zname!r} already in use")
-
-    deg_s = ring.degree_of(s)
-    new_group, incl, delta = pushout_root(S.pic, deg_s, n)
-    gens = _regrade(ring, new_group, incl) + [(zname, delta)]
-    rules = list(ring.rules) + [
-        RewriteRule(Monomial.gen(zname, n), s)
-    ]
-    declared = dict(ring.declared_factorizations)
-    z_el = HomogeneousElement.monomial(ring.scalar_order, Monomial.gen(zname))
-    declared[s.key()] = Factorization(CycScalar.one(ring.scalar_order), ((z_el, n),))
-    new_ring = GradedRing(
-        gens, new_group, ring.scalar_order, rules,
-        ring.irreducibles, declared, ring.step_cap,
-    )
-    new_ring = _mature_declared_rules(new_ring)
-    step = RootStep(kind="divisor", roots=(DivisorRootInfo(s, n, zname),))
-    coarse = S.coarse and replace(S.coarse, inclusion=incl.compose(S.coarse.inclusion))
-    return MdStackData(
-        new_ring, new_group, S.irrelevant_gens, S.tower + (step,), coarse, S.assertions
-    )
+    new_group, incl, delta = pushout_root(S.pic, ring.degree_of(s), n)
+    info = DivisorRootInfo(s, n, zname)
+    return _adjoin_roots(S, (info,), new_group, incl, (delta,),
+                         RootStep(kind="divisor", roots=(info,)))
 
 
 def root_line_bundle(S: MdStackData, a: GroupElement, n: int) -> MdStackData:
@@ -231,13 +244,11 @@ def root_line_bundle(S: MdStackData, a: GroupElement, n: int) -> MdStackData:
         raise InputDataError("root order must be positive")
     new_group, incl, _delta = pushout_root(S.pic, a, n)
     new_ring = S.cox_ring.with_data(
-        generators=_regrade(S.cox_ring, new_group, incl), grading_group=new_group
+        generators=[(name, incl(d)) for name, d in S.cox_ring.generators],
+        grading_group=new_group,
     )
     step = RootStep(kind="line_bundle", bundle_class=tuple(a.coords), order=n)
-    coarse = S.coarse and replace(S.coarse, inclusion=incl.compose(S.coarse.inclusion))
-    return MdStackData(
-        new_ring, new_group, S.irrelevant_gens, S.tower + (step,), coarse, S.assertions
-    )
+    return _extend_stack(S, new_ring, incl, step)
 
 
 def apply_divisor_batch(S: MdStackData, roots: Sequence[DivisorRootInfo],
@@ -250,7 +261,6 @@ def apply_divisor_batch(S: MdStackData, roots: Sequence[DivisorRootInfo],
     lift engine when the per-divisor pushouts admit no compatible degree
     map; coming from that engine the rows always contain b_l*e_l = [q_l].
     """
-    ring = S.cox_ring
     n_old = S.pic.ambient_rank
     m = len(roots)
     rows = [list(r) + [0] * (m + 1) for r in S.pic.relations.entries]
@@ -259,42 +269,15 @@ def apply_divisor_batch(S: MdStackData, roots: Sequence[DivisorRootInfo],
             raise InputDataError("batch relation row has the wrong length")
         rows.append(list(row))
     new_group = FgAbelianGroup(n_old + m + 1, rows)
-    incl = GroupHomomorphism(
-        S.pic,
-        new_group,
-        [new_group.element(tuple(int(i == j) for j in range(n_old + m + 1)))
-         for i in range(n_old)],
-    )
     # the inclusion must stay injective, else the input degrees were inconsistent
-    gens = _regrade(ring, new_group, incl)
-    declared = dict(ring.declared_factorizations)
-    rules = list(ring.rules)
-    for idx, info in enumerate(roots):
-        if info.name in dict(gens):
-            raise InputDataError(f"generator name {info.name!r} already in use")
-        delta = new_group.element(
-            tuple(int(j == n_old + idx) for j in range(n_old + m + 1))
-        )
-        gens.append((info.name, delta))
-        rules.append(RewriteRule(Monomial.gen(info.name, info.order), info.section))
-        z_el = HomogeneousElement.monomial(ring.scalar_order, Monomial.gen(info.name))
-        declared[info.section.key()] = Factorization(
-            CycScalar.one(ring.scalar_order), ((z_el, info.order),)
-        )
-    new_ring = GradedRing(
-        gens, new_group, ring.scalar_order, rules,
-        ring.irreducibles, declared, ring.step_cap,
-    )
-    new_ring = _mature_declared_rules(new_ring)
+    incl = coordinate_inclusion(S.pic, new_group)
+    deltas = [new_group.basis_element(n_old + idx) for idx in range(m)]
     step = RootStep(
         kind="divisor_batch",
         roots=tuple(roots),
         group_relations=tuple(tuple(int(x) for x in row) for row in relations),
     )
-    coarse = S.coarse and replace(S.coarse, inclusion=incl.compose(S.coarse.inclusion))
-    return MdStackData(
-        new_ring, new_group, S.irrelevant_gens, S.tower + (step,), coarse, S.assertions
-    )
+    return _adjoin_roots(S, roots, new_group, incl, deltas, step)
 
 
 def replay_tower(base: MdStackData, tower: Sequence[RootStep]) -> MdStackData:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from .abgroup import FgAbelianGroup, GroupElement, quotient_group
+from .abgroup import FgAbelianGroup, GroupHomomorphism, quotient_group
 from .cyclo import CycOrder, CycScalar
 from .errors import InputDataError
 from .gring import Factorization, GradedRing, HomogeneousElement, Monomial, RewriteRule
@@ -24,7 +24,6 @@ from .lift import (
     LiftOptions,
     StepRecord,
     TargetData,
-    VerificationCheck,
     VerificationReport,
 )
 from .mdstack import (
@@ -138,7 +137,7 @@ def _emit_rules(rules):
 
 
 def _parse_ring_block(data, group: FgAbelianGroup, order: CycOrder,
-                      declared=None, step_cap: int = 10000) -> GradedRing:
+                      step_cap: int = 10000) -> GradedRing:
     gens = []
     for g in data.get("generators", []):
         gens.append((str(g["name"]), group.element(g.get("degree", []))))
@@ -148,7 +147,7 @@ def _parse_ring_block(data, group: FgAbelianGroup, order: CycOrder,
         order,
         _parse_rules(data.get("relations"), order),
         [str(n) for n in data.get("irreducibles", [])],
-        declared or {},
+        {},
         step_cap,
     )
 
@@ -168,7 +167,7 @@ def _global_order(raw, target_cl, pic_gens) -> CycOrder:
     return CycOrder(math.lcm(N, declared))
 
 
-def _parse_declared(block, ring: GradedRing, order: CycOrder, step_cap: int):
+def _parse_declared(block, ring: GradedRing, order: CycOrder):
     """Validate declared factorizations against a scratch root extension.
 
     Returns (declared dict, root name pins).  Verification runs before
@@ -221,18 +220,28 @@ def _parse_declared(block, ring: GradedRing, order: CycOrder, step_cap: int):
     return declared, tuple(pins)
 
 
-def parse_problem(data) -> ProblemSpec:
+def _read(data) -> dict:
+    """The document itself, or the one read from a path."""
     if isinstance(data, (str, bytes)):
         with open(data, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
+    return data
+
+
+def _options(data):
+    """(step cap, spot-check bound) from the document's options block."""
+    topts = data.get("options", {})
+    return int(topts.get("step_cap", 10000)), int(topts.get("spotcheck_bound", 4))
+
+
+def parse_problem(data) -> ProblemSpec:
+    data = _read(data)
     if data.get("schema") != SCHEMA:
         raise InputDataError(f"unsupported schema {data.get('schema')!r}; expected {SCHEMA}")
     if "decompose" in data:
         raise InputDataError("this is a decompose document; use parse_decompose")
     name = str(data.get("name", "problem"))
-    topts = data.get("options", {})
-    step_cap = int(topts.get("step_cap", 10000))
-    spot = int(topts.get("spotcheck_bound", 4))
+    step_cap, spot = _options(data)
 
     tblock = data["target"]
     cl = parse_group(tblock["class_group"])
@@ -255,7 +264,7 @@ def parse_problem(data) -> ProblemSpec:
     sblock = data["source"]
     clx = parse_group(sblock["class_group"])
     bare_ring = _parse_ring_block(sblock, clx, order, step_cap=step_cap)
-    declared, pins = _parse_declared(sblock, bare_ring, order, step_cap)
+    declared, pins = _parse_declared(sblock, bare_ring, order)
     source_ring = bare_ring.with_data(declared_factorizations=declared)
     assertions = {
         str(k): bool(v) for k, v in sblock.get("assertions", {}).items()
@@ -286,20 +295,16 @@ def parse_problem(data) -> ProblemSpec:
             )
         images[mono] = source_ring.normal_form(img)
     base = BaseMorphism(images=images, group_images=tuple(group_images))
-    options = LiftOptions(step_cap=step_cap, spotcheck_bound=spot, root_name_pins=pins)
+    options = LiftOptions(spotcheck_bound=spot, root_name_pins=pins)
     return ProblemSpec(name, order, target, source_stack, base, options, assertions, data)
 
 
 def parse_decompose(data) -> DecomposeSpec:
-    if isinstance(data, (str, bytes)):
-        with open(data, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+    data = _read(data)
     if data.get("schema") != SCHEMA or "decompose" not in data:
         raise InputDataError("not a decompose document")
     name = str(data.get("name", "decompose"))
-    topts = data.get("options", {})
-    step_cap = int(topts.get("step_cap", 10000))
-    spot = int(topts.get("spotcheck_bound", 4))
+    step_cap, spot = _options(data)
     block = data["decompose"]
     sblock = block["stack"]
     cblock = block["coarse"]
@@ -311,11 +316,9 @@ def parse_decompose(data) -> DecomposeSpec:
     pic_gens = [pic.element(r) for r in incl_rows]
     order = _global_order(data, pic, pic_gens)
     stack_bare = _parse_ring_block(sblock, pic, order, step_cap=step_cap)
-    declared, _pins = _parse_declared(sblock, stack_bare, order, step_cap)
+    declared, _pins = _parse_declared(sblock, stack_bare, order)
     stack_ring = stack_bare.with_data(declared_factorizations=declared)
     coarse_ring = _parse_ring_block(cblock, coarse_group, order, step_cap=step_cap)
-    from .abgroup import GroupHomomorphism
-
     incl = GroupHomomorphism(coarse_group, pic, pic_gens)
     coarse = CoarseData(
         coarse_ring,
@@ -331,7 +334,7 @@ def parse_decompose(data) -> DecomposeSpec:
         coarse,
         (),
     )
-    options = LiftOptions(step_cap=step_cap, spotcheck_bound=spot)
+    options = LiftOptions(spotcheck_bound=spot)
     return DecomposeSpec(name, order, stack, options, data)
 
 
@@ -374,7 +377,7 @@ def emit_problem(spec: ProblemSpec) -> dict:
             ],
         },
         "options": {
-            "step_cap": spec.options.step_cap,
+            "step_cap": spec.source_stack.cox_ring.step_cap,
             "spotcheck_bound": spec.options.spotcheck_bound,
         },
     }
@@ -509,14 +512,18 @@ def emit_result(spec_name: str, result: CoxLiftResult, order: CycOrder,
         },
         "group_map": [list(g.coords) for g in result.group_map.images],
         "steps": [emit_step_record(s) for s in result.steps],
-        "verification": {
-            "passed": result.verification.passed,
-            "checks": [
-                {"name": c.name, "passed": c.passed, "detail": c.detail}
-                for c in result.verification.checks
-            ],
-        },
+        "verification": emit_verification(result.verification),
         "assertions": dict(assertions or {}),
+    }
+
+
+def emit_verification(report: VerificationReport) -> dict:
+    return {
+        "passed": report.passed,
+        "checks": [
+            {"name": c.name, "passed": c.passed, "detail": c.detail}
+            for c in report.checks
+        ],
     }
 
 

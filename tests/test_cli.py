@@ -64,6 +64,10 @@ def test_schema_violation_gives_exit_2(tmp_path, capsys):
     assert run_cli("lift", str(bad)) == 2
     err = capsys.readouterr().err
     assert "schema" in err
+    bad.write_text("[1]")
+    for argv in (["lift"], ["decompose"], ["factor", "--element", "{}"]):
+        assert run_cli(argv[0], str(bad), *argv[1:]) == 2
+        assert "JSON object" in capsys.readouterr().err
 
 
 def test_empty_generator_list_rejected(tmp_path, capsys):
@@ -155,3 +159,16 @@ def test_result_replay_reproduces_final_stack(tmp_path):
         from coxlift.serialize import _emit_rules
 
         assert _emit_rules(stack.cox_ring.rules) == doc["final_stack"]["rules"]
+
+
+def test_step_cap_flag_reaches_the_rings(capsys):
+    # mu3 needs more than one rewrite step while it is parsed
+    assert run_cli("lift", str(PROBLEMS / "mu3.json"), "--step-cap", "1") == 2
+    assert "rewriting diverged" in capsys.readouterr().err
+    assert run_cli("lift", str(PROBLEMS / "mu3.json"), "--step-cap", "50", "--log", "json") == 0
+
+
+def test_lift_and_decompose_reject_each_others_documents(capsys):
+    assert run_cli("decompose", str(PROBLEMS / "mu3.json")) == 2
+    assert run_cli("lift", str(PROBLEMS / "decompose_half11_root.json")) == 2
+    assert "is not a lift document" in capsys.readouterr().err

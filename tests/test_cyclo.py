@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxlift.cyclo import (
     CycOrder,
     CycScalar,
+    _pdivmod,
+    _pgcd,
     cyc_arith,
     cyclotomic_polynomial,
     root_of_unity_pth_root,
@@ -122,3 +125,78 @@ def test_pth_root_of_unit():
     assert r is not None and r ** 2 == minus_one
     assert r == CycScalar.zeta(N, 1)  # smallest exponent
     assert root_of_unity_pth_root(CycScalar.from_rational(N, 2), 2) is None
+
+
+# -- dense polynomial helpers ---------------------------------------------------
+
+small_q = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+def _mul(a, b, zero):
+    out = [zero] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def _add(a, b, zero):
+    n = max(len(a), len(b))
+    out = [(a[i] if i < len(a) else zero) + (b[i] if i < len(b) else zero) for i in range(n)]
+    while out and out[-1] == zero:
+        out.pop()
+    return tuple(out)
+
+
+def _check_divmod(a, b, zero):
+    """q*b + r == a and deg r < deg b; b has a nonzero leading coefficient."""
+    q, r = _pdivmod(a, b)
+    assert _add(_mul(q, b, zero), r, zero) == _add(a, (), zero)
+    assert len(r) < len(b) and (not r or r[-1] != zero)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(small_q, max_size=7), st.lists(small_q, min_size=1, max_size=5))
+def test_pdivmod_over_q(a, b):
+    b = b[:-1] + [b[-1] or Fraction(1)]
+    _check_divmod(tuple(a), tuple(b), Fraction(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([3, 4, 5, 12]),
+    st.lists(st.tuples(small_q, st.integers(0, 11)), max_size=5),
+    st.lists(st.tuples(small_q, st.integers(0, 11)), min_size=1, max_size=4),
+)
+def test_pdivmod_over_q_zeta(N, a, b):
+    order = CycOrder(N)
+
+    def scalar(c, k):
+        return CycScalar.from_rational(order, c) * CycScalar.zeta(order, k)
+
+    a = tuple(scalar(c, k) for c, k in a)
+    b = tuple(scalar(c, k) for c, k in b[:-1]) + (CycScalar.zeta(order, b[-1][1]),)
+    _check_divmod(a, b, CycScalar.zero(order))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(small_q, min_size=1, max_size=3),
+    st.lists(small_q, max_size=4),
+    st.lists(small_q, max_size=4),
+)
+def test_pgcd_matches_sympy_over_q(common, f, g):
+    x = sympy.Symbol("x")
+    zero = Fraction(0)
+    a = _add(_mul(tuple(common), tuple(f), zero), (), zero)
+    b = _add(_mul(tuple(common), tuple(g), zero), (), zero)
+
+    def to_sympy(p):
+        return sympy.Poly(list(reversed(p)) or [0], x, domain=sympy.QQ)
+
+    want = to_sympy(a).gcd(to_sympy(b))
+    got = _pgcd(a, b)
+    if want.is_zero:
+        assert got == ()
+    else:
+        assert [sympy.Rational(c.numerator, c.denominator) for c in reversed(got)] == want.all_coeffs()

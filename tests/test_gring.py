@@ -280,3 +280,15 @@ def test_fresh_root_uniqueness_spotcheck():
                 prod = prod * irreducible[i]
             key = R.normal_form(prod).key()
             assert seen.setdefault(key, combo) == combo
+
+
+@pytest.mark.parametrize("mult", [2, 3])
+def test_h_factorize_square_free_split_over_q_zeta3(mult):
+    # (t - zeta)^mult has no rational root, so only the square-free
+    # split (gcd with the derivative) can factor it
+    cl0 = FgAbelianGroup(0, [])
+    R = GradedRing([("t", cl0.zero())], cl0, N3)
+    lin = R.gen("t") - R.const(CycScalar.zeta(N3))
+    fact = R.h_factorize(lin ** mult)
+    assert fact.unit == CycScalar.one(N3)
+    assert [(f.key(), e) for f, e in fact.factors] == [(lin.key(), mult)]
