@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import product as iproduct
+from itertools import combinations_with_replacement
+from operator import add, le
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .abgroup import (
@@ -178,42 +179,51 @@ class NoFactor:
 def pic_level_generators(T: TargetData, K_gens: Sequence[GroupElement]) -> List[Monomial]:
     """Monomials generating the subring of degrees inside the subgroup.
 
-    Enumerates exponent vectors bounded, per generator, by the order of
-    its degree class in Cl/K (a power beyond that order splits off a
-    factor with degree in K, so nothing larger can be a minimal
-    generator), keeps the vectors whose degree lies in K, and drops any
-    monomial divisible by a product of two kept monomials.
+    Exponents are bounded, per generator, by the order of its degree class
+    in Cl/K (a power beyond that order splits off a factor with degree in
+    K, so nothing larger can be a minimal generator).  Classes are carried
+    as canonical coordinates of Cl/K and the last exponent is read off a
+    residue table, so only the class-zero vectors of that box are visited.
+    In `Monomial.sort_key` order, a vector is kept unless some kept vector
+    k is <= it componentwise.  This drops exactly the monomials divisible
+    by a product of two kept ones: m/k is a nonzero class-zero vector of
+    the box of smaller total degree, so it is kept or divisible by one.
     """
     Q, proj = quotient_group(T.cl, list(K_gens))
     if not Q.is_finite():
         raise InputDataError("not Q-factorial data: Cl/K is infinite")
     names = [n for n, _ in T.ring.generators]
+    if not names:
+        return []
     classes = [proj(d) for _, d in T.ring.generators]
+    ys = [c.canonical() for c in classes]
     bounds = [element_order(Q, c) for c in classes]
-    candidates = []
-    for exps in iproduct(*[range(b + 1) for b in bounds]):
-        if not any(exps):
-            continue
-        acc = Q.zero()
-        for e, c in zip(exps, classes):
-            if e:
-                acc = acc + e * c
-        if acc.is_zero():
-            candidates.append(Monomial(zip(names, exps)))
-    candidates.sort(key=lambda m: m.sort_key())
-    kept: List[Monomial] = []
-    for m in candidates:
-        redundant = False
-        for i in range(len(kept)):
-            for j in range(i, len(kept)):
-                if (kept[i] * kept[j]).divides(m):
-                    redundant = True
-                    break
-            if redundant:
-                break
-        if not redundant:
-            kept.append(m)
-    return kept
+
+    def shift(acc, y, e):
+        return tuple((a + e * c) % m for a, c, m in zip(acc, y, Q.moduli))
+
+    zero = (0,) * len(Q.moduli)
+    # residue r -> last exponents e with r + e * class(last) = 0
+    reach: Dict[tuple, List[int]] = {}
+    for e in range(bounds[-1] + 1):
+        reach.setdefault(shift(zero, ys[-1], -e), []).append(e)
+    found: List[tuple] = []
+
+    def walk(i, exps, acc):
+        if i == len(names) - 1:
+            found.extend(exps + (e,) for e in reach.get(acc, ()))
+            return
+        for e in range(bounds[i] + 1):
+            walk(i + 1, exps + (e,), shift(acc, ys[i], e))
+
+    walk(0, (), zero)
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    found.sort(key=lambda v: (sum(v), tuple((names[i], v[i]) for i in by_name if v[i])))
+    kept: List[tuple] = []
+    for v in found:  # the zero vector sorts first and is skipped
+        if any(v) and not any(all(map(le, k, v)) for k in kept):
+            kept.append(v)
+    return [Monomial(zip(names, v)) for v in kept]
 
 
 def choose_extension_class(T: TargetData, K_gens: Sequence[GroupElement]):
@@ -227,7 +237,7 @@ def choose_extension_class(T: TargetData, K_gens: Sequence[GroupElement]):
         raise InputDataError("already complete: K equals the class group")
     slot = next(i for i, d in enumerate(Q.moduli) if d not in (0, 1))
     m = Q.moduli[slot]
-    p = next(q for q in range(2, m + 1) if m % q == 0 and all(q % r for r in range(2, q)))
+    p = next(q for q in range(2, m + 1) if m % q == 0)
     lift = T.cl.element(Q.canonical_generator(slot).coords)
     return (m // p) * lift, p
 
@@ -306,26 +316,37 @@ class _Engine:
 
     def _spotcheck_base_relations(self):
         """Bounded well-definedness check: equal monomials from different
-        key products must receive equal images."""
+        key products must receive equal images.
+
+        The bound: only products of two and of three base keys are
+        compared, so a relation that needs four or more keys goes
+        unchecked.  All pairs come first, then all triples, each in
+        `combinations_with_replacement` order of the keys sorted by
+        `Monomial.sort_key`; later products of a monomial are compared with
+        its first.  A triple reuses the unnormalised product of its first
+        two keys.
+        """
         ring = self.stack.cox_ring
         keys = sorted(self.table, key=lambda m: m.sort_key())
-        seen: Dict[Monomial, Tuple[tuple, HomogeneousElement]] = {}
-        from itertools import combinations_with_replacement
+        names = sorted({n for k in keys for n in k.names()})
+        vecs = [tuple(k.exp(n) for n in names) for k in keys]
+        imgs = [self.table[k] for k in keys]
+        seen: Dict[tuple, HomogeneousElement] = {}
 
-        for size in (2, 3):
-            for combo in combinations_with_replacement(range(len(keys)), size):
-                mono = Monomial.one()
-                img = ring.one()
-                for idx in combo:
-                    mono = mono * keys[idx]
-                    img = img * self.table[keys[idx]]
-                img = ring.normal_form(img)
-                if mono in seen and seen[mono][0] != combo:
-                    if not ring.elements_equal(seen[mono][1], img):
-                        raise InputDataError(
-                            f"base images are inconsistent on the monomial {mono.key()}"
-                        )
-                seen.setdefault(mono, (combo, img))
+        def compare(vec, prod):
+            img = ring.normal_form(prod)
+            ref = seen.setdefault(vec, img)
+            if ref.terms != img.terms and not ring.elements_equal(ref, img):
+                mono = Monomial(zip(names, vec)).key()
+                raise InputDataError(f"base images are inconsistent on the monomial {mono}")
+
+        pairs = {}
+        for i, j in combinations_with_replacement(range(len(keys)), 2):
+            pairs[i, j] = (tuple(map(add, vecs[i], vecs[j])), imgs[i] * imgs[j])
+            compare(*pairs[i, j])
+        for i, j, k in combinations_with_replacement(range(len(keys)), 3):
+            vec, prod = pairs[i, j]
+            compare(tuple(map(add, vec, vecs[k])), prod * imgs[k])
 
     # -- degree map -------------------------------------------------------
 

@@ -1,7 +1,13 @@
+import math
+from itertools import combinations_with_replacement
+from itertools import product as iproduct
+
 import pytest
 from helpers import load_raw, load_spec, lift_of
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from coxlift.abgroup import FgAbelianGroup, GroupHomomorphism
+from coxlift.abgroup import FgAbelianGroup, GroupHomomorphism, element_order, quotient_group
 from coxlift.cyclo import CycOrder, CycScalar
 from coxlift.errors import InputDataError, LiftInconsistencyError
 from coxlift.gring import GradedRing, HomogeneousElement, Monomial
@@ -44,6 +50,52 @@ def test_pic_level_generators_mu4():
     assert [m.key() for m in pic_level_generators(t, [])] == ["y^2", "x^2*y", "x^4"]
     K1 = [t.cl.element([2])]
     assert [m.key() for m in pic_level_generators(t, K1)] == ["y", "x^2"]
+
+
+def _pic_level_generators_oracle(T, K_gens):
+    """Brute force: the full exponent box, `is_zero`, and the pair test."""
+    Q, proj = quotient_group(T.cl, list(K_gens))
+    names = [n for n, _ in T.ring.generators]
+    classes = [proj(d) for _, d in T.ring.generators]
+    bounds = [element_order(Q, c) for c in classes]
+    candidates = []
+    for exps in iproduct(*[range(b + 1) for b in bounds]):
+        acc = Q.zero()
+        for e, c in zip(exps, classes):
+            acc = acc + e * c
+        if any(exps) and acc.is_zero():
+            candidates.append(Monomial(zip(names, exps)))
+    candidates.sort(key=lambda m: m.sort_key())
+    kept = []
+    for m in candidates:
+        if not any((a * b).divides(m) for a, b in combinations_with_replacement(kept, 2)):
+            kept.append(m)
+    return kept
+
+
+@st.composite
+def finite_gradings(draw):
+    """Cl of rank <= 3 and order <= 40, up to 4 generators, 0-2 K generators."""
+    rank = draw(st.integers(1, 3))
+    diag = [draw(st.integers(1, 6)) for _ in range(rank)]
+    assume(1 < math.prod(diag) <= 40)
+    rel = [[diag[i] if i == j else (draw(st.integers(-4, 4)) if j > i else 0)
+            for j in range(rank)] for i in range(rank)]
+    cl = FgAbelianGroup(rank, rel)
+    vec = st.lists(st.integers(-6, 6), min_size=rank, max_size=rank)
+    names = draw(st.permutations(["y", "x", "w", "z"]))[:draw(st.integers(1, 4))]
+    gens = [(n, cl.element(draw(vec))) for n in names]
+    K = [cl.element(draw(vec)) for _ in range(draw(st.integers(0, 2)))]
+    Q, proj = quotient_group(cl, K)
+    assume(math.prod(element_order(Q, proj(d)) + 1 for _, d in gens) <= 3000)
+    return TargetData(cl=cl, pic_gens=(), ring=GradedRing(gens, cl, CycOrder(2))), K
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_gradings())
+def test_pic_level_generators_matches_box_oracle(data):
+    T, K = data
+    assert pic_level_generators(T, K) == _pic_level_generators_oracle(T, K)
 
 
 def test_choose_extension_class_examples():
@@ -188,6 +240,68 @@ def test_mutated_base_image_caught_by_relation_spotcheck():
     spec = parse_problem(raw)
     with pytest.raises((InputDataError, LiftInconsistencyError)):
         run_cox_lift(spec.target, spec.source_stack, spec.base, spec.options)
+
+
+def test_base_check_rejects_mixed_pair_and_triple_fibre():
+    raw = load_raw("mu3")
+    raw["base_morphism"]["images"][0]["image"]["terms"][0]["c"] = "2"  # x^3 -> 2u
+    spec = parse_problem(raw)
+    # x^3 * y^3 (a pair) and (x*y)^3 (a triple) give 2uw against uw
+    with pytest.raises(InputDataError, match=r"inconsistent on the monomial x\^3\*y\^3$"):
+        run_cox_lift(spec.target, spec.source_stack, spec.base, spec.options)
+
+
+def _z3_squared_problem(xyz_coeff):
+    """C^3 / (Z/3)^2 with degrees (1,0), (0,1), (2,2): keys x*y*z, x^3, y^3
+    and z^3, whose pairwise products are all distinct; only the triples
+    (x*y*z)^3 = x^3*y^3*z^3 relate them."""
+    cl = FgAbelianGroup(2, [[3, 0], [0, 3]])
+    ring = GradedRing([("x", cl.element([1, 0])), ("y", cl.element([0, 1])),
+                       ("z", cl.element([2, 2]))], cl, CycOrder(3))
+    target = TargetData(cl=cl, pic_gens=(), ring=ring)
+    trivial = FgAbelianGroup(0, [])
+    source = canonical_stack(GradedRing([("t", trivial.element(()))], trivial, CycOrder(3)))
+    t = source.cox_ring.gen("t")
+    images = {Monomial({n: 3}): t for n in "xyz"}
+    coeff = CycScalar.from_rational(CycOrder(3), xyz_coeff)
+    images[Monomial({"x": 1, "y": 1, "z": 1})] = t.scale(coeff)
+    return target, source, BaseMorphism(images=images, group_images=())
+
+
+def test_base_check_rejects_triple_only_inconsistency():
+    target, source, base = _z3_squared_problem(2)  # (2t)^3 = 8t^3 against t^3
+    assert sorted(m.key() for m in pic_level_generators(target, [])) == [
+        "x*y*z", "x^3", "y^3", "z^3"]
+    with pytest.raises(InputDataError, match=r"inconsistent on the monomial x\^3\*y\^3\*z\^3$"):
+        run_cox_lift(target, source, base)
+    target, source, base = _z3_squared_problem(1)
+    assert run_cox_lift(target, source, base).verification.passed
+
+
+def test_cyclic_quotient_lift_a34():
+    """A^1 -> C^3 / mu_4 with x1^4 -> t and every other degree-4 key -> 0:
+    Pic = Z/4, x1 maps to a unit times one root w with w^4 = t, and x0, x2
+    map to 0."""
+    cl = FgAbelianGroup(1, [[4]])
+    names = ["x0", "x1", "x2"]
+    ring = GradedRing([(n, cl.element([1])) for n in names], cl, CycOrder(4))
+    target = TargetData(cl=cl, pic_gens=(), ring=ring)
+    trivial = FgAbelianGroup(0, [])
+    source = canonical_stack(GradedRing([("t", trivial.element(()))], trivial, CycOrder(4)))
+    t, zero = source.cox_ring.gen("t"), HomogeneousElement.zero()
+    images = {}
+    for combo in combinations_with_replacement(names, 4):
+        mono = Monomial({n: combo.count(n) for n in names})
+        images[mono] = t if combo == ("x1",) * 4 else zero
+    assert sorted(images, key=lambda m: m.sort_key()) == pic_level_generators(target, [])
+    res = run_cox_lift(target, source, BaseMorphism(images=images, group_images=()))
+    assert res.verification.passed
+    assert res.stack.pic.canonical_form == (0, (4,))
+    assert res.images["x0"].is_zero() and res.images["x2"].is_zero()
+    ((unit, w),) = res.images["x1"].terms
+    assert not unit.is_zero() and len(w.pairs) == 1 and w.pairs[0][1] == 1
+    out = res.stack.cox_ring
+    assert out.elements_equal(out.gen(w.names()[0]) ** 4, out.gen("t"))
 
 
 def test_mutated_declared_unit_rejected_at_load():
