@@ -12,6 +12,7 @@ All arithmetic is arbitrary-precision; nothing here is approximate.
 from __future__ import annotations
 
 import math
+import operator
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
@@ -201,11 +202,16 @@ class FgAbelianGroup:
         self.ambient_rank = int(ambient_rank)
         self.relations = IntMatrix(relations, cols=self.ambient_rank)
         S, U, V, Ui, Vi = smith_normal_form_full(self.relations)
-        self._V = V
         self._Vinv = Vi
         diag = S.diagonal()
         self.moduli = tuple(
             diag[j] if j < len(diag) else 0 for j in range(self.ambient_rank)
+        )
+        # (slot, column of V, modulus) for every slot whose modulus is not 1
+        self._live_columns = tuple(
+            (j, tuple(row[j] for row in V.entries), d)
+            for j, d in enumerate(self.moduli)
+            if d != 1
         )
         self.invariants = tuple(d for d in self.moduli if d not in (0, 1))
         self.free_rank = sum(1 for d in self.moduli if d == 0)
@@ -256,11 +262,17 @@ class FgAbelianGroup:
         return self.element(tuple(int(j == i) for j in range(self.ambient_rank)))
 
     def canonical_coords(self, coords: Sequence[int]) -> tuple:
-        y = self._V.vec_mul(coords)
-        return tuple(
-            y[j] % self.moduli[j] if self.moduli[j] else y[j]
-            for j in range(self.ambient_rank)
-        )
+        """coords * V with slot j reduced mod the j-th modulus (0: free).
+
+        A slot of modulus 1 is always 0, so its column is not multiplied out.
+        """
+        if len(coords) != self.ambient_rank:
+            raise InputDataError("vector length mismatch")
+        y = [0] * self.ambient_rank
+        for j, col, d in self._live_columns:
+            v = sum(map(operator.mul, coords, col))
+            y[j] = v % d if d else v
+        return tuple(y)
 
     def from_canonical(self, ycoords: Sequence[int]) -> "GroupElement":
         return self.element(self._Vinv.vec_mul(ycoords))

@@ -230,6 +230,8 @@ class CycScalar:
     def inverse(self) -> "CycScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
+        if self.is_rational():
+            return CycScalar.from_rational(self.order, 1 / self.coeffs[0])
         g, s, _ = _pxgcd(_ptrim(self.coeffs), self.order.poly)
         if len(g) != 1:
             raise InputDataError("modulus is not coprime to the residue")

@@ -10,7 +10,10 @@ name so they survive ring extensions unchanged.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from itertools import count
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .abgroup import FgAbelianGroup, GroupElement
@@ -306,6 +309,12 @@ class GradedRing:
         for r in self.rules:
             self._check_rule(r)
         self.weights = _derive_weights(names, self.rules)
+        # rules in order, keyed by the first generator of their lhs (None
+        # for lhs 1): a rule can divide m only if its key occurs in m
+        self._rules_by_head: Dict[Optional[str], list] = {}
+        for i, r in enumerate(self.rules):
+            head = r.lhs.pairs[0][0] if r.lhs.pairs else None
+            self._rules_by_head.setdefault(head, []).append((i, r))
 
     # -- constructors -----------------------------------------------------
 
@@ -369,34 +378,76 @@ class GradedRing:
 
     # -- rewriting ------------------------------------------------------------
 
-    def normal_form(self, e: HomogeneousElement) -> HomogeneousElement:
-        """Apply rewrite rules to a fixpoint (first rule, first reducible term)."""
-        steps = 0
-        trace = []
-        cur = e
-        while True:
-            hit = None
-            for c, m in cur.terms:
-                for r in self.rules:
-                    if r.lhs.divides(m):
-                        hit = (c, m, r)
-                        break
-                if hit:
+    def _first_rule(self, m: Monomial) -> Optional[RewriteRule]:
+        """The first rule in ``self.rules`` order whose lhs divides m, or None."""
+        exps = dict(m.pairs)
+        best, best_i = None, len(self.rules)
+        for head in (*exps, None):
+            for i, r in self._rules_by_head.get(head, ()):
+                if i >= best_i:
                     break
-            if hit is None:
-                return cur
-            c, m, r = hit
+                if all(exps.get(n, 0) >= k for n, k in r.lhs.pairs):
+                    best, best_i = r, i
+                    break
+        return best
+
+    def normal_form(self, e: HomogeneousElement) -> HomogeneousElement:
+        """Apply rewrite rules to a fixpoint.
+
+        Each step rewrites the reducible term that comes first in
+        ``Monomial.sort_key`` order with the first rule, in ``self.rules``
+        order, whose lhs divides it.  That strategy fixes the result: rules
+        need not be confluent, so another order could reach another
+        fixpoint.  For the same reason two normal forms that differ prove
+        the elements unequal only when the rules are confluent.  Raises
+        ``RewriteDivergedError`` after ``step_cap`` steps, with the last ten
+        steps as its trace.
+        """
+        if not self.rules:
+            return e
+        terms = {m: c for c, m in e.terms}
+        heap = []
+        # a cancelled monomial can come back and be queued twice; seq breaks
+        # that sort_key tie before the unordered Monomials are compared
+        seq = count()
+        for m in terms:
+            r = self._first_rule(m)
+            if r is not None:
+                heap.append((m.sort_key(), next(seq), m, r))
+        if not heap:
+            return e
+        heapify(heap)
+        steps = 0
+        trace = deque(maxlen=10)
+        while heap:
+            _, _, m, r = heappop(heap)
+            c = terms.pop(m, None)
+            if c is None:
+                continue  # cancelled since it was queued
             steps += 1
             if steps > self.step_cap:
                 raise RewriteDivergedError(
-                    f"rewriting diverged after {self.step_cap} steps", trace[-10:]
+                    f"rewriting diverged after {self.step_cap} steps",
+                    [f"{tm.key()} by {tr.key()}" for tm, tr in trace],
                 )
-            trace.append(f"{m.key()} by {r.key()}")
+            trace.append((m, r))
             cof = m.div(r.lhs)
-            replacement = r.rhs.scale(c) * HomogeneousElement.monomial(self.scalar_order, cof)
-            cur = HomogeneousElement(
-                tuple(t for t in cur.terms if t != (c, m)) + replacement.terms
-            )
+            for a, mr in r.rhs.terms:
+                nm = mr * cof
+                ca = c * a
+                old = terms.get(nm)
+                if old is None:
+                    terms[nm] = ca
+                    nr = self._first_rule(nm)
+                    if nr is not None:
+                        heappush(heap, (nm.sort_key(), next(seq), nm, nr))
+                else:
+                    ca = old + ca
+                    if ca.is_zero():
+                        del terms[nm]
+                    else:
+                        terms[nm] = ca
+        return HomogeneousElement((c, m) for m, c in terms.items())
 
     def elements_equal(self, a: HomogeneousElement, b: HomogeneousElement) -> bool:
         return self.normal_form(a - b).is_zero()

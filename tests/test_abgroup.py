@@ -246,3 +246,31 @@ def test_solve_linear_over_group_examples():
 def test_solve_linear_over_group_inconsistent():
     Z4 = FgAbelianGroup(1, [[4]])
     assert solve_linear_over_group(Z4, [(2, Z4.element([1]))]) is None
+
+
+def _dense_canonical_coords(G, v):
+    """Oracle: all of v * V, then each slot reduced by its modulus."""
+    _, _, V, _, _ = smith_normal_form_full(G.relations)
+    return tuple(y % d if d else y for y, d in zip(V.vec_mul(v), G.moduli))
+
+
+def test_canonical_coords_over_unit_torsion_and_free_slots():
+    G = FgAbelianGroup(3, [[3, 1, 0], [0, 4, 0]])
+    assert G.moduli == (1, 12, 0)
+    for v in product(range(-3, 4), repeat=3):
+        assert G.canonical_coords(v) == _dense_canonical_coords(G, v)
+    for bad in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(InputDataError):
+            G.canonical_coords(bad)
+
+
+@settings(max_examples=120, deadline=None)
+@given(matrices, st.integers(0, 1), st.data())
+def test_canonical_coords_matches_dense_product(rows, free, data):
+    # an appended zero column gives the presentation a free slot
+    G = FgAbelianGroup(len(rows[0]) + free, [r + [0] * free for r in rows])
+    v = data.draw(st.lists(st.integers(-50, 50), min_size=G.ambient_rank,
+                           max_size=G.ambient_rank))
+    assert G.canonical_coords(v) == _dense_canonical_coords(G, v)
+    with pytest.raises(InputDataError):
+        G.canonical_coords(v + [0])

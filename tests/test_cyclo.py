@@ -200,3 +200,12 @@ def test_pgcd_matches_sympy_over_q(common, f, g):
         assert got == ()
     else:
         assert [sympy.Rational(c.numerator, c.denominator) for c in reversed(got)] == want.all_coeffs()
+
+
+@pytest.mark.parametrize("N", [3, 12, 60])
+@pytest.mark.parametrize("q", [1, -1, 7, Fraction(-3, 4)])
+def test_inverse_of_rational_scalar(N, q):
+    order = CycOrder(N)
+    a = CycScalar.from_rational(order, q)
+    assert a.inverse() == CycScalar.from_rational(order, 1 / Fraction(q))
+    assert a * a.inverse() == CycScalar.one(order)

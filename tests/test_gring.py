@@ -292,3 +292,126 @@ def test_h_factorize_square_free_split_over_q_zeta3(mult):
     fact = R.h_factorize(lin ** mult)
     assert fact.unit == CycScalar.one(N3)
     assert [(f.key(), e) for f, e in fact.factors] == [(lin.key(), mult)]
+
+
+def test_step_cap_reached_at_run_time_reports_last_steps():
+    # x^6 needs 15 steps under these rules; y^2*z leaves the term dict
+    # and comes back, so a monomial is rewritten more than once
+    cl = FgAbelianGroup(0, [])
+    gens = [(n, cl.zero()) for n in "xyz"]
+    tmp = GradedRing(gens, cl, N2)
+    rules = [
+        RewriteRule(Monomial.gen("x", 2), tmp.gen("y") + tmp.gen("z")),
+        RewriteRule(Monomial({"y": 1, "z": 1}), tmp.gen("x")),
+        RewriteRule(Monomial.gen("y", 2), tmp.gen("z")),
+    ]
+    x6 = tmp.mono({"x": 6})
+    assert GradedRing(gens, cl, N2, rules=rules, step_cap=15).normal_form(x6) == (
+        tmp.gen("x")
+        + tmp.mono({"x": 1, "y": 1}, CycScalar.from_rational(N2, 3))
+        + tmp.mono({"x": 1, "z": 1}, CycScalar.from_rational(N2, 3))
+        + tmp.mono({"z": 3})
+    )
+    R = GradedRing(gens, cl, N2, rules=rules, step_cap=14)
+    with pytest.raises(RewriteDivergedError) as info:
+        R.normal_form(x6)
+    assert info.value.trace == (
+        "y^2*z by y*z -> 1*x",
+        "x^2*y^2 by x^2 -> 1*y + 1*z",
+        "y^2*z by y*z -> 1*x",
+        "y^3 by y^2 -> 1*z",
+        "y*z by y*z -> 1*x",
+        "x^4*z by x^2 -> 1*y + 1*z",
+        "x^2*y*z by x^2 -> 1*y + 1*z",
+        "y*z^2 by y*z -> 1*x",
+        "y^2*z by y*z -> 1*x",
+        "x^2*z^2 by x^2 -> 1*y + 1*z",
+    )
+
+
+def rescanning_normal_form(R, e):
+    """Oracle: rescan every term against every rule and rebuild the element
+    after each step; the first reducible term in sort order is rewritten by
+    the first rule that divides it."""
+    steps = 0
+    trace = []
+    cur = e
+    while True:
+        hit = None
+        for c, m in cur.terms:
+            for r in R.rules:
+                if r.lhs.divides(m):
+                    hit = (c, m, r)
+                    break
+            if hit:
+                break
+        if hit is None:
+            return cur
+        c, m, r = hit
+        steps += 1
+        if steps > R.step_cap:
+            raise RewriteDivergedError(
+                f"rewriting diverged after {R.step_cap} steps", trace[-10:]
+            )
+        trace.append(f"{m.key()} by {r.key()}")
+        cof = m.div(r.lhs)
+        replacement = r.rhs.scale(c) * HomogeneousElement.monomial(R.scalar_order, cof)
+        cur = HomogeneousElement(
+            tuple(t for t in cur.terms if t != (c, m)) + replacement.terms
+        )
+
+
+def _scalars(order):
+    return st.sampled_from(
+        [CycScalar.from_rational(order, q) for q in (1, -1, 2, -2, Fraction(1, 2))]
+        + [CycScalar.zeta(order), -CycScalar.zeta(order)]
+    )
+
+
+@st.composite
+def rewriting_cases(draw):
+    """A ring with 2-4 generators, random rules and an element to reduce.
+
+    Every rhs term has lower total degree than its lhs, so the rules are
+    accepted (all weights stay 1) and terminate; lhs may overlap (x*y and
+    x^2), and the small coefficient set makes replacements cancel terms.
+    """
+    names = ["x", "y", "z", "w"][: draw(st.integers(2, 4))]
+
+    def exps(top):
+        return st.lists(st.integers(0, top), min_size=len(names), max_size=len(names))
+
+    rules = []
+    for lhs in draw(st.lists(exps(2), min_size=1, max_size=4)):
+        deg = sum(lhs)
+        rhs = []
+        if deg:
+            for v in draw(st.lists(exps(2), max_size=3)):
+                while sum(v) >= deg:
+                    v = [max(0, a - 1) for a in v]
+                rhs.append((draw(_scalars(N3)), Monomial(dict(zip(names, v)))))
+        rules.append(RewriteRule(Monomial(dict(zip(names, lhs))), HomogeneousElement(rhs)))
+    terms = [
+        (draw(_scalars(N3)), Monomial(dict(zip(names, v))))
+        for v in draw(st.lists(exps(3), min_size=1, max_size=4))
+    ]
+    return names, rules, HomogeneousElement(terms), draw(st.integers(0, 8))
+
+
+def _outcome(normal_form, e):
+    try:
+        return normal_form(e).terms
+    except RewriteDivergedError as err:
+        return ("diverged", err.trace)
+
+
+@given(rewriting_cases())
+@settings(max_examples=200, deadline=None)
+def test_normal_form_matches_rescanning_oracle(case):
+    names, rules, e, cap = case
+    cl = FgAbelianGroup(0, [])
+    gens = [(n, cl.zero()) for n in names]
+    for step_cap in (10000, cap):
+        R = GradedRing(gens, cl, N3, rules=rules, step_cap=step_cap)
+        want = _outcome(lambda el: rescanning_normal_form(R, el), e)
+        assert _outcome(R.normal_form, e) == want
