@@ -88,35 +88,28 @@ class IntMatrix:
 
 
 def smith_normal_form_full(M: IntMatrix):
-    """Return (S, U, V, Uinv, Vinv) with U*M*V = S in Smith normal form.
+    """Return (S, U, V, Vinv) with U*M*V = S in Smith normal form.
 
     S is diagonal with a divisibility chain d1 | d2 | ... ; U and V are
-    unimodular and their exact inverses are tracked alongside.
+    unimodular, and the exact inverse of V is tracked alongside.
     """
     m, n = M.rows, M.cols
     A = [list(r) for r in M.entries]
     U = [[int(i == j) for j in range(m)] for i in range(m)]
-    Ui = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
     Vi = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_add(i, j, c):  # row i += c * row j
         A[i] = [a + c * b for a, b in zip(A[i], A[j])]
         U[i] = [a + c * b for a, b in zip(U[i], U[j])]
-        for r in range(m):
-            Ui[r][j] -= c * Ui[r][i]
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
         U[i], U[j] = U[j], U[i]
-        for r in range(m):
-            Ui[r][i], Ui[r][j] = Ui[r][j], Ui[r][i]
 
     def row_neg(i):
         A[i] = [-a for a in A[i]]
         U[i] = [-a for a in U[i]]
-        for r in range(m):
-            Ui[r][i] = -Ui[r][i]
 
     def col_add(j, i, c):  # col j += c * col i
         for r in range(m):
@@ -184,14 +177,13 @@ def smith_normal_form_full(M: IntMatrix):
         IntMatrix(A, cols=n),
         IntMatrix(U, cols=m),
         IntMatrix(V, cols=n),
-        IntMatrix(Ui, cols=m),
         IntMatrix(Vi, cols=n),
     )
 
 
 def smith_normal_form(M: IntMatrix):
     """Return (S, U, V) with U*M*V = S diagonal and d1 | d2 | ... ."""
-    S, U, V, _, _ = smith_normal_form_full(M)
+    S, U, V, _ = smith_normal_form_full(M)
     return S, U, V
 
 
@@ -201,7 +193,7 @@ class FgAbelianGroup:
     def __init__(self, ambient_rank: int, relations: Iterable[Sequence[int]] = ()):
         self.ambient_rank = int(ambient_rank)
         self.relations = IntMatrix(relations, cols=self.ambient_rank)
-        S, U, V, Ui, Vi = smith_normal_form_full(self.relations)
+        S, _, V, Vi = smith_normal_form_full(self.relations)
         self._Vinv = Vi
         diag = S.diagonal()
         self.moduli = tuple(
@@ -435,7 +427,7 @@ def solve_integer_system(rows: Sequence[Sequence[int]], ncols: int,
     M = IntMatrix(rows, cols=ncols)
     if len(target) != ncols:
         raise InputDataError("target length mismatch")
-    S, U, V, _, _ = smith_normal_form_full(M)
+    S, U, V, _ = smith_normal_form_full(M)
     c = V.vec_mul(target)
     k = M.rows
     diag = S.diagonal()
@@ -454,7 +446,7 @@ def solve_integer_system(rows: Sequence[Sequence[int]], ncols: int,
 def row_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list:
     """Basis rows of { v : v * M = 0 } for the matrix M with the given rows."""
     M = IntMatrix(rows, cols=ncols)
-    S, U, _, _, _ = smith_normal_form_full(M)
+    S, U, _, _ = smith_normal_form_full(M)
     diag = S.diagonal()
     out = []
     for j in range(M.rows):

@@ -1,12 +1,18 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_N).
 
-Scalars are residues modulo the N-th cyclotomic polynomial with rational
-coefficients, so equality is a coefficientwise comparison and every
-nonzero scalar is invertible (the modulus is irreducible over Q).
+Scalars are residues modulo the N-th cyclotomic polynomial Phi_N with
+rational coefficients; every nonzero scalar is invertible (the modulus is
+irreducible over Q).  A scalar stores its residue as an integer vector
+``num`` over one positive denominator ``den`` with gcd(num, den) = 1, zero
+as (0, ..., 0) / 1.  That representation is unique, so equality is a tuple
+comparison.  Phi_N is monic and integral, so products stay in integers:
+the high terms of a product fold back through a table of x^k mod Phi_N,
+kept once per N together with the N roots of unity.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -135,56 +141,95 @@ class CycOrder:
         return f"CycOrder({self.N})"
 
 
-class CycScalar:
-    """Element of Q(zeta_N), stored as a residue modulo the cyclotomic polynomial."""
+@lru_cache(maxsize=None)
+def _power_table(N: int):
+    """The N powers zeta_N^k as integer residue vectors, and each back to its k.
 
-    __slots__ = ("order", "coeffs")
+    Row k is x^k mod Phi_N, so it also folds a product's degree-k term
+    (k >= degree) back below the degree, as row k mod N.  Phi_N is monic with
+    integer coefficients, so every row is integral.  Keyed by N, not by the
+    CycOrder instance: every parse builds new CycOrder objects.
+    """
+    phi = cyclotomic_polynomial(N)
+    d = len(phi) - 1
+    top = tuple(-c for c in phi[:-1])  # x^d mod Phi_N
+    row = (1,) + (0,) * (d - 1)
+    powers = []
+    for _ in range(N):
+        powers.append(row)
+        t = row[-1]
+        row = (0,) + row[:-1]
+        if t:
+            row = tuple(a + t * b for a, b in zip(row, top))
+    # zeta_N is primitive, so the N rows are distinct
+    return tuple(powers), {p: k for k, p in enumerate(powers)}
+
+
+class CycScalar:
+    """Element of Q(zeta_N): the residue ``num / den`` modulo Phi_N, with
+    ``degree`` integers in ``num``, lowest power of zeta first."""
+
+    __slots__ = ("order", "num", "den")
 
     def __init__(self, order: CycOrder, coeffs: Sequence[Fraction]):
         coeffs = [Fraction(c) for c in coeffs]
         if len(coeffs) > order.degree:
             raise InputDataError("residue degree exceeds the field degree")
-        coeffs += [Fraction(0)] * (order.degree - len(coeffs))
+        den = math.lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
+        num += [0] * (order.degree - len(num))
         self.order = order
-        self.coeffs = tuple(coeffs)
+        self.num, self.den = _reduced(num, den)
+
+    @classmethod
+    def _make(cls, order: CycOrder, num, den: int = 1) -> "CycScalar":
+        """Scalar num/den with den > 0, reduced to lowest terms."""
+        s = object.__new__(cls)
+        s.order = order
+        s.num, s.den = _reduced(num, den) if den != 1 else (tuple(num), 1)
+        return s
+
+    @property
+    def coeffs(self) -> tuple:
+        """The residue's coefficients as Fractions, lowest power first."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- constructors ----------------------------------------------------
 
     @classmethod
     def from_rational(cls, order: CycOrder, q) -> "CycScalar":
-        return cls(order, [Fraction(q)])
+        q = Fraction(q)
+        return cls._make(order, (q.numerator,) + (0,) * (order.degree - 1), q.denominator)
 
     @classmethod
     def zero(cls, order: CycOrder) -> "CycScalar":
-        return cls(order, [])
+        return cls._make(order, (0,) * order.degree)
 
     @classmethod
     def one(cls, order: CycOrder) -> "CycScalar":
-        return cls(order, [Fraction(1)])
+        return cls._make(order, (1,) + (0,) * (order.degree - 1))
 
     @classmethod
     def zeta(cls, order: CycOrder, k: int = 1) -> "CycScalar":
         """zeta_N raised to the k-th power."""
-        k %= order.N
-        poly = [Fraction(0)] * k + [Fraction(1)]
-        _, rem = _pdivmod(tuple(poly), order.poly)
-        return cls(order, rem)
+        return cls._make(order, _power_table(order.N)[0][k % order.N])
 
     # -- structure --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise InputDataError("scalar is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.num[0], self.den)
 
     def _same(self, other):
         if not isinstance(other, CycScalar) or other.order != self.order:
@@ -193,10 +238,10 @@ class CycScalar:
     def __eq__(self, other):
         if not isinstance(other, CycScalar):
             return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
+        return self.order == other.order and self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash((self.order, self.coeffs))
+        return hash((self.order, self.num, self.den))
 
     def __repr__(self):
         return f"CycScalar({self.order.N}, {self.as_string()})"
@@ -213,25 +258,58 @@ class CycScalar:
 
     def __add__(self, other):
         self._same(other)
-        return CycScalar(self.order, _padd(self.coeffs, other.coeffs))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
         self._same(other)
-        return CycScalar(self.order, _padd(self.coeffs, _pneg(other.coeffs)))
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign):
+        """self + sign * other, by cross-multiplying the denominators."""
+        da, db = self.den, other.den
+        fb = sign * da
+        return CycScalar._make(self.order, [a * db + fb * b for a, b in zip(self.num, other.num)],
+                               da * db)
 
     def __neg__(self):
-        return CycScalar(self.order, _pneg(self.coeffs))
+        return CycScalar._make(self.order, [-a for a in self.num], self.den)
 
     def __mul__(self, other):
         self._same(other)
-        _, rem = _pdivmod(_pmul(self.coeffs, other.coeffs), self.order.poly)
-        return CycScalar(self.order, rem)
+        a, b = self.num, other.num
+        if not any(b[1:]):
+            return self._scaled(b[0], other.den)
+        if not any(a[1:]):
+            return other._scaled(a[0], self.den)
+        d = len(a)
+        out = [0] * (2 * d - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] += x * y
+        res = out[:d]
+        N = self.order.N
+        powers = _power_table(N)[0]
+        for k in range(d, 2 * d - 1):
+            t = out[k]
+            if t:
+                for i, r in enumerate(powers[k % N]):
+                    if r:
+                        res[i] += t * r
+        return CycScalar._make(self.order, res, self.den * other.den)
+
+    def _scaled(self, p: int, q: int) -> "CycScalar":
+        """self * (p / q) for a reduced fraction p/q; self itself when p/q = 1."""
+        if p == q:
+            return self
+        return CycScalar._make(self.order, [a * p for a in self.num], self.den * q)
 
     def inverse(self) -> "CycScalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         if self.is_rational():
-            return CycScalar.from_rational(self.order, 1 / self.coeffs[0])
+            return CycScalar.from_rational(self.order, Fraction(self.den, self.num[0]))
         g, s, _ = _pxgcd(_ptrim(self.coeffs), self.order.poly)
         if len(g) != 1:
             raise InputDataError("modulus is not coprime to the residue")
@@ -259,24 +337,31 @@ class CycScalar:
 
     def as_root_of_unity(self) -> Optional[int]:
         """Exponent k with self = zeta_N^k, or None."""
-        for k in range(self.order.N):
-            if self == CycScalar.zeta(self.order, k):
-                return k
-        return None
+        if self.den != 1:
+            return None
+        return _power_table(self.order.N)[1].get(self.num)
 
     def promote(self, new_order: CycOrder) -> "CycScalar":
         """Image under zeta_m -> zeta_N^(N/m); requires m | N."""
         m, N = self.order.N, new_order.N
         if N % m:
             raise InputDataError(f"cannot promote from order {m} to non-multiple {N}")
-        step = CycScalar.zeta(new_order, N // m)
-        acc = CycScalar.zero(new_order)
-        power = CycScalar.one(new_order)
-        for c in self.coeffs:
+        powers = _power_table(N)[0]
+        step = N // m
+        num = [0] * new_order.degree
+        for i, c in enumerate(self.num):
             if c:
-                acc = acc + CycScalar.from_rational(new_order, c) * power
-            power = power * step
-        return acc
+                for j, r in enumerate(powers[i * step % N]):
+                    num[j] += c * r
+        return CycScalar._make(new_order, num, self.den)
+
+
+def _reduced(num, den: int):
+    """(num, den) divided by gcd(num, den), as (tuple, int); den > 0."""
+    g = math.gcd(den, *num)
+    if g == 1:
+        return tuple(num), den
+    return tuple(a // g for a in num), den // g
 
 
 def cyc_arith(a: CycScalar, b: CycScalar, op: str) -> CycScalar:
@@ -301,8 +386,6 @@ def root_of_unity_pth_root(s: CycScalar, p: int) -> Optional[CycScalar]:
     if e is None:
         return None
     N = s.order.N
-    import math
-
     g = math.gcd(p, N)
     if e % g:
         return None

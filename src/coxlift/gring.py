@@ -10,6 +10,7 @@ name so they survive ring extensions unchanged.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -611,17 +612,20 @@ class GradedRing:
             return None  # content is stripped before root extraction
 
         def divisors(n):
+            """Positive divisors of n != 0, ascending, pairing each d <= sqrt|n| with |n|/d."""
             n = abs(n)
-            out = [d for d in range(1, n + 1) if n % d == 0]
-            return out or [1]
+            small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+            return small + [n // d for d in reversed(small) if d * d != n]
 
+        values = [c.rational_value() for c in reversed(coeffs)]
+        qs = divisors(lead.numerator * lead.denominator or 1)
         for p in divisors(const.numerator * const.denominator or 1):
-            for q in divisors(lead.numerator * lead.denominator or 1):
+            for q in qs:
                 for sign in (1, -1):
                     cand = Fraction(sign * p, q)
                     val = Fraction(0)
-                    for c in reversed(coeffs):
-                        val = val * cand + c.rational_value()
+                    for c in values:
+                        val = val * cand + c
                     if val == 0:
                         return CycScalar.from_rational(self.scalar_order, cand)
         return None

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,8 +9,13 @@ from hypothesis import strategies as st
 from coxlift.cyclo import (
     CycOrder,
     CycScalar,
+    _padd,
     _pdivmod,
     _pgcd,
+    _pmul,
+    _pneg,
+    _ptrim,
+    _pxgcd,
     cyc_arith,
     cyclotomic_polynomial,
     root_of_unity_pth_root,
@@ -209,3 +215,147 @@ def test_inverse_of_rational_scalar(N, q):
     a = CycScalar.from_rational(order, q)
     assert a.inverse() == CycScalar.from_rational(order, 1 / Fraction(q))
     assert a * a.inverse() == CycScalar.one(order)
+
+
+# -- differential test against the Fraction-list representation ------------------
+
+
+class FractionScalar:
+    """Oracle: the former CycScalar, a residue stored as a list of Fractions
+    and reduced modulo the cyclotomic polynomial by polynomial division."""
+
+    def __init__(self, order, coeffs):
+        coeffs = [Fraction(c) for c in coeffs]
+        self.order = order
+        self.coeffs = tuple(coeffs + [Fraction(0)] * (order.degree - len(coeffs)))
+
+    @classmethod
+    def zeta(cls, order, k=1):
+        k %= order.N
+        _, rem = _pdivmod((Fraction(0),) * k + (Fraction(1),), order.poly)
+        return cls(order, rem)
+
+    def __add__(self, other):
+        return FractionScalar(self.order, _padd(self.coeffs, other.coeffs))
+
+    def __sub__(self, other):
+        return FractionScalar(self.order, _padd(self.coeffs, _pneg(other.coeffs)))
+
+    def __neg__(self):
+        return FractionScalar(self.order, _pneg(self.coeffs))
+
+    def __mul__(self, other):
+        _, rem = _pdivmod(_pmul(self.coeffs, other.coeffs), self.order.poly)
+        return FractionScalar(self.order, rem)
+
+    def inverse(self):
+        g, s, _ = _pxgcd(_ptrim(self.coeffs), self.order.poly)
+        _, rem = _pdivmod(_pmul(s, (1 / g[0],)), self.order.poly)
+        return FractionScalar(self.order, rem)
+
+    def is_rational(self):
+        return not any(self.coeffs[1:])
+
+    def as_root_of_unity(self):
+        for k in range(self.order.N):
+            if self.coeffs == FractionScalar.zeta(self.order, k).coeffs:
+                return k
+        return None
+
+    def promote(self, new_order):
+        step = FractionScalar.zeta(new_order, new_order.N // self.order.N)
+        acc = FractionScalar(new_order, [])
+        power = FractionScalar(new_order, [1])
+        for c in self.coeffs:
+            acc = acc + FractionScalar(new_order, [c]) * power
+            power = power * step
+        return acc
+
+
+ORACLE_ORDERS = [1, 2, 3, 4, 5, 12, 30, 60]
+
+
+@st.composite
+def oracle_coeffs(draw, order):
+    """Coefficient lists of general, rational, unit, zero and root-of-unity
+    scalars, the last ones also scaled by a rational."""
+    d = order.degree
+    kind = draw(st.sampled_from(["general", "rational", "unit", "zero", "root", "scaled root"]))
+    if kind == "general":
+        return draw(st.lists(small_rationals, min_size=d, max_size=d))
+    if kind == "rational":
+        return [draw(small_rationals)]
+    if kind == "unit":
+        return [draw(st.sampled_from([1, -1]))]
+    if kind == "zero":
+        return []
+    root = list(FractionScalar.zeta(order, draw(st.integers(0, order.N - 1))).coeffs)
+    if kind == "root":
+        return root
+    q = draw(small_rationals)
+    return [q * c for c in root]
+
+
+def assert_matches(got, want):
+    """got (a CycScalar) has want's (a FractionScalar's) value, and its
+    integer representation is the reduced one."""
+    assert got.coeffs == want.coeffs
+    assert len(got.num) == got.order.degree and got.den > 0
+    assert math.gcd(got.den, *got.num) == 1
+    assert got.is_rational() == want.is_rational()
+    if want.is_rational():
+        assert got.rational_value() == want.coeffs[0]
+
+
+@st.composite
+def oracle_pairs(draw):
+    order = CycOrder(draw(st.sampled_from(ORACLE_ORDERS)))
+    return order, draw(oracle_coeffs(order)), draw(oracle_coeffs(order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(oracle_pairs())
+def test_scalar_arithmetic_matches_fraction_oracle(case):
+    order, ca, cb = case
+    a, b = CycScalar(order, ca), CycScalar(order, cb)
+    oa, ob = FractionScalar(order, ca), FractionScalar(order, cb)
+    assert_matches(a, oa)
+    assert_matches(a + b, oa + ob)
+    assert_matches(a - b, oa - ob)
+    assert_matches(-a, -oa)
+    assert_matches(a * b, oa * ob)
+    assert_matches(b * a, ob * oa)
+    if any(cb):
+        assert_matches(b.inverse(), ob.inverse())
+    assert (a == b) == (oa.coeffs == ob.coeffs)
+    # one value reached two ways: equal, with equal hashes
+    for x, y in ((a * b, b * a), ((a + b) - b, a), (CycScalar(order, (a * b).coeffs), a * b)):
+        assert x == y and hash(x) == hash(y)
+    assert a.as_root_of_unity() == oa.as_root_of_unity()
+
+
+@pytest.mark.parametrize("N", ORACLE_ORDERS)
+def test_every_root_of_unity_matches_fraction_oracle(N):
+    order = CycOrder(N)
+    for k in range(-N, 2 * N):
+        want = FractionScalar.zeta(order, k)
+        z = CycScalar.zeta(order, k)
+        assert_matches(z, want)
+        assert z.as_root_of_unity() == k % N
+        assert CycScalar(order, want.coeffs).as_root_of_unity() == k % N
+        assert (z + z).as_root_of_unity() is None
+        # -zeta^k is an N-th root of unity only for even N
+        assert (-z).as_root_of_unity() == ((k + N // 2) % N if N % 2 == 0 else None)
+
+
+PROMOTIONS = [(1, 2), (1, 60), (2, 4), (3, 12), (4, 12), (5, 30), (3, 30), (12, 60), (30, 60)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(PROMOTIONS).flatmap(
+    lambda mn: st.tuples(st.just(mn), oracle_coeffs(CycOrder(mn[0])))
+))
+def test_promote_matches_fraction_oracle(case):
+    (m, n), coeffs = case
+    small, big = CycOrder(m), CycOrder(n)
+    assert_matches(CycScalar(small, coeffs).promote(big), FractionScalar(small, coeffs).promote(big))

@@ -1,6 +1,8 @@
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -415,3 +417,97 @@ def test_normal_form_matches_rescanning_oracle(case):
         R = GradedRing(gens, cl, N3, rules=rules, step_cap=step_cap)
         want = _outcome(lambda el: rescanning_normal_form(R, el), e)
         assert _outcome(R.normal_form, e) == want
+
+
+# -- rational roots -------------------------------------------------------------
+
+
+def linear_rational_root(values):
+    """Oracle: the former search, trying every integer up to |c| as a divisor.
+
+    ``values`` are the Fraction coefficients, lowest degree first.
+    """
+    lead, const = values[-1], values[0]
+    if const == 0:
+        return None
+
+    def divisors(n):
+        n = abs(n)
+        out = [d for d in range(1, n + 1) if n % d == 0]
+        return out or [1]
+
+    for p in divisors(const.numerator * const.denominator or 1):
+        for q in divisors(lead.numerator * lead.denominator or 1):
+            for sign in (1, -1):
+                cand = Fraction(sign * p, q)
+                val = Fraction(0)
+                for c in reversed(values):
+                    val = val * cand + c
+                if val == 0:
+                    return cand
+    return None
+
+
+def _poly_times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+nonzero_small = st.integers(-9, 9).filter(bool)
+
+
+@st.composite
+def integer_polynomials(draw):
+    """Integer polynomials of degree 2-5, lowest degree first, constant != 0,
+    times a small rational; about half are built from linear factors
+    (q t - p), so a root exists.  The rational factor changes which
+    divisors are tried, so the order they are tried in shows."""
+    if draw(st.booleans()):
+        poly = [draw(nonzero_small)]
+        for _ in range(draw(st.integers(2, 4))):
+            poly = _poly_times(poly, [-draw(nonzero_small), draw(st.integers(1, 4))])
+    else:
+        deg = draw(st.integers(2, 5))
+        poly = ([draw(nonzero_small)] + draw(st.lists(st.integers(-9, 9), min_size=deg - 1,
+                                                       max_size=deg - 1))
+                + [draw(nonzero_small)])
+    scale = draw(st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(2, 3), Fraction(5, 4)]))
+    return [scale * c for c in poly]
+
+
+def _rational_root_of(R, values):
+    root = R._rational_root([CycScalar.from_rational(R.scalar_order, c) for c in values])
+    return None if root is None else root.rational_value()
+
+
+@settings(max_examples=150, deadline=None)
+@given(integer_polynomials())
+def test_rational_root_matches_linear_divisor_search(values):
+    cl0 = FgAbelianGroup(0, [])
+    R = GradedRing([("t", cl0.zero())], cl0, N3)
+    assert _rational_root_of(R, values) == linear_rational_root(values)
+
+
+def test_rational_root_tries_divisors_in_ascending_order():
+    # t^2/2 - 5t + 12 = (t - 4)(t - 6)/2: the divisors 4 and 6 of 12 are
+    # both above sqrt(12), and the search must meet 4 first
+    cl0 = FgAbelianGroup(0, [])
+    R = GradedRing([("t", cl0.zero())], cl0, N2)
+    values = [Fraction(12), Fraction(-5), Fraction(1, 2)]
+    assert _rational_root_of(R, values) == linear_rational_root(values) == 4
+
+
+def test_rational_root_with_large_constant_is_fast():
+    cl0 = FgAbelianGroup(0, [])
+    R = GradedRing([("t", cl0.zero())], cl0, N2)
+    t = sympy.Symbol("t")
+    poly = sympy.Poly((t - 100003) * (t - 200003), t)
+    values = [Fraction(int(c)) for c in reversed(poly.all_coeffs())]
+    start = time.perf_counter()
+    root = _rational_root_of(R, values)
+    elapsed = time.perf_counter() - start
+    assert root is not None and sympy.Rational(root.numerator, root.denominator) in sympy.roots(poly)
+    assert elapsed < 0.5
