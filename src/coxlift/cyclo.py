@@ -102,23 +102,25 @@ def _pxgcd(a, b):
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(N: int) -> tuple:
-    """Coefficients of the N-th cyclotomic polynomial, lowest degree first."""
+    """Coefficients of the N-th cyclotomic polynomial, lowest degree first.
+
+    x^N - 1 divided by every Phi_d with d | N, d < N; each Phi_d is monic,
+    so the long division stays in integers.
+    """
     if N < 1:
         raise InputDataError("cyclotomic order must be positive")
-    if N == 1:
-        return (-1, 1)
-    num = [Fraction(0)] * (N + 1)
-    num[0], num[N] = Fraction(-1), Fraction(1)
-    num = tuple(num)
+    num = [-1] + [0] * (N - 1) + [1]
     for d in range(1, N):
         if N % d == 0:
-            phi_d = tuple(Fraction(c) for c in cyclotomic_polynomial(d))
-            num, rem = _pdivmod(num, phi_d)
-            if rem:
-                raise InputDataError("cyclotomic division left a remainder")
-    if any(c.denominator != 1 for c in num):
-        raise InputDataError("cyclotomic polynomial is not integral")
-    return tuple(int(c) for c in num)
+            phi = cyclotomic_polynomial(d)
+            k = len(phi) - 1
+            for i in range(len(num) - 1, k - 1, -1):
+                c = num[i]
+                if c:
+                    for j in range(k):
+                        num[i - k + j] -= c * phi[j]
+            num = num[k:]
+    return tuple(num)
 
 
 class CycOrder:

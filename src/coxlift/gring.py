@@ -277,6 +277,11 @@ def _derive_weights(gen_names: Sequence[str], rules: Sequence[RewriteRule]):
     return weights
 
 
+# largest isqrt of a constant's or lead's num*den whose divisors
+# `GradedRing._rational_root` lists (one trial division per d <= isqrt)
+_ROOT_SEARCH_BUDGET = 10**6
+
+
 class GradedRing:
     """Named generators graded by an abelian group, plus rewrite and factor data."""
 
@@ -612,14 +617,19 @@ class GradedRing:
             return None  # content is stripped before root extraction
 
         def divisors(n):
-            """Positive divisors of n != 0, ascending, pairing each d <= sqrt|n| with |n|/d."""
-            n = abs(n)
+            """Positive divisors of n > 0, ascending, pairing each d <= sqrt(n) with n/d."""
             small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
             return small + [n // d for d in reversed(small) if d * d != n]
 
+        sizes = [abs(c.numerator * c.denominator) for c in (lead, const)]
+        if math.isqrt(max(sizes)) > _ROOT_SEARCH_BUDGET:
+            raise FactorizationOracleRequired(
+                f"factorization oracle required: the rational-root search over the "
+                f"divisors of {max(sizes)} exceeds its budget"
+            )
         values = [c.rational_value() for c in reversed(coeffs)]
-        qs = divisors(lead.numerator * lead.denominator or 1)
-        for p in divisors(const.numerator * const.denominator or 1):
+        qs = divisors(sizes[0])
+        for p in divisors(sizes[1]):
             for q in qs:
                 for sign in (1, -1):
                     cand = Fraction(sign * p, q)

@@ -29,6 +29,7 @@ from .abgroup import (
     express_in_subgroup,
     kernel_basis_mod_p,
     quotient_group,
+    row_kernel,
     solution_count_mod_p,
     solve_affine_mod_n,
     solve_affine_mod_p,
@@ -268,6 +269,46 @@ def coset_generators(T: TargetData, K_gens: Sequence[GroupElement],
     return out
 
 
+def _exact_base_witness(keys: Sequence[Monomial],
+                        imgs: Sequence[HomogeneousElement]) -> Optional[Monomial]:
+    """The monomial of a key relation that the one-term images break, or None.
+
+    ``_Engine._spotcheck_base_relations`` states when this is exact and
+    why.  (a) For the first zero key whose support lies in the nonzero
+    keys' supports, the witness is the smallest power of the nonzero keys'
+    product that the zero key divides.  (b) Otherwise it is
+    sum_{a_i > 0} a_i v_i for the first relation row a of the nonzero keys'
+    exponent vectors v_i whose images c_i*m_i break
+    prod_{a_i > 0} (c_i m_i)^a_i = prod_{a_i < 0} (c_i m_i)^-a_i.
+    """
+    nonzero = [(k, img.terms[0]) for k, img in zip(keys, imgs) if not img.is_zero()]
+    total: Dict[str, int] = {}
+    for k, _ in nonzero:
+        for n, e in k.pairs:
+            total[n] = total.get(n, 0) + e
+    for k, img in zip(keys, imgs):
+        if img.is_zero() and all(n in total for n in k.names()):
+            t = max(-(-e // total[n]) for n, e in k.pairs)
+            return Monomial({n: t * e for n, e in total.items()})
+    if not nonzero:
+        return None
+    names = sorted(total)
+    rows = [[k.exp(n) for n in names] for k, _ in nonzero]
+    one = CycScalar.one(nonzero[0][1][0].order)
+    for a in row_kernel(rows, len(names)):
+        sides = [one, one]
+        exps: Dict[str, int] = {}
+        for ai, (_, (c, m)) in zip(a, nonzero):
+            if ai:
+                sides[ai < 0] = sides[ai < 0] * c ** abs(ai)
+                for n, e in m.pairs:
+                    exps[n] = exps.get(n, 0) + ai * e
+        if any(exps.values()) or sides[0] != sides[1]:
+            return Monomial({n: sum(ai * r[j] for ai, r in zip(a, rows) if ai > 0)
+                             for j, n in enumerate(names)})
+    return None
+
+
 # ---------------------------------------------------------------------------
 # The engine
 
@@ -312,33 +353,68 @@ class _Engine:
                     f"base image of {mono.key()} has degree {list(got.coords)}, "
                     f"expected the group-map image of its class"
                 )
-        self._spotcheck_base_relations()
+        self._spotcheck_base_relations(expected)
 
-    def _spotcheck_base_relations(self):
-        """Bounded well-definedness check: equal monomials from different
-        key products must receive equal images.
+    def _spotcheck_base_relations(self, generators: Sequence[Monomial]):
+        """Well-definedness of the base images: products of keys that give
+        the same monomial must receive the same image.
 
-        The bound: only products of two and of three base keys are
-        compared, so a relation that needs four or more keys goes
-        unchecked.  All pairs come first, then all triples, each in
+        Exact path.  It applies when the source Cox ring has no rewrite
+        rules, the keys are exactly the Picard-level ``generators``, and
+        every nonzero image is one term c*m.  The source is then a
+        polynomial ring over Q(zeta_N), an integral domain, and the keys
+        generate the saturated monoid of class-zero monomials.  Relations
+        among the keys are spanned by binomials y^u - y^w of equal
+        monomials, and the check is exact (see ``_exact_base_witness``):
+
+        (a) a binomial with a zero key on one side only maps to 0 against a
+            nonzero product.  One exists iff the zero key's support lies in
+            the union S of the nonzero keys' supports: it then divides a
+            power of their product, with a class-zero cofactor.  The faces of
+            the saturated monoid are coordinate faces (Miller-Sturmfels,
+            ch. 7); binomials with zero keys on both sides map to 0 = 0.
+        (b) on the nonzero keys, y^u maps to c^u m^u, so every binomial
+            vanishes iff a -> (prod c_i^a_i, sum a_i exp(m_i)) is trivial on
+            the lattice of integer relations a among the key exponents, that
+            is on a basis of it (``row_kernel``): the lattice ideal is the
+            saturation of the basis binomials in a domain (Sturmfels,
+            Groebner Bases and Convex Polytopes, 1996).
+
+        Fallback: any other input, and any input the exact path rejects,
+        goes through the bounded scan, which compares only products of two
+        and three keys.  All pairs come first, then all triples, each in
         `combinations_with_replacement` order of the keys sorted by
         `Monomial.sort_key`; later products of a monomial are compared with
-        its first.  A triple reuses the unnormalised product of its first
-        two keys.
+        its first, and a triple reuses the unnormalised product of its first
+        two keys.  The first mismatch names its monomial.  An exact failure
+        with no witness of at most three keys names the exact path's
+        monomial; on the fallback alone a relation that needs four or more
+        keys goes unchecked.
         """
         ring = self.stack.cox_ring
         keys = sorted(self.table, key=lambda m: m.sort_key())
+        imgs = [self.table[k] for k in keys]
+        witness = None
+        # every generator is a key (checked before), so equal counts mean
+        # the keys are exactly the generators
+        if (not ring.rules and len(keys) == len(generators)
+                and all(len(img.terms) <= 1 for img in imgs)):
+            witness = _exact_base_witness(keys, imgs)
+            if witness is None:
+                return
+
+        def inconsistent(mono: Monomial):
+            return InputDataError(f"base images are inconsistent on the monomial {mono.key()}")
+
         names = sorted({n for k in keys for n in k.names()})
         vecs = [tuple(k.exp(n) for n in names) for k in keys]
-        imgs = [self.table[k] for k in keys]
         seen: Dict[tuple, HomogeneousElement] = {}
 
         def compare(vec, prod):
             img = ring.normal_form(prod)
             ref = seen.setdefault(vec, img)
             if ref.terms != img.terms and not ring.elements_equal(ref, img):
-                mono = Monomial(zip(names, vec)).key()
-                raise InputDataError(f"base images are inconsistent on the monomial {mono}")
+                raise inconsistent(Monomial(zip(names, vec)))
 
         pairs = {}
         for i, j in combinations_with_replacement(range(len(keys)), 2):
@@ -347,6 +423,8 @@ class _Engine:
         for i, j, k in combinations_with_replacement(range(len(keys)), 3):
             vec, prod = pairs[i, j]
             compare(tuple(map(add, vec, vecs[k])), prod * imgs[k])
+        if witness is not None:
+            raise inconsistent(witness)
 
     # -- degree map -------------------------------------------------------
 

@@ -31,6 +31,13 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(12) == (1, 0, -1, 0, 1)
 
 
+def test_cyclotomic_polynomial_matches_sympy():
+    x = sympy.Symbol("x")
+    for N in [*range(1, 61), 210, 420]:
+        want = tuple(int(c) for c in reversed(sympy.Poly(sympy.cyclotomic_poly(N, x), x).all_coeffs()))
+        assert cyclotomic_polynomial(N) == want, N
+
+
 def test_zeta4_squares_to_minus_one():
     N = CycOrder(4)
     i = CycScalar.zeta(N)

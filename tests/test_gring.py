@@ -511,3 +511,28 @@ def test_rational_root_with_large_constant_is_fast():
     elapsed = time.perf_counter() - start
     assert root is not None and sympy.Rational(root.numerator, root.denominator) in sympy.roots(poly)
     assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("lead,const", [(1, -1000000007 * 1000000009),
+                                        (1000000007 * 1000000009, -1)])
+def test_rational_root_search_over_budget_raises_fast(lead, const):
+    # t^2 - pq and pq t^2 - 1 with p, q about 10^9: listing the divisors
+    # would take about 10^9 trial divisions
+    cl0 = FgAbelianGroup(0, [])
+    R = GradedRing([("t", cl0.zero())], cl0, N2)
+    f = R.mono({"t": 2}, CycScalar.from_rational(N2, lead)) + R.const(
+        CycScalar.from_rational(N2, const))
+    start = time.perf_counter()
+    with pytest.raises(FactorizationOracleRequired, match="exceeds its budget"):
+        R.h_factorize(f)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_h_factorize_finds_roots_below_the_budget():
+    cl0 = FgAbelianGroup(0, [])
+    R = GradedRing([("t", cl0.zero())], cl0, N2)
+    t = R.gen("t")
+    linear = [t - R.const(CycScalar.from_rational(N2, r)) for r in (100003, 200003)]
+    fact = R.h_factorize(linear[0] * linear[1])
+    assert sorted(f.key() for f, k in fact.factors) == sorted(f.key() for f in linear)
+    assert fact.unit == CycScalar.one(N2)

@@ -278,6 +278,144 @@ def test_base_check_rejects_triple_only_inconsistency():
     assert run_cox_lift(target, source, base).verification.passed
 
 
+def _z4_squared_problem(images):
+    """C^3 / (Z/4)^2 with degrees (1,0), (0,1), (3,3): keys x*y*z, x^4, y^4
+    and z^4, whose only relation (x*y*z)^4 = x^4*y^4*z^4 needs four keys
+    on one side, so no product of at most three keys relates them."""
+    order = CycOrder(4)
+    cl = FgAbelianGroup(2, [[4, 0], [0, 4]])
+    ring = GradedRing([("x", cl.element([1, 0])), ("y", cl.element([0, 1])),
+                       ("z", cl.element([3, 3]))], cl, order)
+    target = TargetData(cl=cl, pic_gens=(), ring=ring)
+    trivial = FgAbelianGroup(0, [])
+    source = canonical_stack(GradedRing([("t", trivial.element(()))], trivial, order))
+    keys = ["x*y*z", "x^4", "y^4", "z^4"]
+    assert [m.key() for m in pic_level_generators(target, [])] == keys
+    table = {}
+    for key, (coeff, exp) in zip(keys, images):
+        mono = Monomial({n: 1 for n in "xyz"} if key == "x*y*z" else {key[0]: 4})
+        table[mono] = (HomogeneousElement.zero() if coeff == 0 else
+                       source.cox_ring.mono({"t": exp}, CycScalar.from_rational(order, coeff)))
+    return target, source, BaseMorphism(images=table, group_images=())
+
+
+def test_base_check_rejects_four_key_inconsistency():
+    # (2t^3)^4 = 16 t^12 against (t^4)^3: only the scalars disagree
+    target, source, base = _z4_squared_problem([(2, 3), (1, 4), (1, 4), (1, 4)])
+    with pytest.raises(InputDataError, match=r"inconsistent on the monomial x\^4\*y\^4\*z\^4$"):
+        run_cox_lift(target, source, base)
+    # x, y, z -> t, -t, t induces it with (-1)^4 = 1
+    target, source, base = _z4_squared_problem([(-1, 3), (1, 4), (1, 4), (1, 4)])
+    assert run_cox_lift(target, source, base).verification.passed
+
+
+def test_base_check_rejects_zero_key_inside_the_nonzero_support():
+    # x*y*z -> 0 while x^4, y^4, z^4 -> t^4: (x*y*z)^4 maps to 0 and
+    # x^4*y^4*z^4 to t^12, and no product of at most three keys shows it
+    target, source, base = _z4_squared_problem([(0, 0), (1, 4), (1, 4), (1, 4)])
+    with pytest.raises(InputDataError, match=r"inconsistent on the monomial x\^4\*y\^4\*z\^4$"):
+        run_cox_lift(target, source, base)
+
+
+def _pair_triple_scan(ring, table):
+    """The bounded check the engine ran before its exact path, as an oracle:
+    products of two keys, then of three, in `combinations_with_replacement`
+    order of the keys sorted by `Monomial.sort_key`, each compared with the
+    first product of its monomial.  The engine's message, or None."""
+    keys = sorted(table, key=lambda m: m.sort_key())
+    seen = {}
+    for size in (2, 3):
+        for combo in combinations_with_replacement(keys, size):
+            mono, img = Monomial.one(), ring.one()
+            for k in combo:
+                mono, img = mono * k, img * table[k]
+            img = ring.normal_form(img)
+            ref = seen.setdefault(mono, img)
+            if not ring.elements_equal(ref, img):
+                return f"base images are inconsistent on the monomial {mono.key()}"
+    return None
+
+
+def _key_products(keys, table, mono, start=0):
+    """The images of every product of keys (from ``start`` on) equal to ``mono``."""
+    if mono.is_one():
+        yield None
+        return
+    for i in range(start, len(keys)):
+        if keys[i].divides(mono):
+            for rest in _key_products(keys, table, mono.div(keys[i]), i):
+                yield table[keys[i]] if rest is None else table[keys[i]] * rest
+
+
+@st.composite
+def monomial_base_maps(draw):
+    """Monomial images of at most 12 Picard-level keys with relations among
+    them, in a rule-free source with 1-3 generators over Q(zeta_N): a
+    monomial map on the target generators (zero images, rational scalars
+    and roots of unity included) pushed to the keys, then 0-2 key images
+    replaced, rescaled or multiplied by a source generator."""
+    T, K = draw(finite_gradings())
+    keys = pic_level_generators(T, K)
+    # more keys than the generators they use, so the keys have relations
+    assume(len({n for k in keys for n in k.names()}) < len(keys) <= 12)
+    order = CycOrder(draw(st.sampled_from([1, 3, 4, 6])))
+    trivial = FgAbelianGroup(0, [])
+    names = ["s", "t", "u"][:draw(st.integers(1, 3))]
+    ring = GradedRing([(n, trivial.element(())) for n in names], trivial, order)
+
+    def scalar():
+        q = CycScalar.from_rational(order, draw(st.sampled_from([1, 1, -1, 2, -3, "1/2"])))
+        return q * CycScalar.zeta(order, draw(st.integers(0, order.N - 1)))
+
+    def image():
+        if draw(st.integers(0, 4)) == 0:
+            return HomogeneousElement.zero()
+        return ring.mono({n: draw(st.integers(0, 2)) for n in names}, scalar())
+
+    on_gens = {n: image() for n, _ in T.ring.generators}
+    table = {}
+    for k in keys:
+        img = ring.one()
+        for n, e in k.pairs:
+            img = img * on_gens[n] ** e
+        table[k] = img
+    changed = draw(st.lists(st.sampled_from(keys), max_size=2, unique=True))
+    for k in changed:
+        how = draw(st.sampled_from(["replace", "rescale", "shift"]))
+        if how == "replace":
+            table[k] = image()
+        elif how == "rescale":
+            table[k] = table[k].scale(scalar())
+        else:
+            table[k] = table[k] * ring.gen(draw(st.sampled_from(names)))
+    return ring, keys, table, bool(changed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(monomial_base_maps())
+def test_exact_base_check_matches_pair_triple_scan(data):
+    ring, keys, table, changed = data
+    engine = object.__new__(_Engine)
+    engine.stack, engine.table = canonical_stack(ring), table
+    want = _pair_triple_scan(ring, table)
+    try:
+        engine._spotcheck_base_relations(keys)
+        got = None
+    except InputDataError as exc:
+        got = str(exc)
+    if not changed:
+        assert want is None and got is None
+    if want is not None:
+        assert got == want
+    elif got is not None:
+        # a rejection the scan cannot see: the named monomial is a product
+        # of keys in two ways with different images
+        mono = Monomial(dict(p.split("^") if "^" in p else (p, 1)
+                             for p in got.rsplit(" ", 1)[1].split("*")))
+        images = {img.terms for img in _key_products(keys, table, mono)}
+        assert len(images) > 1
+
+
 def test_cyclic_quotient_lift_a34():
     """A^1 -> C^3 / mu_4 with x1^4 -> t and every other degree-4 key -> 0:
     Pic = Z/4, x1 maps to a unit times one root w with w^4 = t, and x0, x2
