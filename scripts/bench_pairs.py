@@ -2,7 +2,7 @@
 """Alternating parent/change runs of the benchmark, summarised per metric.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --workload wide \\
-        --seed 11 --pairs 10 --seconds 25 --out BENCH_6.json
+        --seed 11 --pairs 10 --seconds 25 --out BENCH_7.json
 
 PARENT_DIR and CHANGE_DIR are checkouts of the two commits.  Each pair runs
 the benchmark command of ``BENCHMARK.json`` (``--trace 0``) once in each
@@ -10,9 +10,12 @@ checkout; the first pair starts with the parent and later pairs alternate.
 For every end-to-end metric of ``BENCHMARK.json`` the record gives each
 side's runs, median and quartiles, how many pairs each side won (ties
 count for neither), and whether the medians differ by more than the
-parent's quartile spread.  It also keeps each side's ``src_lines``,
-``correct`` and ``failed`` per run.  The record is stored under
-"<workload>/<seed>" in ``--out``; records already in that file are kept.
+parent's quartile spread.  It also keeps each side's ``src_lines``, and
+per run ``correct``, ``failed``, and from the context line the number of
+timed ``passes`` and the unscaled ``raw_solve_s``: ``peak_rss_mb`` grows
+with the number of passes, so a memory change reads against them.  The
+record is stored under "<workload>/<seed>" in ``--out``; records already
+in that file are kept.
 """
 
 from __future__ import annotations
@@ -31,11 +34,14 @@ def run_once(checkout: Path, command, workload, seed, seconds) -> dict:
     out = subprocess.run(cmd, cwd=checkout, check=True, capture_output=True, text=True)
     *_, context_line, result_line = out.stdout.strip().splitlines()
     result = json.loads(result_line)
+    context = json.loads(context_line)["context"]
     return {
         "metrics": {k: v["value"] for k, v in result["metrics"].items()},
         "correct": result["correct"],
         "failed": result["failed"],
-        "src_lines": json.loads(context_line)["context"]["src_lines"],
+        "src_lines": context["src_lines"],
+        "passes": context["passes"],
+        "raw_solve_s": context["raw_solve_s"],
     }
 
 
@@ -92,6 +98,8 @@ def main(argv=None) -> int:
         "src_lines": {s: runs[s][0]["src_lines"] for s in sides},
         "correct": {s: [r["correct"] for r in runs[s]] for s in sides},
         "failed": {s: [r["failed"] for r in runs[s]] for s in sides},
+        "passes": {s: [r["passes"] for r in runs[s]] for s in sides},
+        "raw_solve_s": {s: [r["raw_solve_s"] for r in runs[s]] for s in sides},
         "metrics": summarize(runs["parent"], runs["change"], spec["end_to_end"]),
     }
     book = json.loads(args.out.read_text()) if args.out.exists() else {}

@@ -5,6 +5,7 @@ from .abgroup import (
     GroupElement,
     GroupHomomorphism,
     IntMatrix,
+    Subgroup,
     element_order,
     kernel_basis_mod_p,
     pushout_root,

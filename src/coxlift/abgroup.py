@@ -6,6 +6,16 @@ canonicalizes the presentation: elements compare modulo the relation
 lattice, and two groups are equal exactly when their canonical forms
 (free rank plus invariant-factor chain) agree.
 
+A ``Subgroup`` holds the Smith form of [generators; relations], computed
+once, when its first query needs it.  Every membership test,
+coefficient vector and relation lattice asked of that subgroup is a
+back-substitution through this one form, so a lift step that asks many
+questions about one subgroup factors its matrix once.  The quotient by
+the subgroup keeps its own Smith form of [relations; generators], built
+on first use: the V of that form fixes the quotient's canonical
+generators, and through them which class the lift roots next, so
+sharing one form between the two would change result documents.
+
 All arithmetic is arbitrary-precision; nothing here is approximate.
 """
 
@@ -13,6 +23,7 @@ from __future__ import annotations
 
 import math
 import operator
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
@@ -421,6 +432,31 @@ def coordinate_inclusion(A: FgAbelianGroup, B: FgAbelianGroup) -> GroupHomomorph
 # Integer linear solving
 
 
+def _back_substitute(diag: Sequence[int], U: IntMatrix, V: IntMatrix,
+                     target: Sequence[int]) -> Optional[list]:
+    """x with x * M = target, from U * M * V = S (diagonal diag), or None.
+
+    x * M = target iff y * S = target * V for y = x * U^-1; the free
+    entries of y are set to 0.
+    """
+    c = V.vec_mul(target)
+    y = [0] * U.rows
+    for j, cj in enumerate(c):
+        d = diag[j] if j < len(diag) else 0
+        if d:
+            if cj % d:
+                return None
+            y[j] = cj // d
+        elif cj:
+            return None
+    return list(U.vec_mul(y))
+
+
+def _kernel_rows(diag: Sequence[int], U: IntMatrix) -> list:
+    """Rows of U that S = U * M * V sends to zero: a basis of the row kernel of M."""
+    return [list(U.entries[j]) for j in range(U.rows) if j >= len(diag) or not diag[j]]
+
+
 def solve_integer_system(rows: Sequence[Sequence[int]], ncols: int,
                          target: Sequence[int]) -> Optional[list]:
     """Solve x * M = target over Z for the matrix M with the given rows."""
@@ -428,68 +464,13 @@ def solve_integer_system(rows: Sequence[Sequence[int]], ncols: int,
     if len(target) != ncols:
         raise InputDataError("target length mismatch")
     S, U, V, _ = smith_normal_form_full(M)
-    c = V.vec_mul(target)
-    k = M.rows
-    diag = S.diagonal()
-    y = [0] * k
-    for j in range(ncols):
-        d = diag[j] if j < len(diag) else 0
-        if d:
-            if c[j] % d:
-                return None
-            y[j] = c[j] // d
-        elif c[j]:
-            return None
-    return list(U.vec_mul(y)) if k else []
+    return _back_substitute(S.diagonal(), U, V, target)
 
 
 def row_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list:
     """Basis rows of { v : v * M = 0 } for the matrix M with the given rows."""
-    M = IntMatrix(rows, cols=ncols)
-    S, U, _, _ = smith_normal_form_full(M)
-    diag = S.diagonal()
-    out = []
-    for j in range(M.rows):
-        d = diag[j] if j < len(diag) else 0
-        if d == 0:
-            out.append(list(U.entries[j]))
-    return out
-
-
-def express_in_subgroup(G: FgAbelianGroup, gens: Sequence[GroupElement],
-                        target: GroupElement) -> Optional[list]:
-    """Integer coefficients x with sum x_i * gens_i = target in G, or None."""
-    rows = [list(g.coords) for g in gens] + [list(r) for r in G.relations.entries]
-    sol = solve_integer_system(rows, G.ambient_rank, list(target.coords))
-    if sol is None:
-        return None
-    return sol[: len(gens)]
-
-
-def subgroup_contains(G: FgAbelianGroup, gens: Sequence[GroupElement],
-                      target: GroupElement) -> bool:
-    return express_in_subgroup(G, gens, target) is not None
-
-
-def subgroup_relation_lattice(G: FgAbelianGroup, gens: Sequence[GroupElement]) -> list:
-    """Rows generating { c : sum c_i * gens_i = 0 in G }."""
-    k = len(gens)
-    rows = [list(g.coords) for g in gens] + [list(r) for r in G.relations.entries]
-    if not rows:
-        return []
-    kernel = row_kernel(rows, G.ambient_rank)
-    return [v[:k] for v in kernel]
-
-
-def abstract_subgroup(G: FgAbelianGroup, gens: Sequence[GroupElement]):
-    """Present the subgroup generated by gens abstractly.
-
-    Returns (K, realize) where K is a group on len(gens) generators and
-    realize : K -> G sends the i-th generator to gens[i].
-    """
-    K = FgAbelianGroup(len(gens), subgroup_relation_lattice(G, gens))
-    realize = GroupHomomorphism(K, G, list(gens))
-    return K, realize
+    S, U, _, _ = smith_normal_form_full(IntMatrix(rows, cols=ncols))
+    return _kernel_rows(S.diagonal(), U)
 
 
 def quotient_group(G: FgAbelianGroup, subgroup_gens: Sequence[GroupElement]):
@@ -497,6 +478,52 @@ def quotient_group(G: FgAbelianGroup, subgroup_gens: Sequence[GroupElement]):
     rows = [list(r) for r in G.relations.entries] + [list(g.coords) for g in subgroup_gens]
     Q = FgAbelianGroup(G.ambient_rank, rows)
     return Q, coordinate_inclusion(G, Q)
+
+
+class Subgroup:
+    """The subgroup K of G generated by ``gens``, with its Smith data.
+
+    The Smith form of M = [gens; G.relations] is computed once, when the
+    first query needs it.  Membership, coefficients and the relation
+    lattice of the generators are then each one back-substitution through
+    it.  The quotient G/K is built on first use by ``quotient_group``,
+    which factors [G.relations; gens] itself (see the module docstring).
+    """
+
+    def __init__(self, G: FgAbelianGroup, gens: Sequence[GroupElement]):
+        self.group = G
+        self.gens = tuple(gens)
+        self._quotient = None
+
+    @cached_property
+    def _smith(self):
+        """(diagonal of S, U, V) with U * M * V = S."""
+        rows = [g.coords for g in self.gens] + list(self.group.relations.entries)
+        S, U, V, _ = smith_normal_form_full(IntMatrix(rows, cols=self.group.ambient_rank))
+        return S.diagonal(), U, V
+
+    def express(self, target: GroupElement) -> Optional[list]:
+        """Integer coefficients x with sum x_i * gens_i = target in G, or None."""
+        sol = _back_substitute(*self._smith, target.coords)
+        return None if sol is None else sol[: len(self.gens)]
+
+    def contains(self, target: GroupElement) -> bool:
+        return self.express(target) is not None
+
+    def relations(self) -> list:
+        """Rows generating { c : sum c_i * gens_i = 0 in G }."""
+        diag, U, _ = self._smith
+        return [row[: len(self.gens)] for row in _kernel_rows(diag, U)]
+
+    def abstract(self) -> FgAbelianGroup:
+        """K presented on len(gens) generators, the i-th standing for gens[i]."""
+        return FgAbelianGroup(len(self.gens), self.relations())
+
+    def quotient(self):
+        """(G/K, the projection G -> G/K), as ``quotient_group`` returns them."""
+        if self._quotient is None:
+            self._quotient = quotient_group(self.group, self.gens)
+        return self._quotient
 
 
 def pushout_root(A: FgAbelianGroup, a: GroupElement, n: int):

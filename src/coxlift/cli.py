@@ -29,6 +29,7 @@ from .serialize import (
     emit_result,
     emit_verification,
     human_log,
+    integer_rows,
     parse_decompose,
     parse_element,
     parse_problem,
@@ -188,9 +189,7 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_snf(args) -> int:
-    rows = json.loads(args.matrix)
-    if rows and not isinstance(rows[0], list):
-        raise InputDataError("matrix must be a list of rows")
+    rows = integer_rows(json.loads(args.matrix), "matrix")
     ncols = args.ambient_rank if not rows else len(rows[0])
     if ncols is None:
         raise InputDataError("empty matrix needs --ambient-rank")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations_with_replacement
 from operator import add, le
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -24,18 +25,15 @@ from .abgroup import (
     FgAbelianGroup,
     GroupElement,
     GroupHomomorphism,
+    Subgroup,
     coordinate_inclusion,
     element_order,
-    express_in_subgroup,
     kernel_basis_mod_p,
-    quotient_group,
     row_kernel,
     solution_count_mod_p,
     solve_affine_mod_n,
     solve_affine_mod_p,
     solve_linear_over_group,
-    subgroup_contains,
-    subgroup_relation_lattice,
 )
 from .cyclo import CycScalar, root_of_unity_pth_root
 from .errors import InputDataError, InternalInvariantError, LiftInconsistencyError
@@ -63,10 +61,15 @@ class TargetData:
     ring: GradedRing
     irrelevant: Tuple[HomogeneousElement, ...] = ()
 
+    @cached_property
+    def pic(self) -> Subgroup:
+        """The Picard subgroup, where the lift starts."""
+        return Subgroup(self.cl, self.pic_gens)
+
     def validate(self):
         if not self.ring.grading_group.same_presentation(self.cl):
             raise InputDataError("target ring must be graded by the target class group")
-        Q, _ = quotient_group(self.cl, list(self.pic_gens))
+        Q, _ = self.pic.quotient()
         if not Q.is_finite():
             raise InputDataError(
                 "not Q-factorial data: the class group is not torsion over the Picard subgroup"
@@ -177,7 +180,7 @@ class NoFactor:
 # Subring generator bookkeeping
 
 
-def pic_level_generators(T: TargetData, K_gens: Sequence[GroupElement]) -> List[Monomial]:
+def pic_level_generators(T: TargetData, K: Subgroup) -> List[Monomial]:
     """Monomials generating the subring of degrees inside the subgroup.
 
     Exponents are bounded, per generator, by the order of its degree class
@@ -190,7 +193,7 @@ def pic_level_generators(T: TargetData, K_gens: Sequence[GroupElement]) -> List[
     by a product of two kept ones: m/k is a nonzero class-zero vector of
     the box of smaller total degree, so it is kept or divisible by one.
     """
-    Q, proj = quotient_group(T.cl, list(K_gens))
+    Q, proj = K.quotient()
     if not Q.is_finite():
         raise InputDataError("not Q-factorial data: Cl/K is infinite")
     names = [n for n, _ in T.ring.generators]
@@ -227,11 +230,11 @@ def pic_level_generators(T: TargetData, K_gens: Sequence[GroupElement]) -> List[
     return [Monomial(zip(names, v)) for v in kept]
 
 
-def choose_extension_class(T: TargetData, K_gens: Sequence[GroupElement]):
+def choose_extension_class(T: TargetData, K: Subgroup):
     """Deterministic next divisor class: first nontrivial canonical slot of
     Cl/K, smallest prime p dividing its order, lifted as (order/p) times the
     canonical generator."""
-    Q, _ = quotient_group(T.cl, list(K_gens))
+    Q, _ = K.quotient()
     if not Q.is_finite():
         raise InputDataError("not Q-factorial data")
     if Q.order() == 1:
@@ -243,22 +246,22 @@ def choose_extension_class(T: TargetData, K_gens: Sequence[GroupElement]):
     return (m // p) * lift, p
 
 
-def coset_generators(T: TargetData, K_gens: Sequence[GroupElement],
-                     D: GroupElement, p: int):
-    """New subring generators for K + <D>, tagged with class data.
+def coset_generators(T: TargetData, K: Subgroup, D: GroupElement, p: int):
+    """New subring generators for K1 = K + <D>, tagged with class data.
 
-    Returns a list of (monomial, F, m, k) where F is the degree, m in
-    1..p-1 its class in (K+<D>)/K relative to D, and k = F - m*D in K.
+    Returns (K1, gens): gens lists (monomial, F, m, k) where F is the
+    degree, m in 1..p-1 its class in K1/K relative to D, and k = F - m*D
+    in K.
     """
-    K1 = list(K_gens) + [D]
+    K1 = Subgroup(T.cl, K.gens + (D,))
     out = []
     for mono in pic_level_generators(T, K1):
         F = T.ring.monomial_degree(mono)
-        if subgroup_contains(T.cl, list(K_gens), F):
+        if K.contains(F):
             continue
         mj = None
         for c in range(1, p):
-            if subgroup_contains(T.cl, list(K_gens), F - c * D):
+            if K.contains(F - c * D):
                 mj = c
                 break
         if mj is None:
@@ -266,7 +269,7 @@ def coset_generators(T: TargetData, K_gens: Sequence[GroupElement],
                 f"generator {mono.key()} has no coset class relative to the chosen divisor"
             )
         out.append((mono, F, mj, F - mj * D))
-    return out
+    return K1, out
 
 
 def _exact_base_witness(keys: Sequence[Monomial],
@@ -322,7 +325,7 @@ class _Engine:
         self.opts = options
         self.order = source_stack.cox_ring.scalar_order
         self.N = self.order.N
-        self.K_gens: List[GroupElement] = list(target.pic_gens)
+        self.K = target.pic
         self.K_images: List[GroupElement] = list(base.group_images)
         self.table: Dict[Monomial, HomogeneousElement] = dict(base.images)
         self.steps: List[StepRecord] = []
@@ -335,10 +338,10 @@ class _Engine:
         if self.T.ring.scalar_order != self.order:
             raise InputDataError("target and source rings use different cyclotomic orders")
         ring0 = self.stack.cox_ring
-        if len(self.K_images) != len(self.K_gens):
+        if len(self.K_images) != len(self.K.gens):
             raise InputDataError("base morphism needs one group image per Picard generator")
         self._lambda_hom()  # validates relation preservation of the group map
-        expected = pic_level_generators(self.T, self.K_gens)
+        expected = pic_level_generators(self.T, self.K)
         missing = [m.key() for m in expected if m not in self.table]
         if missing:
             raise InputDataError(f"base morphism misses images for {missing}")
@@ -429,12 +432,10 @@ class _Engine:
     # -- degree map -------------------------------------------------------
 
     def _lambda_hom(self) -> GroupHomomorphism:
-        from .abgroup import abstract_subgroup
-
-        K_abs, _ = abstract_subgroup(self.T.cl, self.K_gens)
         try:
             return GroupHomomorphism(
-                K_abs, self.stack.pic, [self.stack.pic.element(i.coords) for i in self.K_images]
+                self.K.abstract(), self.stack.pic,
+                [self.stack.pic.element(i.coords) for i in self.K_images],
             )
         except InputDataError as exc:
             raise LiftInconsistencyError(
@@ -442,7 +443,7 @@ class _Engine:
             )
 
     def _lambda_of(self, k: GroupElement) -> GroupElement:
-        coeffs = express_in_subgroup(self.T.cl, self.K_gens, k)
+        coeffs = self.K.express(k)
         if coeffs is None:
             raise InternalInvariantError("degree map applied outside the current subgroup")
         acc = self.stack.pic.zero()
@@ -497,51 +498,52 @@ class _Engine:
     # -- the loop -----------------------------------------------------------
 
     def complete(self) -> bool:
-        Q, _ = quotient_group(self.T.cl, self.K_gens)
+        Q, _ = self.K.quotient()
         return Q.order() == 1
 
     def run(self):
-        Q0, _ = quotient_group(self.T.cl, list(self.T.pic_gens))
+        Q0, _ = self.K.quotient()
         guard = (Q0.order() or 2).bit_length() + 2
         step = 0
         while not self.complete():
             step += 1
             if step > guard:
                 raise InternalInvariantError("lift loop exceeded its termination bound")
-            D, p = choose_extension_class(self.T, self.K_gens)
+            D, p = choose_extension_class(self.T, self.K)
             if self.N % p:
                 raise InputDataError(
                     f"cyclotomic order {self.N} does not contain the step prime {p}; "
                     "raise cyclotomic_order"
                 )
-            coset = coset_generators(self.T, self.K_gens, D, p)
+            K1, coset = coset_generators(self.T, self.K, D, p)
             pullbacks = []
             for mono, F, mj, kj in coset:
                 pullbacks.append(self.stack.cox_ring.normal_form(self.evaluate(mono ** p)))
             if any(not e.is_zero() for e in pullbacks):
-                self._divisor_step(step - 1, D, p, coset, pullbacks)
+                self._divisor_step(step - 1, K1, D, p, coset, pullbacks)
             else:
-                self._line_step(step - 1, D, p, coset)
+                self._line_step(step - 1, K1, D, p, coset)
         return self._finish()
 
-    def _adopt(self, new_stack, incl, D, delta):
-        """Move to the extended stack (incl: old pic -> new pic) and add the
-        class D, with degree-map image delta, to the current subgroup."""
+    def _adopt(self, new_stack, incl, K1, delta):
+        """Move to the extended stack (incl: old pic -> new pic) and to the
+        subgroup K1 = K + <D>, whose last generator D has degree-map image
+        delta."""
         self.stack = new_stack
         self.K_images = [incl(i) for i in self.K_images] + [delta]
-        self.K_gens.append(D)
+        self.K = K1
         self._lambda_hom()
 
     # -- line-bundle step ----------------------------------------------------
 
-    def _line_step(self, index, D, p, coset):
+    def _line_step(self, index, K1, D, p, coset):
         L = self._lambda_of(p * D)
         new_stack = root_line_bundle(self.stack, L, p)
         incl = coordinate_inclusion(self.stack.pic, new_stack.pic)
         delta = new_stack.pic.basis_element(self.stack.pic.ambient_rank)
         for mono, F, mj, kj in coset:
             self.table[mono] = HomogeneousElement.zero()
-        self._adopt(new_stack, incl, D, delta)
+        self._adopt(new_stack, incl, K1, delta)
         self.steps.append(
             StepRecord(
                 index=index,
@@ -565,7 +567,7 @@ class _Engine:
 
     # -- divisor step ----------------------------------------------------------
 
-    def _divisor_step(self, index, D, p, coset, pullbacks):
+    def _divisor_step(self, index, K1, D, p, coset, pullbacks):
         ring = self.stack.cox_ring
         Jp = [j for j, e in enumerate(pullbacks) if not e.is_zero()]
         facts: Dict[int, Factorization] = {}
@@ -700,7 +702,7 @@ class _Engine:
                 new_images[mono] = HomogeneousElement.zero()
 
         self.table.update(new_images)
-        self._adopt(new_stack, incl, D, delta)
+        self._adopt(new_stack, incl, K1, delta)
         # degree coherence: every new image matches the extended degree map
         for mono, F, mj, kj in coset:
             img = self.table[mono]
@@ -802,7 +804,7 @@ class _Engine:
         new_stack = apply_divisor_batch(self.stack, infos, rows)
         G_new = new_stack.pic
         incl = coordinate_inclusion(pic, G_new)
-        for krow in subgroup_relation_lattice(G_new, list(incl.images)):
+        for krow in Subgroup(G_new, incl.images).relations():
             if not pic.element(krow).is_zero():
                 raise LiftInconsistencyError(
                     "inconsistent degree data: the grading extension collapses "
@@ -1269,7 +1271,7 @@ def decompose_as_roots(stack: MdStackData,
     source = canonical_stack(coarse.ring, coarse.irrelevant)
     coarse_names = set(coarse.ring.gen_degrees)
     images: Dict[Monomial, HomogeneousElement] = {}
-    for mono in pic_level_generators(target, target.pic_gens):
+    for mono in pic_level_generators(target, target.pic):
         img = stack.cox_ring.normal_form(
             HomogeneousElement.monomial(stack.cox_ring.scalar_order, mono)
         )

@@ -63,6 +63,33 @@ class DecomposeSpec:
 
 
 # ---------------------------------------------------------------------------
+# integers: checked where they enter, so 2.5 or "2" never becomes 2
+
+
+def _integer(x, what: str) -> int:
+    if type(x) is not int:
+        raise InputDataError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _integer_vector(data, what: str) -> list:
+    if not isinstance(data, list):
+        raise InputDataError(f"{what} must be a list of integers, got {data!r}")
+    return [_integer(x, what) for x in data]
+
+
+def integer_rows(data, what: str) -> list:
+    """A JSON list of integer lists; floats, bools and strings are rejected."""
+    if not isinstance(data, list):
+        raise InputDataError(f"{what} must be a list of integer lists, got {data!r}")
+    return [_integer_vector(row, what) for row in data]
+
+
+def _monomial(data, what: str) -> Monomial:
+    return Monomial({str(k): _integer(v, what) for k, v in data.items()})
+
+
+# ---------------------------------------------------------------------------
 # scalars and elements
 
 
@@ -96,7 +123,7 @@ def parse_element(data, order: CycOrder) -> HomogeneousElement:
     terms = []
     for t in data["terms"]:
         coeff = parse_scalar(t.get("c", "1"), order)
-        mono = Monomial({str(k): int(v) for k, v in t.get("m", {}).items()})
+        mono = _monomial(t.get("m", {}), "monomial exponent")
         terms.append((coeff, mono))
     return HomogeneousElement(terms)
 
@@ -110,7 +137,8 @@ def emit_element(e: HomogeneousElement):
 
 
 def parse_group(data) -> FgAbelianGroup:
-    return FgAbelianGroup(int(data["ambient_rank"]), data.get("relations", []))
+    return FgAbelianGroup(_integer(data["ambient_rank"], "ambient_rank"),
+                          integer_rows(data.get("relations", []), "group relations"))
 
 
 def emit_group(G: FgAbelianGroup):
@@ -123,7 +151,7 @@ def emit_group(G: FgAbelianGroup):
 def _parse_rules(data, order: CycOrder) -> List[RewriteRule]:
     rules = []
     for r in data or []:
-        lhs = Monomial({str(k): int(v) for k, v in r["lhs"].items()})
+        lhs = _monomial(r["lhs"], "rule exponent")
         rhs = parse_element(r["rhs"], order)
         rules.append(RewriteRule(lhs, rhs))
     return rules
@@ -140,7 +168,9 @@ def _parse_ring_block(data, group: FgAbelianGroup, order: CycOrder,
                       step_cap: int = 10000) -> GradedRing:
     gens = []
     for g in data.get("generators", []):
-        gens.append((str(g["name"]), group.element(g.get("degree", []))))
+        name = str(g["name"])
+        gens.append((name, group.element(_integer_vector(g.get("degree", []),
+                                                         f"degree of {name}"))))
     return GradedRing(
         gens,
         group,
@@ -245,7 +275,8 @@ def parse_problem(data) -> ProblemSpec:
 
     tblock = data["target"]
     cl = parse_group(tblock["class_group"])
-    pic_gens = [cl.element(c) for c in tblock.get("pic_subgroup", [])]
+    pic_gens = [cl.element(c) for c in integer_rows(tblock.get("pic_subgroup", []),
+                                                    "pic_subgroup")]
     order = _global_order(data, cl, pic_gens)
 
     target_ring = _parse_ring_block(tblock, cl, order, step_cap=step_cap)
@@ -259,7 +290,8 @@ def parse_problem(data) -> ProblemSpec:
             parse_element(e, order) for e in tblock.get("irrelevant", [])
         ),
     )
-    target.validate()
+    # TargetData.validate has nothing left to catch: the ring is graded by
+    # cl, and _global_order has rejected an infinite Cl/Pic
 
     sblock = data["source"]
     clx = parse_group(sblock["class_group"])
@@ -276,7 +308,8 @@ def parse_problem(data) -> ProblemSpec:
     )
 
     bblock = data["base_morphism"]
-    group_images = [clx.element(c) for c in bblock.get("group_map", [])]
+    group_images = [clx.element(c) for c in integer_rows(bblock.get("group_map", []),
+                                                         "group_map")]
     if len(group_images) != len(pic_gens):
         raise InputDataError(
             "base morphism group_map must list one image per pic_subgroup generator"
@@ -285,7 +318,7 @@ def parse_problem(data) -> ProblemSpec:
     target_names = set(target_ring.gen_degrees)
     source_names = set(source_ring.gen_degrees)
     for item in bblock.get("images", []):
-        mono = Monomial({str(k): int(v) for k, v in item["monomial"].items()})
+        mono = _monomial(item["monomial"], "monomial exponent")
         if not set(mono.names()) <= target_names:
             raise InputDataError(f"base key {mono.key()} uses unknown target generators")
         img = parse_element(item["image"], order)
@@ -310,7 +343,7 @@ def parse_decompose(data) -> DecomposeSpec:
     cblock = block["coarse"]
     pic = parse_group(sblock["class_group"])
     coarse_group = parse_group(cblock["class_group"])
-    incl_rows = cblock.get("inclusion", [])
+    incl_rows = integer_rows(cblock.get("inclusion", []), "inclusion")
     if len(incl_rows) != coarse_group.ambient_rank:
         raise InputDataError("inclusion must list one image per coarse generator")
     pic_gens = [pic.element(r) for r in incl_rows]

@@ -10,6 +10,7 @@ from coxlift.abgroup import (
     FgAbelianGroup,
     GroupHomomorphism,
     IntMatrix,
+    Subgroup,
     element_order,
     kernel_basis_mod_p,
     pushout_root,
@@ -19,8 +20,8 @@ from coxlift.abgroup import (
     solution_count_mod_p,
     solve_affine_mod_n,
     solve_affine_mod_p,
+    solve_integer_system,
     solve_linear_over_group,
-    subgroup_contains,
 )
 from coxlift.errors import InputDataError
 
@@ -103,13 +104,99 @@ def test_quotient_projection_kills_exactly_the_subgroup():
     G = FgAbelianGroup(2, [[4, 0], [0, 4]])
     gens = [G.element([2, 0]), G.element([0, 2])]
     Q, proj = quotient_group(G, gens)
+    K = Subgroup(G, gens)
     subgroup = set()
     for a, b in product(range(2), repeat=2):
         subgroup.add((a * 2 % 4, b * 2 % 4))
     for g in G.elements():
-        in_sub = subgroup_contains(G, gens, g)
+        in_sub = K.contains(g)
         assert in_sub == proj(g).is_zero()
         assert in_sub == (tuple(c % 4 for c in g.canonical()) in subgroup)
+
+
+@st.composite
+def finite_groups_with_gens(draw):
+    """A finite G of rank <= 3 and order <= 216 with 0-3 random generators."""
+    rank = draw(st.integers(1, 3))
+    diag = [draw(st.integers(1, 6)) for _ in range(rank)]
+    off = st.integers(-4, 4)
+    rel = [[diag[i] if i == j else (draw(off) if j > i else 0) for j in range(rank)]
+           for i in range(rank)]
+    G = FgAbelianGroup(rank, rel)
+    vec = st.lists(st.integers(-6, 6), min_size=rank, max_size=rank)
+    gens = [G.element(draw(vec)) for _ in range(draw(st.integers(0, 3)))]
+    return G, gens
+
+
+def _express_per_call(G, gens, target):
+    """The per-query solve: a fresh Smith form of [gens; relations] each time."""
+    rows = [list(g.coords) for g in gens] + [list(r) for r in G.relations.entries]
+    sol = solve_integer_system(rows, G.ambient_rank, list(target.coords))
+    return None if sol is None else sol[: len(gens)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(finite_groups_with_gens())
+def test_subgroup_matches_span_enumeration(data):
+    G, gens = data
+    K = Subgroup(G, gens)
+    # brute-force span: close {0} under adding each generator
+    span = {G.zero()}
+    frontier = list(span)
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for g in gens:
+                if h + g not in span:
+                    span.add(h + g)
+                    nxt.append(h + g)
+        frontier = nxt
+    for t in G.elements():
+        x = K.express(t)
+        assert (x is not None) == K.contains(t) == (t in span)
+        assert x == _express_per_call(G, gens, t)
+        if x is not None:
+            acc = G.zero()
+            for c, g in zip(x, gens):
+                acc = acc + c * g
+            assert acc == t
+    for row in K.relations():
+        assert len(row) == len(gens)
+        acc = G.zero()
+        for c, g in zip(row, gens):
+            acc = acc + c * g
+        assert acc.is_zero()
+    Q, proj = K.quotient()
+    assert K.abstract().order() == len(span)
+    assert K.abstract().order() * Q.order() == G.order()
+    assert all(proj(g).is_zero() for g in gens)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=r, max_size=r), max_size=r - 1),
+    st.lists(st.lists(st.integers(-6, 6), min_size=r, max_size=r), max_size=3),
+    st.lists(st.lists(st.integers(-6, 6), min_size=r, max_size=r), min_size=1, max_size=4),
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+)))
+def test_subgroup_over_a_free_part(data):
+    """G has a free part: a sum of generators is found, and every
+    coefficient vector returned sums to its target."""
+    rels, gen_rows, targets, combo = data
+    G = FgAbelianGroup(len(targets[0]), rels)
+    gens = [G.element(r) for r in gen_rows]
+    K = Subgroup(G, gens)
+    inside = G.zero()
+    for c, g in zip(combo, gens):
+        inside = inside + c * g
+    assert K.contains(inside)
+    for t in [inside] + [G.element(r) for r in targets]:
+        x = K.express(t)
+        if x is not None:
+            acc = G.zero()
+            for c, g in zip(x, gens):
+                acc = acc + c * g
+            assert acc == t
 
 
 def test_pushout_examples():

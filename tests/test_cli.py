@@ -172,3 +172,36 @@ def test_lift_and_decompose_reject_each_others_documents(capsys):
     assert run_cli("decompose", str(PROBLEMS / "mu3.json")) == 2
     assert run_cli("lift", str(PROBLEMS / "decompose_half11_root.json")) == 2
     assert "is not a lift document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("matrix", ['[[1,"a"]]', "5", "[[2.5]]", "[[true]]", "[1, 2]"])
+def test_snf_rejects_non_integer_matrices(matrix, capsys):
+    assert run_cli("snf", "--matrix", matrix) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+def _set(doc, path, value):
+    *head, last = path
+    for key in head:
+        doc = doc[key]
+    doc[last] = value
+
+
+@pytest.mark.parametrize("command,name,path,value", [
+    ("lift", "a1_into_half11", ["target", "class_group", "relations"], [[2.5]]),
+    ("lift", "a1_into_half11", ["target", "class_group", "ambient_rank"], True),
+    ("lift", "a1_into_half11", ["target", "generators", 0, "degree"], [1.9]),
+    ("lift", "a1_into_half11", ["target", "pic_subgroup"], [[1.0]]),
+    ("lift", "a1_into_half11", ["base_morphism", "images", 0, "monomial", "x"], 2.0),
+    ("lift", "mu3", ["source", "relations", 0, "lhs", "v"], "3"),
+    ("decompose", "decompose_half11_root",
+     ["decompose", "stack", "class_group", "relations"], [["2"]]),
+])
+def test_non_integer_group_data_is_rejected_not_truncated(tmp_path, capsys,
+                                                          command, name, path, value):
+    raw = load_raw(name)
+    _set(raw, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli(command, str(bad)) == 2
+    assert "must be an integer" in capsys.readouterr().err

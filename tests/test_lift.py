@@ -7,7 +7,14 @@ from helpers import load_raw, load_spec, lift_of
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from coxlift.abgroup import FgAbelianGroup, GroupHomomorphism, element_order, quotient_group
+from coxlift.abgroup import (
+    FgAbelianGroup,
+    GroupHomomorphism,
+    Subgroup,
+    element_order,
+    quotient_group,
+)
+from coxlift import abgroup
 from coxlift.cyclo import CycOrder, CycScalar
 from coxlift.errors import InputDataError, LiftInconsistencyError
 from coxlift.gring import GradedRing, HomogeneousElement, Monomial
@@ -21,12 +28,13 @@ from coxlift.lift import (
     check_factors_through,
     choose_extension_class,
     coset_generators,
+    decompose_as_roots,
     pic_level_generators,
     run_cox_lift,
     verify_lift,
 )
 from coxlift.lift import _Engine, LiftOptions
-from coxlift.mdstack import canonical_stack, root_divisor
+from coxlift.mdstack import canonical_stack, root_divisor, root_line_bundle
 from coxlift.serialize import parse_problem
 
 
@@ -36,20 +44,20 @@ def target_of(name):
 
 def test_pic_level_generators_examples():
     t = target_of("a1_into_half11")
-    assert [m.key() for m in pic_level_generators(t, [])] == ["x*y", "x^2", "y^2"]
+    assert [m.key() for m in pic_level_generators(t, t.pic)] == ["x*y", "x^2", "y^2"]
 
     t3 = target_of("mu3")
-    assert [m.key() for m in pic_level_generators(t3, [])] == ["x*y", "x^3", "y^3"]
+    assert [m.key() for m in pic_level_generators(t3, t3.pic)] == ["x*y", "x^3", "y^3"]
 
     full = [t.cl.element([1])]
-    assert [m.key() for m in pic_level_generators(t, full)] == ["x", "y"]
+    assert [m.key() for m in pic_level_generators(t, Subgroup(t.cl, full))] == ["x", "y"]
 
 
 def test_pic_level_generators_mu4():
     t = target_of("mu4")
-    assert [m.key() for m in pic_level_generators(t, [])] == ["y^2", "x^2*y", "x^4"]
+    assert [m.key() for m in pic_level_generators(t, t.pic)] == ["y^2", "x^2*y", "x^4"]
     K1 = [t.cl.element([2])]
-    assert [m.key() for m in pic_level_generators(t, K1)] == ["y", "x^2"]
+    assert [m.key() for m in pic_level_generators(t, Subgroup(t.cl, K1))] == ["y", "x^2"]
 
 
 def _pic_level_generators_oracle(T, K_gens):
@@ -95,22 +103,22 @@ def finite_gradings(draw):
 @given(finite_gradings())
 def test_pic_level_generators_matches_box_oracle(data):
     T, K = data
-    assert pic_level_generators(T, K) == _pic_level_generators_oracle(T, K)
+    assert pic_level_generators(T, Subgroup(T.cl, K)) == _pic_level_generators_oracle(T, K)
 
 
 def test_choose_extension_class_examples():
     t = target_of("a1_into_half11")
-    D, p = choose_extension_class(t, [])
+    D, p = choose_extension_class(t, t.pic)
     assert p == 2 and D == t.cl.element([1])
 
     t4 = target_of("mu4")
-    D, p = choose_extension_class(t4, [])
+    D, p = choose_extension_class(t4, t4.pic)
     assert p == 2 and D == t4.cl.element([2])  # the order-2 element first
 
     cl6 = FgAbelianGroup(1, [[6]])
     ring6 = GradedRing([("x", cl6.element([1]))], cl6, CycOrder(6))
     t6 = TargetData(cl=cl6, pic_gens=(), ring=ring6)
-    D, p = choose_extension_class(t6, [])
+    D, p = choose_extension_class(t6, t6.pic)
     assert p == 2  # smallest prime first
     from coxlift.abgroup import element_order
 
@@ -120,18 +128,18 @@ def test_choose_extension_class_examples():
 def test_choose_extension_class_complete_errors():
     t = target_of("a1_into_half11")
     with pytest.raises(InputDataError, match="already complete"):
-        choose_extension_class(t, [t.cl.element([1])])
+        choose_extension_class(t, Subgroup(t.cl, [t.cl.element([1])]))
 
 
 def test_coset_generators_examples():
     t = target_of("a1_into_half11")
-    D, p = choose_extension_class(t, [])
-    out = coset_generators(t, [], D, p)
+    D, p = choose_extension_class(t, t.pic)
+    _, out = coset_generators(t, t.pic, D, p)
     assert [(m.key(), mj) for m, _, mj, _ in out] == [("x", 1), ("y", 1)]
 
     t3 = target_of("mu3")
-    D3, p3 = choose_extension_class(t3, [])
-    out3 = coset_generators(t3, [], D3, p3)
+    D3, p3 = choose_extension_class(t3, t3.pic)
+    _, out3 = coset_generators(t3, t3.pic, D3, p3)
     assert [m.key() for m, _, _, _ in out3] == ["x", "y"]
     # the classes land in distinct cosets of K1/K0
     assert sorted(mj for _, _, mj, _ in out3) == [1, 2]
@@ -270,7 +278,7 @@ def _z3_squared_problem(xyz_coeff):
 
 def test_base_check_rejects_triple_only_inconsistency():
     target, source, base = _z3_squared_problem(2)  # (2t)^3 = 8t^3 against t^3
-    assert sorted(m.key() for m in pic_level_generators(target, [])) == [
+    assert sorted(m.key() for m in pic_level_generators(target, target.pic)) == [
         "x*y*z", "x^3", "y^3", "z^3"]
     with pytest.raises(InputDataError, match=r"inconsistent on the monomial x\^3\*y\^3\*z\^3$"):
         run_cox_lift(target, source, base)
@@ -290,7 +298,7 @@ def _z4_squared_problem(images):
     trivial = FgAbelianGroup(0, [])
     source = canonical_stack(GradedRing([("t", trivial.element(()))], trivial, order))
     keys = ["x*y*z", "x^4", "y^4", "z^4"]
-    assert [m.key() for m in pic_level_generators(target, [])] == keys
+    assert [m.key() for m in pic_level_generators(target, target.pic)] == keys
     table = {}
     for key, (coeff, exp) in zip(keys, images):
         mono = Monomial({n: 1 for n in "xyz"} if key == "x*y*z" else {key[0]: 4})
@@ -355,7 +363,7 @@ def monomial_base_maps(draw):
     and roots of unity included) pushed to the keys, then 0-2 key images
     replaced, rescaled or multiplied by a source generator."""
     T, K = draw(finite_gradings())
-    keys = pic_level_generators(T, K)
+    keys = pic_level_generators(T, Subgroup(T.cl, K))
     # more keys than the generators they use, so the keys have relations
     assume(len({n for k in keys for n in k.names()}) < len(keys) <= 12)
     order = CycOrder(draw(st.sampled_from([1, 3, 4, 6])))
@@ -431,7 +439,7 @@ def test_cyclic_quotient_lift_a34():
     for combo in combinations_with_replacement(names, 4):
         mono = Monomial({n: combo.count(n) for n in names})
         images[mono] = t if combo == ("x1",) * 4 else zero
-    assert sorted(images, key=lambda m: m.sort_key()) == pic_level_generators(target, [])
+    assert sorted(images, key=lambda m: m.sort_key()) == pic_level_generators(target, target.pic)
     res = run_cox_lift(target, source, BaseMorphism(images=images, group_images=()))
     assert res.verification.passed
     assert res.stack.pic.canonical_form == (0, (4,))
@@ -550,3 +558,36 @@ def test_termination_bound_is_respected():
     assert len(res.steps) == 2
     for s in res.steps:
         assert s.p == 2
+
+
+def test_decompose_factors_each_subgroup_matrix_once(monkeypatch):
+    """Every subgroup K the lift visits answers all its queries from one
+    Smith form of [K generators; class group relations]."""
+    order = CycOrder(6)
+    # a nonzero Picard subgroup: with none, [K; relations] would be the
+    # quotient's own matrix [relations; K]
+    cl0 = FgAbelianGroup(1, [[2]])
+    gen = cl0.element([1])
+    stack = canonical_stack(GradedRing([("x", gen), ("y", gen)], cl0, order))
+    stack = root_divisor(stack, stack.cox_ring.gen("x"), 2, "r1")
+    stack = root_divisor(stack, stack.cox_ring.gen("r1"), 3, "r2")
+    stack = root_line_bundle(stack, stack.pic.element([1, 0, 0]), 2)
+    factored = []
+    real_snf = abgroup.smith_normal_form_full
+
+    def recording_snf(M):
+        factored.append(M.entries)
+        return real_snf(M)
+
+    monkeypatch.setattr(abgroup, "smith_normal_form_full", recording_snf)
+    result = decompose_as_roots(stack)
+    assert result.verification.passed
+    assert len(result.steps) >= 3
+    cl = stack.pic
+    gens = list(stack.coarse.inclusion.images)
+    matrices = []
+    for step in (None,) + result.steps:
+        if step is not None:
+            gens.append(cl.element(step.cls_coords))
+        matrices.append(tuple(g.coords for g in gens) + cl.relations.entries)
+    assert [factored.count(m) for m in matrices] == [1] * len(matrices)
