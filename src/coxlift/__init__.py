@@ -10,11 +10,10 @@ from .abgroup import (
     kernel_basis_mod_p,
     pushout_root,
     quotient_group,
-    smith_normal_form,
     solve_affine_mod_p,
     solve_linear_over_group,
 )
-from .cyclo import CycOrder, CycScalar, cyc_arith, cyclotomic_polynomial
+from .cyclo import CycOrder, CycScalar, cyclotomic_polynomial
 from .gring import (
     Factorization,
     GradedRing,

@@ -192,12 +192,6 @@ def smith_normal_form_full(M: IntMatrix):
     )
 
 
-def smith_normal_form(M: IntMatrix):
-    """Return (S, U, V) with U*M*V = S diagonal and d1 | d2 | ... ."""
-    S, U, V, _ = smith_normal_form_full(M)
-    return S, U, V
-
-
 class FgAbelianGroup:
     """Finitely generated abelian group Z^n / (row span of relations)."""
 

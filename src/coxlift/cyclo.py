@@ -1,13 +1,14 @@
 """Exact arithmetic in the cyclotomic field Q(zeta_N).
 
 Scalars are residues modulo the N-th cyclotomic polynomial Phi_N with
-rational coefficients; every nonzero scalar is invertible (the modulus is
-irreducible over Q).  A scalar stores its residue as an integer vector
+rational coefficients.  A scalar stores its residue as an integer vector
 ``num`` over one positive denominator ``den`` with gcd(num, den) = 1, zero
-as (0, ..., 0) / 1.  That representation is unique, so equality is a tuple
-comparison.  Phi_N is monic and integral, so products stay in integers:
-the high terms of a product fold back through a table of x^k mod Phi_N,
-kept once per N together with the N roots of unity.
+as (0, ..., 0) / 1; this is the module's only representation.  It is
+unique, so equality is a tuple comparison.  Phi_N is monic and integral, so
+products stay in integers: the high terms of a product fold back through a
+table of x^k mod Phi_N, kept once per N together with the N roots of unity.
+The same table maps zeta to zeta^j, so the inverse of a nonzero scalar is
+the product of its other Galois conjugates over its norm, a rational.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from typing import Optional, Sequence
 
 from .errors import InputDataError
 
-# Dense polynomials are tuples of field elements, lowest degree first, with
-# no trailing zeros.  The field is Q (Fraction coefficients) or Q(zeta_N)
-# (CycScalar coefficients); _padd and _pmul take Fractions only.
+# Dense polynomials over Q(zeta_N) are tuples of CycScalar coefficients,
+# lowest degree first, with no trailing zeros; Q itself is Q(zeta_1).
 
 
 def _ptrim(c):
@@ -31,33 +31,12 @@ def _ptrim(c):
     return tuple(c)
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _ptrim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-
-def _pneg(a):
-    return tuple(-x for x in a)
-
-
-def _pmul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _ptrim(out)
-
-
 def _pdivmod(a, b):
-    """Quotient and remainder of a by b over Q or Q(zeta_N)."""
+    """Quotient and remainder of a by b over Q(zeta_N)."""
     b = _ptrim(b)
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    inv = _recip(b[-1])
+    inv = b[-1].inverse()
     zero = b[-1] - b[-1]
     a = list(a)
     q = [zero] * max(0, len(a) - len(b) + 1)
@@ -73,31 +52,14 @@ def _pdivmod(a, b):
 
 
 def _pgcd(a, b):
-    """Monic gcd over Q or Q(zeta_N); the gcd of two zero polynomials is ()."""
+    """Monic gcd over Q(zeta_N); the gcd of two zero polynomials is ()."""
     a, b = _ptrim(a), _ptrim(b)
     while b:
         a, b = b, _pdivmod(a, b)[1]
     if not a:
         return a
-    inv = _recip(a[-1])
+    inv = a[-1].inverse()
     return tuple(c * inv for c in a)
-
-
-def _recip(x):
-    return x.inverse() if isinstance(x, CycScalar) else Fraction(1) / x
-
-
-def _pxgcd(a, b):
-    """Extended gcd over Q[x]: returns (g, s, t) with s*a + t*b = g."""
-    r0, r1 = a, b
-    s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
-    while r1:
-        q, r = _pdivmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, _pneg(_pmul(q, s1)))
-        t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1)))
-    return r0, s0, t0
 
 
 @lru_cache(maxsize=None)
@@ -124,14 +86,13 @@ def cyclotomic_polynomial(N: int) -> tuple:
 
 
 class CycOrder:
-    """The field Q(zeta_N), carrying N and its cyclotomic polynomial."""
+    """The field Q(zeta_N), carrying N and the degree of Phi_N."""
 
-    __slots__ = ("N", "poly", "degree")
+    __slots__ = ("N", "degree")
 
     def __init__(self, N: int):
         self.N = int(N)
-        self.poly = tuple(Fraction(c) for c in cyclotomic_polynomial(self.N))
-        self.degree = len(self.poly) - 1
+        self.degree = len(cyclotomic_polynomial(self.N)) - 1
 
     def __eq__(self, other):
         return isinstance(other, CycOrder) and self.N == other.N
@@ -312,12 +273,16 @@ class CycScalar:
             raise ZeroDivisionError("inverse of zero scalar")
         if self.is_rational():
             return CycScalar.from_rational(self.order, Fraction(self.den, self.num[0]))
-        g, s, _ = _pxgcd(_ptrim(self.coeffs), self.order.poly)
-        if len(g) != 1:
-            raise InputDataError("modulus is not coprime to the residue")
-        inv = _pmul(s, (Fraction(1) / g[0],))
-        _, rem = _pdivmod(inv, self.order.poly)
-        return CycScalar(self.order, rem)
+        # a^-1 = rest / N(a) with rest the product of the conjugates sigma_j(a),
+        # j != 1.  The conjugates of the numerator stay integral; N(num) is a
+        # positive integer, as Q(zeta_N) with N >= 3 is totally complex.
+        N, order = self.order.N, self.order
+        rest = CycScalar.one(order)
+        for j in range(2, N):
+            if math.gcd(j, N) == 1:
+                rest = rest * CycScalar._make(order, _substituted(self.num, N, j))
+        norm = (CycScalar._make(order, self.num) * rest).num[0]
+        return rest._scaled(self.den, norm)
 
     def __truediv__(self, other):
         self._same(other)
@@ -348,14 +313,23 @@ class CycScalar:
         m, N = self.order.N, new_order.N
         if N % m:
             raise InputDataError(f"cannot promote from order {m} to non-multiple {N}")
-        powers = _power_table(N)[0]
-        step = N // m
-        num = [0] * new_order.degree
-        for i, c in enumerate(self.num):
-            if c:
-                for j, r in enumerate(powers[i * step % N]):
-                    num[j] += c * r
-        return CycScalar._make(new_order, num, self.den)
+        return CycScalar._make(new_order, _substituted(self.num, N, N // m), self.den)
+
+
+def _substituted(num, N: int, step: int) -> list:
+    """The integer vector of sum_i num[i] * zeta_N^(i * step).
+
+    With step = j coprime to N this is the Galois conjugate zeta -> zeta^j; with
+    step = N/m it carries a residue of Q(zeta_m) into Q(zeta_N).
+    """
+    powers = _power_table(N)[0]
+    out = [0] * len(powers[0])
+    for i, c in enumerate(num):
+        if c:
+            for k, r in enumerate(powers[i * step % N]):
+                if r:
+                    out[k] += c * r
+    return out
 
 
 def _reduced(num, den: int):
@@ -364,19 +338,6 @@ def _reduced(num, den: int):
     if g == 1:
         return tuple(num), den
     return tuple(a // g for a in num), den // g
-
-
-def cyc_arith(a: CycScalar, b: CycScalar, op: str) -> CycScalar:
-    """Field arithmetic dispatch; division by zero raises."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise InputDataError(f"unknown operation {op!r}")
 
 
 def root_of_unity_pth_root(s: CycScalar, p: int) -> Optional[CycScalar]:

@@ -100,10 +100,10 @@ def parse_scalar(data, order: CycOrder) -> CycScalar:
         return CycScalar.from_rational(order, Fraction(data))
     if isinstance(data, dict):
         if "zeta" in data:
-            return CycScalar.zeta(order, int(data["zeta"]))
+            return CycScalar.zeta(order, _integer(data["zeta"], "zeta exponent"))
         if "coeffs" in data:
             coeffs = [Fraction(c) for c in data["coeffs"]]
-            sub = CycOrder(int(data.get("order", order.N)))
+            sub = CycOrder(_integer(data.get("order", order.N), "scalar order"))
             return CycScalar(sub, coeffs).promote(order)
     raise InputDataError(f"cannot parse scalar {data!r}")
 
@@ -191,7 +191,7 @@ def _global_order(raw, target_cl, pic_gens) -> CycOrder:
     if not Q.is_finite():
         raise InputDataError("class group is not torsion over the Picard subgroup")
     N = Q.exponent()
-    declared = int(raw.get("cyclotomic_order", 1))
+    declared = _integer(raw.get("cyclotomic_order", 1), "cyclotomic_order")
     if declared < 1:
         raise InputDataError("cyclotomic_order must be positive")
     return CycOrder(math.lcm(N, declared))
@@ -216,7 +216,7 @@ def _parse_declared(block, ring: GradedRing, order: CycOrder):
                 parse_element(root["section"], order)
             )
             name = str(root["name"])
-            n = int(root["order"])
+            n = _integer(root["order"], "declared root order")
             if name not in scratch.cox_ring.gen_degrees:
                 scratch = root_divisor(scratch, section, n, name)
             lead, _ = section.leading()
@@ -231,7 +231,7 @@ def _parse_declared(block, ring: GradedRing, order: CycOrder):
                 fel = HomogeneousElement.monomial(order, Monomial.gen(fdata))
             else:
                 fel = parse_element(fdata, order)
-            factors.append((fel, int(exp)))
+            factors.append((fel, _integer(exp, "declared factor exponent")))
         fact = Factorization(unit, tuple(factors))
         missing = [
             n for f, _ in factors for n in f.support() if n not in sring.gen_degrees
@@ -261,7 +261,8 @@ def _read(data) -> dict:
 def _options(data):
     """(step cap, spot-check bound) from the document's options block."""
     topts = data.get("options", {})
-    return int(topts.get("step_cap", 10000)), int(topts.get("spotcheck_bound", 4))
+    return (_integer(topts.get("step_cap", 10000), "step_cap"),
+            _integer(topts.get("spotcheck_bound", 4), "spotcheck_bound"))
 
 
 def parse_problem(data) -> ProblemSpec:
@@ -461,9 +462,9 @@ def parse_tower(data, order: CycOrder):
     for item in data:
         kind = item["kind"]
         if kind == "line_bundle":
-            steps.append(
-                RootStep(kind=kind, bundle_class=tuple(item["class"]), order=int(item["order"]))
-            )
+            bundle_class = tuple(_integer_vector(item["class"], "tower class"))
+            steps.append(RootStep(kind=kind, bundle_class=bundle_class,
+                                  order=_integer(item["order"], "tower order")))
         elif kind == "divisor":
             steps.append(
                 RootStep(
@@ -471,7 +472,7 @@ def parse_tower(data, order: CycOrder):
                     roots=(
                         DivisorRootInfo(
                             parse_element(item["section"], order),
-                            int(item["order"]),
+                            _integer(item["order"], "tower order"),
                             str(item["name"]),
                         ),
                     ),
@@ -483,12 +484,15 @@ def parse_tower(data, order: CycOrder):
                     kind=kind,
                     roots=tuple(
                         DivisorRootInfo(
-                            parse_element(r["section"], order), int(r["order"]), str(r["name"])
+                            parse_element(r["section"], order),
+                            _integer(r["order"], "tower order"),
+                            str(r["name"]),
                         )
                         for r in item["roots"]
                     ),
                     group_relations=tuple(
-                        tuple(int(x) for x in row) for row in item["group_relations"]
+                        tuple(row) for row in integer_rows(item["group_relations"],
+                                                           "tower group relations")
                     ),
                 )
             )

@@ -205,3 +205,43 @@ def test_non_integer_group_data_is_rejected_not_truncated(tmp_path, capsys,
     bad.write_text(json.dumps(raw))
     assert run_cli(command, str(bad)) == 2
     assert "must be an integer" in capsys.readouterr().err
+
+
+DECLARED = ["source", "declared_factorizations", 0]
+
+
+@pytest.mark.parametrize("name,path,value", [
+    ("a1_into_half11", ["cyclotomic_order"], 2.9),
+    ("mu3", [*DECLARED, "unit", "zeta"], 0.5),
+    ("mu3", [*DECLARED, "unit"], {"order": 3.2, "coeffs": ["1"]}),
+    ("mu3", [*DECLARED, "roots", 0, "order"], 3.7),
+    ("mu3", [*DECLARED, "factors", 0, 1], 1.5),
+    ("a1_into_half11", ["options", "step_cap"], "10000"),
+    ("a1_into_half11", ["options", "spotcheck_bound"], 4.5),
+])
+def test_non_integer_scalar_and_option_fields_are_rejected(tmp_path, capsys, name, path, value):
+    raw = load_raw(name)
+    _set(raw, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("lift", str(bad)) == 2
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,path,value", [
+    ("mu3_zero", [0, "order"], 3.7),
+    ("mu3_zero", [0, "class"], ""),
+    ("a1_into_half11", [0, "order"], 2.5),
+    ("mu3", [0, "roots", 0, "order"], 3.5),
+    ("mu3", [0, "group_relations", 0, 0], 3.0),
+])
+def test_non_integer_tower_fields_are_rejected(tmp_path, capsys, name, path, value):
+    problem = str(PROBLEMS / f"{name}.json")
+    result = tmp_path / "res.json"
+    assert run_cli("lift", problem, "--out", str(result), "--log", "json") == 0
+    doc = json.loads(result.read_text())
+    _set(doc["tower"], path, value)
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", problem, str(result)) == 2
+    assert "must be" in capsys.readouterr().err

@@ -1,5 +1,8 @@
 import math
+import random
+import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -9,14 +12,8 @@ from hypothesis import strategies as st
 from coxlift.cyclo import (
     CycOrder,
     CycScalar,
-    _padd,
     _pdivmod,
     _pgcd,
-    _pmul,
-    _pneg,
-    _ptrim,
-    _pxgcd,
-    cyc_arith,
     cyclotomic_polynomial,
     root_of_unity_pth_root,
 )
@@ -55,14 +52,16 @@ def test_mu2_sign_action():
     assert CycScalar.zeta(N) * CycScalar.one(N) == CycScalar.from_rational(N, -1)
 
 
-def test_arith_dispatch_and_division_by_zero():
+def test_division_and_division_by_zero():
     N = CycOrder(5)
     a = CycScalar.zeta(N)
     b = CycScalar.from_rational(N, Fraction(3, 2))
-    assert cyc_arith(a, b, "mul") == a * b
-    assert cyc_arith(a, b, "sub") == a - b
+    assert (a / b) * b == a
+    assert a / a == CycScalar.one(N)
     with pytest.raises(ZeroDivisionError):
-        cyc_arith(a, CycScalar.zero(N), "div")
+        a / CycScalar.zero(N)
+    with pytest.raises(ZeroDivisionError):
+        CycScalar.zero(N).inverse()
 
 
 def test_as_root_of_unity():
@@ -143,6 +142,8 @@ def test_pth_root_of_unit():
 # -- dense polynomial helpers ---------------------------------------------------
 
 small_q = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+X = sympy.Symbol("x")
+Q = CycOrder(1)  # Q itself, as Q(zeta_1)
 
 
 def _mul(a, b, zero):
@@ -168,11 +169,29 @@ def _check_divmod(a, b, zero):
     assert len(r) < len(b) and (not r or r[-1] != zero)
 
 
+def _poly(coeffs):
+    """Rational coefficients, lowest degree first, as a sympy QQ Poly in x."""
+    rats = [sympy.Rational(c.numerator, c.denominator) for c in map(Fraction, coeffs)]
+    return sympy.Poly(list(reversed(rats)) or [0], X, domain=sympy.QQ)
+
+
+def _over_q(coeffs):
+    """Rational coefficients as scalars of Q(zeta_1)."""
+    return tuple(CycScalar.from_rational(Q, c) for c in coeffs)
+
+
+def _poly_over_q(scalars):
+    return _poly([c.rational_value() for c in scalars])
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.lists(small_q, max_size=7), st.lists(small_q, min_size=1, max_size=5))
 def test_pdivmod_over_q(a, b):
     b = b[:-1] + [b[-1] or Fraction(1)]
-    _check_divmod(tuple(a), tuple(b), Fraction(0))
+    q, r = _pdivmod(_over_q(a), _over_q(b))
+    want_q, want_r = _poly(a).div(_poly(b))
+    assert _poly_over_q(q) == want_q and _poly_over_q(r) == want_r
+    assert len(r) < len(b) and (not r or r[-1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -199,20 +218,15 @@ def test_pdivmod_over_q_zeta(N, a, b):
     st.lists(small_q, max_size=4),
 )
 def test_pgcd_matches_sympy_over_q(common, f, g):
-    x = sympy.Symbol("x")
     zero = Fraction(0)
     a = _add(_mul(tuple(common), tuple(f), zero), (), zero)
     b = _add(_mul(tuple(common), tuple(g), zero), (), zero)
-
-    def to_sympy(p):
-        return sympy.Poly(list(reversed(p)) or [0], x, domain=sympy.QQ)
-
-    want = to_sympy(a).gcd(to_sympy(b))
-    got = _pgcd(a, b)
+    want = _poly(a).gcd(_poly(b))
+    got = _pgcd(_over_q(a), _over_q(b))
     if want.is_zero:
         assert got == ()
     else:
-        assert [sympy.Rational(c.numerator, c.denominator) for c in reversed(got)] == want.all_coeffs()
+        assert _poly_over_q(got) == want and got[-1] == CycScalar.one(Q)
 
 
 @pytest.mark.parametrize("N", [3, 12, 60])
@@ -224,59 +238,82 @@ def test_inverse_of_rational_scalar(N, q):
     assert a * a.inverse() == CycScalar.one(order)
 
 
-# -- differential test against the Fraction-list representation ------------------
+# -- differential test against sympy's arithmetic in Q[x] / Phi_N -------------------
+
+
+@lru_cache(maxsize=None)
+def _phi(N):
+    return sympy.Poly(sympy.cyclotomic_poly(N, X), X, domain=sympy.QQ)
+
+
+@lru_cache(maxsize=None)
+def _zeta_powers(N):
+    return [FractionScalar(CycOrder(N), [0] * k + [1]).coeffs for k in range(N)]
 
 
 class FractionScalar:
-    """Oracle: the former CycScalar, a residue stored as a list of Fractions
-    and reduced modulo the cyclotomic polynomial by polynomial division."""
+    """Oracle: a residue held as a sympy QQ Poly, reduced modulo sympy's
+    cyclotomic_poly(N) and inverted by sympy.invert; ``coeffs`` reads it out
+    as Fractions, lowest power first, padded to the degree of Phi_N."""
 
     def __init__(self, order, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
         self.order = order
-        self.coeffs = tuple(coeffs + [Fraction(0)] * (order.degree - len(coeffs)))
+        self.poly = _poly(coeffs).rem(_phi(order.N))
+
+    def _new(self, poly, order=None):
+        out = object.__new__(FractionScalar)
+        out.order = order or self.order
+        out.poly = poly.rem(_phi(out.order.N))
+        return out
+
+    @property
+    def coeffs(self):
+        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(self.poly.all_coeffs())]
+        return tuple(cs + [Fraction(0)] * (_phi(self.order.N).degree() - len(cs)))
 
     @classmethod
     def zeta(cls, order, k=1):
-        k %= order.N
-        _, rem = _pdivmod((Fraction(0),) * k + (Fraction(1),), order.poly)
-        return cls(order, rem)
+        return cls(order, [0] * (k % order.N) + [1])
 
     def __add__(self, other):
-        return FractionScalar(self.order, _padd(self.coeffs, other.coeffs))
+        return self._new(self.poly + other.poly)
 
     def __sub__(self, other):
-        return FractionScalar(self.order, _padd(self.coeffs, _pneg(other.coeffs)))
+        return self._new(self.poly - other.poly)
 
     def __neg__(self):
-        return FractionScalar(self.order, _pneg(self.coeffs))
+        return self._new(-self.poly)
 
     def __mul__(self, other):
-        _, rem = _pdivmod(_pmul(self.coeffs, other.coeffs), self.order.poly)
-        return FractionScalar(self.order, rem)
+        return self._new(self.poly * other.poly)
 
     def inverse(self):
-        g, s, _ = _pxgcd(_ptrim(self.coeffs), self.order.poly)
-        _, rem = _pdivmod(_pmul(s, (1 / g[0],)), self.order.poly)
-        return FractionScalar(self.order, rem)
+        return self._new(sympy.invert(self.poly, _phi(self.order.N)))
 
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return self.poly.degree() <= 0
 
     def as_root_of_unity(self):
-        for k in range(self.order.N):
-            if self.coeffs == FractionScalar.zeta(self.order, k).coeffs:
-                return k
-        return None
+        coeffs = self.coeffs
+        return next((k for k, z in enumerate(_zeta_powers(self.order.N)) if z == coeffs), None)
 
     def promote(self, new_order):
-        step = FractionScalar.zeta(new_order, new_order.N // self.order.N)
-        acc = FractionScalar(new_order, [])
-        power = FractionScalar(new_order, [1])
-        for c in self.coeffs:
-            acc = acc + FractionScalar(new_order, [c]) * power
-            power = power * step
-        return acc
+        step = new_order.N // self.order.N
+        return self._new(self.poly.compose(sympy.Poly(X**step, X, domain=sympy.QQ)), new_order)
+
+
+def test_dense_inverse_at_210_matches_sympy_in_under_a_second():
+    order = CycOrder(210)
+    rng = random.Random(210)
+    coeffs = [Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4))
+              for _ in range(order.degree)]
+    a = CycScalar(order, coeffs)
+    start = time.perf_counter()
+    inv = a.inverse()
+    elapsed = time.perf_counter() - start
+    assert_matches(inv, FractionScalar(order, coeffs).inverse())
+    assert a * inv == CycScalar.one(order)
+    assert elapsed < 1.0
 
 
 ORACLE_ORDERS = [1, 2, 3, 4, 5, 12, 30, 60]

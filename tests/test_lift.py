@@ -1,10 +1,11 @@
 import math
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
 
 import pytest
 from helpers import load_raw, load_spec, lift_of
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxlift.abgroup import (
@@ -81,21 +82,123 @@ def _pic_level_generators_oracle(T, K_gens):
     return kept
 
 
+MAX_BOX, MAX_KEYS = 3000, 12
+DIAGS = {rank: [d for d in iproduct(range(1, 7), repeat=rank) if 1 < math.prod(d) <= 40]
+         for rank in (1, 2, 3)}
+VECTORS = {rank: list(iproduct(range(-6, 7), repeat=rank)) for rank in (1, 2, 3)}
+
+
+def _scan(drawn, candidates, ok):
+    """The first candidate from ``drawn`` on, cyclically, that passes ``ok``.
+
+    A drawn candidate that passes is kept as it is, so a strategy drawing
+    through the scan reaches every passing candidate and rejects nothing."""
+    i = candidates.index(drawn)
+    return next(c for c in candidates[i:] + candidates[:i] if ok(c))
+
+
+class _Finite:
+    """A finite group G, as canonical coordinates modulo its moduli, with the
+    classes in G of integer vectors through the images of the unit vectors."""
+
+    def __init__(self, G, images):
+        self.moduli = G.moduli
+        self.images = [e.canonical() for e in images]
+        self.zero = tuple(0 for _ in self.moduli)
+        self.nonzero = sorted(self.span(self.images) - {self.zero})
+        self.keys = {}
+
+    def cls(self, v):
+        return tuple(sum(x * b[j] for x, b in zip(v, self.images)) % d
+                     for j, d in enumerate(self.moduli))
+
+    def order(self, c):
+        return math.lcm(*(d // math.gcd(d, x) for d, x in zip(self.moduli, c)))
+
+    def span(self, cs):
+        out = {self.zero}
+        for c in cs:
+            out = {tuple((a + k * b) % d for a, b, d in zip(s, c, self.moduli))
+                   for s in out for k in range(self.order(c))}
+        return out
+
+    def box(self, cs):
+        return math.prod(self.order(c) + 1 for c in cs)
+
+    def key_count(self, cs):
+        """The number of Picard-level keys of generators of classes cs: the
+        minimal class-zero monomials, which depend on the classes only."""
+        cs = tuple(sorted(cs))
+        if cs not in self.keys:
+            G = FgAbelianGroup(len(self.moduli), [[d * (i == j) for j in range(len(self.moduli))]
+                                                  for i, d in enumerate(self.moduli)])
+            ring = GradedRing([(f"g{i}", G.element(c)) for i, c in enumerate(cs)], G, CycOrder(1))
+            T = TargetData(cl=G, pic_gens=(), ring=ring)
+            self.keys[cs] = len(pic_level_generators(T, T.pic))
+        return self.keys[cs]
+
+    def related(self, cs, more, lo=0):
+        """Whether ``more`` further classes can give generators whose keys
+        number at most MAX_KEYS and include a mixed one, in a box of at most
+        MAX_BOX.  A mixed key exists exactly when the classes' orders multiply
+        to more than the size of their span.  A class-zero generator adds one
+        key and a factor 2 to the box, the least any class adds, so only
+        nonzero classes (ascending from ``lo``) are tried before the rest is
+        filled with zeros."""
+        box = self.box(cs)
+        if math.prod(self.order(c) for c in cs) > len(self.span(cs)):
+            return box << more <= MAX_BOX and self.key_count(cs) + more <= MAX_KEYS
+        least = min(map(self.order, self.nonzero), default=MAX_BOX)
+        if not more or (box * (least + 1)) << (more - 1) > MAX_BOX:
+            return False
+        if self.key_count(cs) + more > MAX_KEYS:
+            return False
+        return any(self.related(cs + (c,), more - 1, i)
+                   for i, c in enumerate(self.nonzero) if i >= lo)
+
+
 @st.composite
-def finite_gradings(draw):
-    """Cl of rank <= 3 and order <= 40, up to 4 generators, 0-2 K generators."""
+def finite_gradings(draw, related=False):
+    """Cl of rank <= 3 and order <= 40, up to 4 generators, 0-2 K generators,
+    and at most MAX_BOX exponent vectors in the oracle's box.  With
+    ``related``, 2-4 generators whose Picard-level keys number at most
+    MAX_KEYS and outnumber the generators they use.  Each choice is drawn
+    through _scan among those that can still be completed, so nothing is
+    rejected."""
     rank = draw(st.integers(1, 3))
-    diag = [draw(st.integers(1, 6)) for _ in range(rank)]
-    assume(1 < math.prod(diag) <= 40)
+    diag = draw(st.sampled_from(DIAGS[rank]))
     rel = [[diag[i] if i == j else (draw(st.integers(-4, 4)) if j > i else 0)
             for j in range(rank)] for i in range(rank)]
     cl = FgAbelianGroup(rank, rel)
-    vec = st.lists(st.integers(-6, 6), min_size=rank, max_size=rank)
-    names = draw(st.permutations(["y", "x", "w", "z"]))[:draw(st.integers(1, 4))]
-    gens = [(n, cl.element(draw(vec))) for n in names]
-    K = [cl.element(draw(vec)) for _ in range(draw(st.integers(0, 2)))]
+    units = [cl.basis_element(i) for i in range(rank)]
+    vec = st.lists(st.integers(-6, 6), min_size=rank, max_size=rank).map(tuple)
+    C, K = _Finite(cl, units), []
+    for _ in range(draw(st.integers(0, 2))):
+        # a related grading needs a nontrivial Cl/K
+        K.append(_scan(draw(vec), VECTORS[rank], lambda v: not related
+                       or len(C.span([C.cls(k) for k in [*K, v]])) < cl.order()))
+    K = [cl.element(v) for v in K]
     Q, proj = quotient_group(cl, K)
-    assume(math.prod(element_order(Q, proj(d)) + 1 for _, d in gens) <= 3000)
+    F = _Finite(Q, [proj(e) for e in units])
+    classes = []
+
+    def completable(c, more):
+        cs = (*classes, c)
+        if related:
+            return F.related(cs, more)
+        return F.box(cs) << more <= MAX_BOX
+
+    counts = [2, 3, 4] if related else [1, 2, 3, 4]
+    count = _scan(draw(st.sampled_from(counts)), counts,
+                  lambda n: not related or F.related((), n))
+    names = draw(st.permutations(["y", "x", "w", "z"]))[:count]
+    gens = []
+    for i, n in enumerate(names):
+        ok = lru_cache(maxsize=None)(lambda c: completable(c, count - i - 1))
+        v = _scan(draw(vec), VECTORS[rank], lambda v: ok(F.cls(v)))
+        classes.append(F.cls(v))
+        gens.append((n, cl.element(v)))
+    assert math.prod(element_order(Q, proj(d)) + 1 for _, d in gens) <= MAX_BOX
     return TargetData(cl=cl, pic_gens=(), ring=GradedRing(gens, cl, CycOrder(2))), K
 
 
@@ -362,10 +465,10 @@ def monomial_base_maps(draw):
     monomial map on the target generators (zero images, rational scalars
     and roots of unity included) pushed to the keys, then 0-2 key images
     replaced, rescaled or multiplied by a source generator."""
-    T, K = draw(finite_gradings())
+    T, K = draw(finite_gradings(related=True))
     keys = pic_level_generators(T, Subgroup(T.cl, K))
     # more keys than the generators they use, so the keys have relations
-    assume(len({n for k in keys for n in k.names()}) < len(keys) <= 12)
+    assert len({n for k in keys for n in k.names()}) < len(keys) <= MAX_KEYS
     order = CycOrder(draw(st.sampled_from([1, 3, 4, 6])))
     trivial = FgAbelianGroup(0, [])
     names = ["s", "t", "u"][:draw(st.integers(1, 3))]
