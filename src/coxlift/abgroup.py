@@ -16,6 +16,14 @@ on first use: the V of that form fixes the quotient's canonical
 generators, and through them which class the lift roots next, so
 sharing one form between the two would change result documents.
 
+Congruences M x = b over Z/n (n prime or composite) have one solver, an
+echelon form of (M, -b) over Z/n with Howell's span property: the rows
+from column j on span every consequence of the system that is zero
+before column j.  With the unknowns in reverse order and the constant
+column last, one pass gives consistency, the lexicographically smallest
+solution and the number of homogeneous solutions.  Every entry stays
+below n, and no Smith form is taken.
+
 All arithmetic is arbitrary-precision; nothing here is approximate.
 """
 
@@ -70,9 +78,6 @@ class IntMatrix:
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
@@ -451,16 +456,6 @@ def _kernel_rows(diag: Sequence[int], U: IntMatrix) -> list:
     return [list(U.entries[j]) for j in range(U.rows) if j >= len(diag) or not diag[j]]
 
 
-def solve_integer_system(rows: Sequence[Sequence[int]], ncols: int,
-                         target: Sequence[int]) -> Optional[list]:
-    """Solve x * M = target over Z for the matrix M with the given rows."""
-    M = IntMatrix(rows, cols=ncols)
-    if len(target) != ncols:
-        raise InputDataError("target length mismatch")
-    S, U, V, _ = smith_normal_form_full(M)
-    return _back_substitute(S.diagonal(), U, V, target)
-
-
 def row_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list:
     """Basis rows of { v : v * M = 0 } for the matrix M with the given rows."""
     S, U, _, _ = smith_normal_form_full(IntMatrix(rows, cols=ncols))
@@ -541,147 +536,97 @@ def pushout_root(A: FgAbelianGroup, a: GroupElement, n: int):
 
 
 # ---------------------------------------------------------------------------
-# Linear algebra over Z/p and Z/n
+# Linear algebra over Z/n
 
 
-def _rref_mod_p(rows, ncols, p):
-    """Reduced row echelon form mod a prime; returns (rows, pivot columns)."""
-    R = [[x % p for x in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(R)) if R[i][c]), None)
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        inv = pow(R[r][c], -1, p)
-        R[r] = [(x * inv) % p for x in R[r]]
-        for i in range(len(R)):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                R[i] = [(a - f * b) % p for a, b in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(R):
-            break
-    return R[:r], pivots
+def _xgcd(a: int, b: int):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), for a, b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
 
 
-def nullspace_mod_p(rows, ncols, p):
-    """Basis of the right kernel mod p, first nonzero entry normalized to 1."""
-    R, pivots = _rref_mod_p(rows, ncols, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [0] * ncols
-        v[f] = 1
-        for i, c in enumerate(pivots):
-            v[c] = (-R[i][f]) % p
-        lead = next(x for x in v if x)
-        inv = pow(lead, -1, p)
-        basis.append(tuple((x * inv) % p for x in v))
-    return basis
+def _echelon_mod(rows, ncols: int, n: int) -> list:
+    """Howell rows H[0..ncols-1] of the lattice spanned by ``rows`` and n*Z^ncols.
+
+    H[j] is zero before column j, and H[j][j] divides n (it is n when the
+    column has no pivot).  Column j folds every pending row into one row h
+    leading with g = gcd(n, column j), reduces the others by h, and adds
+    back (n/g)*h mod n, the part of n*e_j that the fold loses.  So H[j:]
+    spans every lattice vector that is zero before column j.
+    """
+    pending = [[x % n for x in r] for r in rows]
+    H = []
+    for j in range(ncols):
+        h, g = [0] * ncols, n
+        for r in pending:
+            if r[j]:
+                g, s, t = _xgcd(g, r[j])
+                h = [(s * a + t * b) % n for a, b in zip(h, r)]
+        h[j] = g
+        pending = [[(a - r[j] // g * b) % n for a, b in zip(r, h)] for r in pending]
+        pending = [r for r in pending + [[n // g * b % n for b in h]] if any(r)]
+        H.append(h)
+    return H
+
+
+def _solve_mod(rows, rhs, ncols: int, n: int):
+    """(lex-min x in [0, n)^ncols with M x = rhs mod n, or None; #{x : M x = 0}).
+
+    (M, -rhs) is echelonized with the unknowns in reverse order and the
+    constant column last, so the rows from the one leading at x_i on hold
+    every consequence of the system for x_0..x_i.  The system is
+    consistent iff the constant column has no pivot.  Each x_i is then
+    the least residue that satisfies its leading row, given x_0..x_(i-1).
+    """
+    H = _echelon_mod([list(r[::-1]) + [-b] for r, b in zip(rows, rhs)], ncols + 1, n)
+    count = math.prod(H[j][j] for j in range(ncols))
+    if H[ncols][ncols] != n:
+        return None, count
+    x = []
+    for j in range(ncols - 1, -1, -1):  # column j holds x_(ncols-1-j)
+        row, lead = H[j], H[j][j]
+        r = -(row[ncols] + sum(row[k] * x[ncols - 1 - k] for k in range(j + 1, ncols)))
+        x.append((r // lead) % (n // lead))
+    return tuple(x), count
 
 
 def kernel_basis_mod_p(classes: Sequence[int], p: int):
-    """Basis of { c : sum c_j * classes_j = 0 mod p }.
+    """Basis of { c : sum c_j * classes_j = 0 mod p }, first nonzero entries 1.
 
-    With at least one nonzero class the kernel has dimension n - 1.
+    With i the first nonzero class, the basis is e_f - (c_f/c_i)*e_i for
+    each f != i, in order of f.
     """
     m = [x % p for x in classes]
-    if all(x == 0 for x in m):
+    i = next((k for k, x in enumerate(m) if x), None)
+    if i is None:
         raise InputDataError("degenerate degree data: all residues vanish mod p")
-    return nullspace_mod_p([m], len(m), p)
-
-
-def rank_mod_p(rows, ncols, p) -> int:
-    R, _ = _rref_mod_p(rows, ncols, p)
-    return len(R)
-
-
-def _consistent_mod_p(rows, rhs, ncols, p) -> bool:
-    if not rows:
-        return True
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    return rank_mod_p(rows, ncols, p) == rank_mod_p(aug, ncols + 1, p)
+    inv = pow(m[i], -1, p)
+    basis = []
+    for f in range(len(m)):
+        if f != i:
+            v = [0] * len(m)
+            v[f], v[i] = 1, -m[f] * inv % p
+            scale = pow(next(x for x in v if x), -1, p)
+            basis.append(tuple(x * scale % p for x in v))
+    return basis
 
 
 def solve_affine_mod_p(rows, rhs, ncols, p):
-    """Lexicographically smallest solution of M x = rhs over Z/p, or None.
-
-    Greedy per coordinate: fix the smallest residue that keeps the
-    remaining system consistent.
-    """
-    rows = [[x % p for x in r] for r in rows]
-    rhs = [b % p for b in rhs]
-    if not _consistent_mod_p(rows, rhs, ncols, p):
-        return None
-    sol = []
-    cur_rows, cur_rhs = rows, rhs
-    for j in range(ncols):
-        rest = ncols - j - 1
-        for v in range(p):
-            nrows = [r[1:] for r in cur_rows]
-            nrhs = [(b - r[0] * v) % p for r, b in zip(cur_rows, cur_rhs)]
-            if _consistent_mod_p(nrows, nrhs, rest, p):
-                sol.append(v)
-                cur_rows, cur_rhs = nrows, nrhs
-                break
-        else:  # pragma: no cover - guarded by the initial consistency check
-            return None
-    return tuple(sol)
+    """Lexicographically smallest solution of M x = rhs over Z/p, or None."""
+    return _solve_mod(rows, rhs, ncols, p)[0]
 
 
 def solution_count_mod_p(rows, ncols, p) -> int:
-    return p ** (ncols - rank_mod_p(rows, ncols, p))
+    return _solve_mod(rows, [0] * len(rows), ncols, p)[1]
 
 
 def solve_affine_mod_n(rows, rhs, ncols, n):
     """Lex-min solution of M x = rhs over Z/n (n arbitrary >= 1), or None."""
-    if n == 1:
-        return (0,) * ncols
-
-    def consistent(rs, bs, k):
-        if not rs:
-            return True
-        # columns of the system are the unknowns; append n*I for the modulus
-        mat = [[rs[i][j] for i in range(len(rs))] for j in range(k)]
-        for i in range(len(rs)):
-            mod_row = [0] * len(rs)
-            mod_row[i] = n
-            mat.append(mod_row)
-        return solve_integer_system(mat, len(rs), [b % n for b in bs]) is not None
-
-    rows = [[x % n for x in r] for r in rows]
-    rhs = [b % n for b in rhs]
-    if not consistent(rows, rhs, ncols):
-        return None
-    sol = []
-    cur_rows, cur_rhs = rows, rhs
-    for j in range(ncols):
-        rest = ncols - j - 1
-        for v in range(n):
-            nrows = [r[1:] for r in cur_rows]
-            nrhs = [(b - r[0] * v) % n for r, b in zip(cur_rows, cur_rhs)]
-            if consistent(nrows, nrhs, rest):
-                sol.append(v)
-                cur_rows, cur_rhs = nrows, nrhs
-                break
-        else:  # pragma: no cover
-            return None
-    return tuple(sol)
-
-
-def _intersect_congruences(c1, c2):
-    """Intersect x = r1 (mod m1) with x = r2 (mod m2); None when empty."""
-    r1, m1 = c1
-    r2, m2 = c2
-    g = math.gcd(m1, m2)
-    if (r2 - r1) % g:
-        return None
-    lcm = m1 // g * m2
-    t = ((r2 - r1) // g * pow(m1 // g, -1, m2 // g)) % (m2 // g) if m2 // g > 1 else 0
-    return ((r1 + m1 * t) % lcm, lcm)
+    return _solve_mod(rows, rhs, ncols, n)[0]
 
 
 def solve_linear_over_group(G: FgAbelianGroup, equations):
@@ -714,18 +659,8 @@ def solve_linear_over_group(G: FgAbelianGroup, equations):
                         return None
             ycoords.append(0 if val is None else val)
         else:
-            cls = (0, 1)
-            for k, t in eqs:
-                ts = t[slot] % m
-                g = math.gcd(k % m, m) if k % m else m
-                if ts % g:
-                    return None
-                if k % m == 0:
-                    continue
-                mm = m // g
-                r = (ts // g * pow((k % m) // g, -1, mm)) % mm if mm > 1 else 0
-                cls = _intersect_congruences(cls, (r, mm))
-                if cls is None:
-                    return None
-            ycoords.append(cls[0] % m)
+            x = _solve_mod([[k] for k, _ in eqs], [t[slot] for _, t in eqs], 1, m)[0]
+            if x is None:
+                return None
+            ycoords.append(x[0])
     return G.from_canonical(ycoords)

@@ -34,6 +34,7 @@ from .serialize import (
     parse_element,
     parse_problem,
     replay_result,
+    required_field,
     result_json,
 )
 
@@ -142,12 +143,12 @@ def _cmd_verify(args) -> int:
     ring = stack.cox_ring
     images = {
         name: ring.normal_form(parse_element(el, spec.order))
-        for name, el in doc["images"].items()
+        for name, el in required_field(doc, "images", "result").items()
     }
     group_map = GroupHomomorphism(
         spec.target.cl,
         stack.pic,
-        [stack.pic.element(c) for c in doc["group_map"]],
+        [stack.pic.element(c) for c in required_field(doc, "group_map", "result")],
     )
     provided = CoxLiftResult(
         target=spec.target,

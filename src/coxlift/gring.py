@@ -51,9 +51,6 @@ class Monomial:
     def gen(cls, name: str, exp: int = 1) -> "Monomial":
         return cls({name: exp})
 
-    def exps(self) -> dict:
-        return dict(self.pairs)
-
     def exp(self, name: str) -> int:
         return dict(self.pairs).get(name, 0)
 

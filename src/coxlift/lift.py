@@ -454,7 +454,10 @@ class _Engine:
 
     # -- evaluation of tabulated monomials ---------------------------------
 
-    def _decompositions(self, mono: Monomial, limit: int = 2):
+    def _decompositions(self, mono: Monomial):
+        """At most two factorizations of mono into table keys: evaluate
+        checks that the first two agree."""
+        limit = 2
         keys = sorted(self.table, key=lambda m: (-m.total_degree(), m.key()))
         results: List[tuple] = []
 

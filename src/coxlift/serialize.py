@@ -50,7 +50,6 @@ class ProblemSpec:
     base: BaseMorphism
     options: LiftOptions
     assertions: Dict[str, bool]
-    raw: dict
 
 
 @dataclass(frozen=True)
@@ -59,7 +58,6 @@ class DecomposeSpec:
     order: CycOrder
     stack: MdStackData
     options: LiftOptions
-    raw: dict
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +81,14 @@ def integer_rows(data, what: str) -> list:
     if not isinstance(data, list):
         raise InputDataError(f"{what} must be a list of integer lists, got {data!r}")
     return [_integer_vector(row, what) for row in data]
+
+
+def required_field(block, key: str, where: str):
+    """block[key]; a missing field, or a block that is not an object, is an
+    InputDataError naming the field and its block."""
+    if not isinstance(block, dict) or key not in block:
+        raise InputDataError(f"{where} lacks the required field {key!r}")
+    return block[key]
 
 
 def _monomial(data, what: str) -> Monomial:
@@ -137,7 +143,8 @@ def emit_element(e: HomogeneousElement):
 
 
 def parse_group(data) -> FgAbelianGroup:
-    return FgAbelianGroup(_integer(data["ambient_rank"], "ambient_rank"),
+    return FgAbelianGroup(_integer(required_field(data, "ambient_rank", "class_group"),
+                                   "ambient_rank"),
                           integer_rows(data.get("relations", []), "group relations"))
 
 
@@ -151,8 +158,8 @@ def emit_group(G: FgAbelianGroup):
 def _parse_rules(data, order: CycOrder) -> List[RewriteRule]:
     rules = []
     for r in data or []:
-        lhs = _monomial(r["lhs"], "rule exponent")
-        rhs = parse_element(r["rhs"], order)
+        lhs = _monomial(required_field(r, "lhs", "rewrite rule"), "rule exponent")
+        rhs = parse_element(required_field(r, "rhs", "rewrite rule"), order)
         rules.append(RewriteRule(lhs, rhs))
     return rules
 
@@ -168,7 +175,7 @@ def _parse_ring_block(data, group: FgAbelianGroup, order: CycOrder,
                       step_cap: int = 10000) -> GradedRing:
     gens = []
     for g in data.get("generators", []):
-        name = str(g["name"])
+        name = str(required_field(g, "name", "ring generator"))
         gens.append((name, group.element(_integer_vector(g.get("degree", []),
                                                          f"degree of {name}"))))
     return GradedRing(
@@ -213,17 +220,18 @@ def _parse_declared(block, ring: GradedRing, order: CycOrder):
     for entry in entries:
         for root in entry.get("roots", []):
             section = scratch.cox_ring.normal_form(
-                parse_element(root["section"], order)
+                parse_element(required_field(root, "section", "declared root"), order)
             )
-            name = str(root["name"])
-            n = _integer(root["order"], "declared root order")
+            name = str(required_field(root, "name", "declared root"))
+            n = _integer(required_field(root, "order", "declared root"), "declared root order")
             if name not in scratch.cox_ring.gen_degrees:
                 scratch = root_divisor(scratch, section, n, name)
             lead, _ = section.leading()
             pins.append(((section.scale(lead.inverse()).key(), n), name))
     sring = scratch.cox_ring
     for entry in entries:
-        element = parse_element(entry["element"], order)
+        element = parse_element(required_field(entry, "element", "declared factorization"),
+                                order)
         unit = parse_scalar(entry.get("unit", "1"), order)
         factors = []
         for fdata, exp in entry.get("factors", []):
@@ -274,8 +282,8 @@ def parse_problem(data) -> ProblemSpec:
     name = str(data.get("name", "problem"))
     step_cap, spot = _options(data)
 
-    tblock = data["target"]
-    cl = parse_group(tblock["class_group"])
+    tblock = required_field(data, "target", "problem")
+    cl = parse_group(required_field(tblock, "class_group", "target"))
     pic_gens = [cl.element(c) for c in integer_rows(tblock.get("pic_subgroup", []),
                                                     "pic_subgroup")]
     order = _global_order(data, cl, pic_gens)
@@ -294,8 +302,8 @@ def parse_problem(data) -> ProblemSpec:
     # TargetData.validate has nothing left to catch: the ring is graded by
     # cl, and _global_order has rejected an infinite Cl/Pic
 
-    sblock = data["source"]
-    clx = parse_group(sblock["class_group"])
+    sblock = required_field(data, "source", "problem")
+    clx = parse_group(required_field(sblock, "class_group", "source"))
     bare_ring = _parse_ring_block(sblock, clx, order, step_cap=step_cap)
     declared, pins = _parse_declared(sblock, bare_ring, order)
     source_ring = bare_ring.with_data(declared_factorizations=declared)
@@ -308,7 +316,7 @@ def parse_problem(data) -> ProblemSpec:
         tuple(sorted(assertions.items())),
     )
 
-    bblock = data["base_morphism"]
+    bblock = required_field(data, "base_morphism", "problem")
     group_images = [clx.element(c) for c in integer_rows(bblock.get("group_map", []),
                                                          "group_map")]
     if len(group_images) != len(pic_gens):
@@ -319,10 +327,10 @@ def parse_problem(data) -> ProblemSpec:
     target_names = set(target_ring.gen_degrees)
     source_names = set(source_ring.gen_degrees)
     for item in bblock.get("images", []):
-        mono = _monomial(item["monomial"], "monomial exponent")
+        mono = _monomial(required_field(item, "monomial", "base image"), "monomial exponent")
         if not set(mono.names()) <= target_names:
             raise InputDataError(f"base key {mono.key()} uses unknown target generators")
-        img = parse_element(item["image"], order)
+        img = parse_element(required_field(item, "image", "base image"), order)
         if not img.support() <= source_names:
             raise InputDataError(
                 f"base image of {mono.key()} uses unknown source generators"
@@ -330,7 +338,7 @@ def parse_problem(data) -> ProblemSpec:
         images[mono] = source_ring.normal_form(img)
     base = BaseMorphism(images=images, group_images=tuple(group_images))
     options = LiftOptions(spotcheck_bound=spot, root_name_pins=pins)
-    return ProblemSpec(name, order, target, source_stack, base, options, assertions, data)
+    return ProblemSpec(name, order, target, source_stack, base, options, assertions)
 
 
 def parse_decompose(data) -> DecomposeSpec:
@@ -340,10 +348,10 @@ def parse_decompose(data) -> DecomposeSpec:
     name = str(data.get("name", "decompose"))
     step_cap, spot = _options(data)
     block = data["decompose"]
-    sblock = block["stack"]
-    cblock = block["coarse"]
-    pic = parse_group(sblock["class_group"])
-    coarse_group = parse_group(cblock["class_group"])
+    sblock = required_field(block, "stack", "decompose")
+    cblock = required_field(block, "coarse", "decompose")
+    pic = parse_group(required_field(sblock, "class_group", "decompose stack"))
+    coarse_group = parse_group(required_field(cblock, "class_group", "decompose coarse"))
     incl_rows = integer_rows(cblock.get("inclusion", []), "inclusion")
     if len(incl_rows) != coarse_group.ambient_rank:
         raise InputDataError("inclusion must list one image per coarse generator")
@@ -369,53 +377,7 @@ def parse_decompose(data) -> DecomposeSpec:
         (),
     )
     options = LiftOptions(spotcheck_bound=spot)
-    return DecomposeSpec(name, order, stack, options, data)
-
-
-def emit_problem(spec: ProblemSpec) -> dict:
-    """Re-emit a parsed problem; parse(emit(spec)) reproduces the spec."""
-    raw = spec.raw
-    out = {
-        "schema": SCHEMA,
-        "name": spec.name,
-        "cyclotomic_order": spec.order.N,
-        "target": {
-            "class_group": emit_group(spec.target.cl),
-            "pic_subgroup": [list(g.coords) for g in spec.target.pic_gens],
-            "generators": [
-                {"name": n, "degree": list(d.coords)}
-                for n, d in spec.target.ring.generators
-            ],
-            "relations": _emit_rules(spec.target.ring.rules),
-            "irrelevant": [emit_element(e) for e in spec.target.irrelevant],
-        },
-        "source": {
-            "class_group": emit_group(spec.source_stack.coarse.group),
-            "generators": [
-                {"name": n, "degree": list(d.coords)}
-                for n, d in spec.source_stack.cox_ring.generators
-            ],
-            "relations": _emit_rules(spec.source_stack.cox_ring.rules),
-            "irreducibles": sorted(spec.source_stack.cox_ring.irreducibles),
-            "declared_factorizations": raw.get("source", {}).get(
-                "declared_factorizations", []
-            ),
-            "irrelevant": [emit_element(e) for e in spec.source_stack.irrelevant_gens],
-            "assertions": spec.assertions,
-        },
-        "base_morphism": {
-            "group_map": [list(g.coords) for g in spec.base.group_images],
-            "images": [
-                {"monomial": {n: e for n, e in m.pairs}, "image": emit_element(img)}
-                for m, img in sorted(spec.base.images.items(), key=lambda kv: kv[0].sort_key())
-            ],
-        },
-        "options": {
-            "step_cap": spec.source_stack.cox_ring.step_cap,
-            "spotcheck_bound": spec.options.spotcheck_bound,
-        },
-    }
-    return out
+    return DecomposeSpec(name, order, stack, options)
 
 
 # ---------------------------------------------------------------------------
@@ -457,45 +419,36 @@ def emit_tower(tower) -> list:
     return out
 
 
+def _tower_order(item) -> int:
+    return _integer(required_field(item, "order", "tower step"), "tower order")
+
+
+def _tower_root(item, order: CycOrder) -> DivisorRootInfo:
+    return DivisorRootInfo(
+        parse_element(required_field(item, "section", "tower step"), order),
+        _tower_order(item),
+        str(required_field(item, "name", "tower step")),
+    )
+
+
 def parse_tower(data, order: CycOrder):
     steps = []
     for item in data:
-        kind = item["kind"]
+        kind = required_field(item, "kind", "tower step")
         if kind == "line_bundle":
-            bundle_class = tuple(_integer_vector(item["class"], "tower class"))
-            steps.append(RootStep(kind=kind, bundle_class=bundle_class,
-                                  order=_integer(item["order"], "tower order")))
+            bundle_class = _integer_vector(required_field(item, "class", "tower step"),
+                                           "tower class")
+            steps.append(RootStep(kind=kind, bundle_class=tuple(bundle_class),
+                                  order=_tower_order(item)))
         elif kind == "divisor":
-            steps.append(
-                RootStep(
-                    kind=kind,
-                    roots=(
-                        DivisorRootInfo(
-                            parse_element(item["section"], order),
-                            _integer(item["order"], "tower order"),
-                            str(item["name"]),
-                        ),
-                    ),
-                )
-            )
+            steps.append(RootStep(kind=kind, roots=(_tower_root(item, order),)))
         elif kind == "divisor_batch":
-            steps.append(
-                RootStep(
-                    kind=kind,
-                    roots=tuple(
-                        DivisorRootInfo(
-                            parse_element(r["section"], order),
-                            _integer(r["order"], "tower order"),
-                            str(r["name"]),
-                        )
-                        for r in item["roots"]
-                    ),
-                    group_relations=tuple(
-                        tuple(row) for row in integer_rows(item["group_relations"],
-                                                           "tower group relations")
-                    ),
-                )
-            )
+            roots = tuple(_tower_root(r, order)
+                          for r in required_field(item, "roots", "tower step"))
+            relations = integer_rows(required_field(item, "group_relations", "tower step"),
+                                     "tower group relations")
+            steps.append(RootStep(kind=kind, roots=roots,
+                                  group_relations=tuple(map(tuple, relations))))
         else:
             raise InputDataError(f"unknown tower step kind {kind!r}")
     return tuple(steps)
@@ -570,7 +523,7 @@ def result_json(doc: dict) -> str:
 
 def replay_result(spec: ProblemSpec, doc: dict) -> MdStackData:
     """Rebuild the final stack of a result document over the problem's source."""
-    tower = parse_tower(doc["tower"], spec.order)
+    tower = parse_tower(required_field(doc, "tower", "result"), spec.order)
     return replay_tower(spec.source_stack, tower)
 
 

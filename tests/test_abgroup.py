@@ -1,4 +1,6 @@
 import math
+import signal
+import time
 from itertools import product
 
 import pytest
@@ -19,9 +21,9 @@ from coxlift.abgroup import (
     solution_count_mod_p,
     solve_affine_mod_n,
     solve_affine_mod_p,
-    solve_integer_system,
     solve_linear_over_group,
 )
+from coxlift.abgroup import _solve_mod
 from coxlift.errors import InputDataError
 
 matrices = st.integers(1, 4).flatmap(
@@ -128,10 +130,18 @@ def finite_groups_with_gens(draw):
 
 
 def _express_per_call(G, gens, target):
-    """The per-query solve: a fresh Smith form of [gens; relations] each time."""
+    """The per-query solve: a fresh Smith form U*M*V = S of M = [gens;
+    relations] each time, and y*S = target*V solved slot by slot."""
     rows = [list(g.coords) for g in gens] + [list(r) for r in G.relations.entries]
-    sol = solve_integer_system(rows, G.ambient_rank, list(target.coords))
-    return None if sol is None else sol[: len(gens)]
+    S, U, V, _ = smith_normal_form_full(IntMatrix(rows, cols=G.ambient_rank))
+    diag = S.diagonal()
+    y = [0] * U.rows
+    for j, c in enumerate(V.vec_mul(target.coords)):
+        d = diag[j] if j < len(diag) else 0
+        if (c % d if d else c):
+            return None
+        y[j] = c // d if d else 0
+    return list(U.vec_mul(y))[: len(gens)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -333,6 +343,92 @@ def test_solve_linear_over_group_examples():
 def test_solve_linear_over_group_inconsistent():
     Z4 = FgAbelianGroup(1, [[4]])
     assert solve_linear_over_group(Z4, [(2, Z4.element([1]))]) is None
+
+
+def _solutions_mod(rows, rhs, ncols, n):
+    return [
+        v for v in product(range(n), repeat=ncols)
+        if all(sum(a * x for a, x in zip(row, v)) % n == b % n for row, b in zip(rows, rhs))
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([1, 4, 6, 8, 9, 12]), st.integers(0, 3), st.data())
+def test_solve_affine_mod_n_matches_enumeration(n, ncols, data):
+    nrows = data.draw(st.integers(0, 3))
+    entry = st.integers(-2 * n - 3, 2 * n + 3)
+    rows = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                              min_size=nrows, max_size=nrows))
+    rhs = data.draw(st.lists(entry, min_size=nrows, max_size=nrows))
+    sols = _solutions_mod(rows, rhs, ncols, n)
+    assert solve_affine_mod_n(rows, rhs, ncols, n) == (min(sols) if sols else None)
+    assert _solve_mod(rows, [0] * nrows, ncols, n)[1] == len(
+        _solutions_mod(rows, [0] * nrows, ncols, n))
+
+
+# a dense system whose old consistency test, one Smith form of
+# [M^T; 210*I], ran for more than a minute
+DENSE_210_ROWS = [[159, 65, 189, 91, 203, 176], [189, 166, 135, 7, 119, 198],
+                  [63, 166, 13, 40, 28, 95], [120, 63, 97, 139, 26, 146]]
+DENSE_210_RHS = [168, 209, 65, 193]
+
+
+def test_solve_affine_mod_n_is_bounded_on_a_dense_system():
+    def give_up(*_):
+        raise TimeoutError("solve_affine_mod_n ran for more than 5 s")
+
+    previous = signal.signal(signal.SIGALRM, give_up)
+    signal.alarm(5)
+    try:
+        start = time.perf_counter()
+        x = solve_affine_mod_n(DENSE_210_ROWS, DENSE_210_RHS, 6, 210)
+        elapsed = time.perf_counter() - start
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert elapsed < 1.0
+    assert x is not None and all(0 <= v < 210 for v in x)
+    for row, b in zip(DENSE_210_ROWS, DENSE_210_RHS):
+        assert sum(a * v for a, v in zip(row, x)) % 210 == b
+
+
+@settings(max_examples=150, deadline=None)
+@given(finite_groups_with_gens(), st.data())
+def test_solve_linear_over_group_matches_enumeration(group, data):
+    """Each t is a random element or k*d0 for one hidden d0, so solvable
+    and unsolvable systems are both drawn.  The exact coordinates are
+    compared, because they are emitted as a step's delta."""
+    G, targets = group
+    elements = list(G.elements())
+    d0 = data.draw(st.sampled_from(elements))
+    eqs = []
+    for t in targets:
+        k = data.draw(st.integers(-6, 6))
+        eqs.append((k, k * d0 if data.draw(st.booleans()) else t))
+    # G.elements() runs through the canonical coordinates in lex order
+    found = [g for g in elements if all(k * g == t for k, t in eqs)]
+    got = solve_linear_over_group(G, eqs)
+    if not found:
+        assert got is None
+    else:
+        assert got.coords == found[0].coords
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.data())
+def test_kernel_basis_mod_p_spans_the_kernel(p, n, data):
+    classes = data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)
+                        .filter(lambda c: any(x % p for x in c)))
+    basis = kernel_basis_mod_p(classes, p)
+    kernel = {v for v in product(range(p), repeat=n)
+              if sum(c * x for c, x in zip(classes, v)) % p == 0}
+    assert len(basis) == n - 1 and len(kernel) == p ** (n - 1)
+    for v in basis:
+        assert all(0 <= x < p for x in v)
+        assert next(x for x in v if x) == 1
+    span = {tuple(sum(c * v[i] for c, v in zip(cs, basis)) % p for i in range(n))
+            for cs in product(range(p), repeat=len(basis))}
+    assert span == kernel
 
 
 def _dense_canonical_coords(G, v):

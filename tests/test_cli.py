@@ -6,7 +6,6 @@ from helpers import PROBLEMS, load_raw
 
 from coxlift.cli import main
 from coxlift.serialize import (
-    emit_problem,
     parse_problem,
     parse_tower,
     replay_result,
@@ -133,13 +132,6 @@ def test_factor_command(capsys):
     assert doc["factors"] == [["1*u", 2]]
 
 
-def test_problem_roundtrip_is_stable():
-    spec = parse_problem(str(PROBLEMS / "mu3.json"))
-    emitted = emit_problem(spec)
-    spec2 = parse_problem(emitted)
-    assert emit_problem(spec2) == emitted
-
-
 def test_result_replay_reproduces_final_stack(tmp_path):
     for name in ("a1_into_half11", "mu3", "mu4", "origin_into_half11", "mu3_zero"):
         out = tmp_path / f"{name}.json"
@@ -245,3 +237,32 @@ def test_non_integer_tower_fields_are_rejected(tmp_path, capsys, name, path, val
     capsys.readouterr()
     assert run_cli("verify", problem, str(result)) == 2
     assert "must be" in capsys.readouterr().err
+
+
+def test_missing_tower_order_gives_exit_2(tmp_path, capsys):
+    problem = str(PROBLEMS / "mu3_zero.json")
+    result = tmp_path / "res.json"
+    assert run_cli("lift", problem, "--out", str(result), "--log", "json") == 0
+    doc = json.loads(result.read_text())
+    del doc["tower"][0]["order"]
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", problem, str(result)) == 2
+    assert "tower step lacks the required field 'order'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path,message", [
+    ([*DECLARED, "roots", 0, "order"], "declared root lacks the required field 'order'"),
+    (["target", "class_group"], "target lacks the required field 'class_group'"),
+])
+def test_missing_problem_field_gives_exit_2(tmp_path, capsys, path, message):
+    raw = load_raw("mu3")
+    *head, last = path
+    block = raw
+    for key in head:
+        block = block[key]
+    del block[last]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("lift", str(bad)) == 2
+    assert message in capsys.readouterr().err
