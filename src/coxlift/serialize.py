@@ -84,9 +84,11 @@ def integer_rows(data, what: str) -> list:
 
 
 def required_field(block, key: str, where: str):
-    """block[key]; a missing field, or a block that is not an object, is an
-    InputDataError naming the field and its block."""
-    if not isinstance(block, dict) or key not in block:
+    """block[key]; a block that is not an object, or lacks the field, is an
+    InputDataError naming the block and the field."""
+    if not isinstance(block, dict):
+        raise InputDataError(f"{where} must be an object, got {block!r}")
+    if key not in block:
         raise InputDataError(f"{where} lacks the required field {key!r}")
     return block[key]
 
