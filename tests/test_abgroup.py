@@ -13,6 +13,7 @@ from coxlift.abgroup import (
     GroupHomomorphism,
     IntMatrix,
     Subgroup,
+    _solve_mod,
     element_order,
     kernel_basis_mod_p,
     pushout_root,
@@ -23,7 +24,6 @@ from coxlift.abgroup import (
     solve_affine_mod_p,
     solve_linear_over_group,
 )
-from coxlift.abgroup import _solve_mod
 from coxlift.errors import InputDataError
 
 matrices = st.integers(1, 4).flatmap(
@@ -366,8 +366,8 @@ def test_solve_affine_mod_n_matches_enumeration(n, ncols, data):
         _solutions_mod(rows, [0] * nrows, ncols, n))
 
 
-# a dense system whose old consistency test, one Smith form of
-# [M^T; 210*I], ran for more than a minute
+# a dense system on which a Smith-form consistency test, one SNF of
+# [M^T; 210*I], runs for more than a minute through entry growth
 DENSE_210_ROWS = [[159, 65, 189, 91, 203, 176], [189, 166, 135, 7, 119, 198],
                   [63, 166, 13, 40, 28, 95], [120, 63, 97, 139, 26, 146]]
 DENSE_210_RHS = [168, 209, 65, 193]
