@@ -17,8 +17,10 @@ from .errors import (
     InputDataError,
     InternalInvariantError,
 )
+from .gring import DEFAULT_STEP_CAP
 from .lift import (
     CoxLiftResult,
+    LiftOptions,
     VerificationReport,
     decompose_as_roots,
     run_cox_lift,
@@ -30,6 +32,7 @@ from .serialize import (
     emit_verification,
     human_log,
     integer_rows,
+    optional_object,
     parse_decompose,
     parse_element,
     parse_problem,
@@ -55,9 +58,10 @@ def _build_parser():
             help="what to print on stdout (default both)",
         )
         p.add_argument("--step-cap", type=int, default=None,
-                       help="rewrite step cap (default 10000)")
+                       help=f"rewrite step cap (default {DEFAULT_STEP_CAP})")
         p.add_argument("--spotcheck-bound", type=int, default=None,
-                       help="bound for the factorization spot check (default 4)")
+                       help="bound for the factorization spot check "
+                            f"(default {LiftOptions().spotcheck_bound})")
 
     p = sub.add_parser("lift", help="compute the Cox lift of a problem file")
     p.add_argument("problem")
@@ -96,7 +100,7 @@ def load_document(path, step_cap=None, spotcheck_bound=None) -> dict:
     given = {"step_cap": step_cap, "spotcheck_bound": spotcheck_bound}
     overrides = {k: v for k, v in given.items() if v is not None}
     if overrides:
-        raw["options"] = {**raw.get("options", {}), **overrides}
+        raw["options"] = {**optional_object(raw, "options", "problem"), **overrides}
     return raw
 
 

@@ -278,6 +278,9 @@ def _derive_weights(gen_names: Sequence[str], rules: Sequence[RewriteRule]):
 # `GradedRing._rational_root` lists (one trial division per d <= isqrt)
 _ROOT_SEARCH_BUDGET = 10**6
 
+# rewrite steps one normal form may take before RewriteDivergedError
+DEFAULT_STEP_CAP = 10000
+
 
 class GradedRing:
     """Named generators graded by an abelian group, plus rewrite and factor data."""
@@ -290,7 +293,7 @@ class GradedRing:
         rules: Sequence[RewriteRule] = (),
         irreducibles: Iterable[str] = (),
         declared_factorizations: Optional[Dict[str, Factorization]] = None,
-        step_cap: int = 10000,
+        step_cap: int = DEFAULT_STEP_CAP,
     ):
         names = [n for n, _ in generators]
         if len(set(names)) != len(names):

@@ -37,12 +37,13 @@ from .abgroup import (
 )
 from .cyclo import CycScalar, root_of_unity_pth_root
 from .errors import InputDataError, InternalInvariantError, LiftInconsistencyError
-from .gring import Factorization, GradedRing, HomogeneousElement, Monomial
+from .gring import GradedRing, HomogeneousElement, Monomial
 from .mdstack import (
     DivisorRootInfo,
     MdStackData,
     apply_divisor_batch,
     canonical_stack,
+    fresh_root_name,
     graded_factorial_spotcheck,
     replay_tower,
     root_divisor,
@@ -98,6 +99,14 @@ class LiftOptions:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """What one lift step did, for the result document and the human log:
+    the class D it rooted and its prime, the new subring generators with
+    their cosets, the divisor roots, and the root-of-unity constraints with
+    the chosen solution.  A line-bundle step leaves the divisor fields at
+    their defaults.  The record only reports the run: the tower and the
+    group map carry everything needed to replay or factor the result.
+    """
+
     index: int
     cls_coords: Tuple[int, ...]
     p: int
@@ -105,15 +114,15 @@ class StepRecord:
     gens: Tuple[Monomial, ...]
     cosets: Tuple[int, ...]
     zero_pullbacks: Tuple[str, ...]
-    roots: Tuple[Tuple[str, int, str], ...]  # (section key, order, name)
-    constraint_rows: Tuple[Tuple[int, ...], ...]
-    constraint_rhs: Tuple[int, ...]
-    kernel_monomials: Tuple[str, ...]
-    alpha: Tuple[int, ...]
-    alpha_vars: Tuple[str, ...]
-    solution_count: int
     delta_coords: Tuple[int, ...]
     group_mode: str  # "pushout" | "universal" | "line"
+    roots: Tuple[Tuple[str, int, str], ...] = ()  # (section key, order, name)
+    constraint_rows: Tuple[Tuple[int, ...], ...] = ()
+    constraint_rhs: Tuple[int, ...] = ()
+    kernel_monomials: Tuple[str, ...] = ()
+    alpha: Tuple[int, ...] = ()
+    alpha_vars: Tuple[str, ...] = ()
+    solution_count: int = 1
 
     def constraint_strings(self) -> Tuple[str, ...]:
         out = []
@@ -326,7 +335,6 @@ class _Engine:
         self.order = source_stack.cox_ring.scalar_order
         self.N = self.order.N
         self.K = target.pic
-        self.K_images: List[GroupElement] = list(base.group_images)
         self.table: Dict[Monomial, HomogeneousElement] = dict(base.images)
         self.steps: List[StepRecord] = []
         self._validate_inputs()
@@ -338,9 +346,9 @@ class _Engine:
         if self.T.ring.scalar_order != self.order:
             raise InputDataError("target and source rings use different cyclotomic orders")
         ring0 = self.stack.cox_ring
-        if len(self.K_images) != len(self.K.gens):
+        if len(self.base.group_images) != len(self.K.gens):
             raise InputDataError("base morphism needs one group image per Picard generator")
-        self._lambda_hom()  # validates relation preservation of the group map
+        self._set_lambda([self.stack.pic.element(i.coords) for i in self.base.group_images])
         expected = pic_level_generators(self.T, self.K)
         missing = [m.key() for m in expected if m not in self.table]
         if missing:
@@ -431,12 +439,11 @@ class _Engine:
 
     # -- degree map -------------------------------------------------------
 
-    def _lambda_hom(self) -> GroupHomomorphism:
+    def _set_lambda(self, images: Sequence[GroupElement]):
+        """The degree map lambda: K -> pic, sending the i-th generator of
+        the current subgroup K to images[i]; it must respect K's relations."""
         try:
-            return GroupHomomorphism(
-                self.K.abstract(), self.stack.pic,
-                [self.stack.pic.element(i.coords) for i in self.K_images],
-            )
+            self.lam = GroupHomomorphism(self.K.abstract(), self.stack.pic, images)
         except InputDataError as exc:
             raise LiftInconsistencyError(
                 f"degree map is not well defined on the current subgroup: {exc}"
@@ -446,11 +453,7 @@ class _Engine:
         coeffs = self.K.express(k)
         if coeffs is None:
             raise InternalInvariantError("degree map applied outside the current subgroup")
-        acc = self.stack.pic.zero()
-        for c, img in zip(coeffs, self.K_images):
-            if c:
-                acc = acc + c * self.stack.pic.element(img.coords)
-        return acc
+        return self.lam(self.lam.domain.element(coeffs))
 
     # -- evaluation of tabulated monomials ---------------------------------
 
@@ -519,9 +522,8 @@ class _Engine:
                     "raise cyclotomic_order"
                 )
             K1, coset = coset_generators(self.T, self.K, D, p)
-            pullbacks = []
-            for mono, F, mj, kj in coset:
-                pullbacks.append(self.stack.cox_ring.normal_form(self.evaluate(mono ** p)))
+            pullbacks = [self.stack.cox_ring.normal_form(self.evaluate(mono ** p))
+                         for mono, *_ in coset]
             if any(not e.is_zero() for e in pullbacks):
                 self._divisor_step(step - 1, K1, D, p, coset, pullbacks)
             else:
@@ -532,10 +534,10 @@ class _Engine:
         """Move to the extended stack (incl: old pic -> new pic) and to the
         subgroup K1 = K + <D>, whose last generator D has degree-map image
         delta."""
+        images = [incl(i) for i in self.lam.images] + [delta]
         self.stack = new_stack
-        self.K_images = [incl(i) for i in self.K_images] + [delta]
         self.K = K1
-        self._lambda_hom()
+        self._set_lambda(images)
 
     # -- line-bundle step ----------------------------------------------------
 
@@ -556,13 +558,6 @@ class _Engine:
                 gens=tuple(m for m, _, _, _ in coset),
                 cosets=tuple(mj for _, _, mj, _ in coset),
                 zero_pullbacks=tuple(m.key() for m, _, _, _ in coset),
-                roots=(),
-                constraint_rows=(),
-                constraint_rhs=(),
-                kernel_monomials=(),
-                alpha=(),
-                alpha_vars=(),
-                solution_count=1,
                 delta_coords=tuple(delta.coords),
                 group_mode="line",
             )
@@ -573,9 +568,7 @@ class _Engine:
     def _divisor_step(self, index, K1, D, p, coset, pullbacks):
         ring = self.stack.cox_ring
         Jp = [j for j, e in enumerate(pullbacks) if not e.is_zero()]
-        facts: Dict[int, Factorization] = {}
-        for j in Jp:
-            facts[j] = ring.h_factorize(pullbacks[j])
+        facts = {j: ring.h_factorize(pullbacks[j]) for j in Jp}
         qlist: List[HomogeneousElement] = []
         qkeys: List[str] = []
         for j in Jp:
@@ -587,22 +580,14 @@ class _Engine:
         for j in Jp:
             for f, e in facts[j].factors:
                 a[qkeys.index(f.key())][j] = e
-        b = []
-        for row in a:
-            g = math.gcd(p, *[row[j] for j in Jp]) if Jp else p
-            b.append(p // g if g != p else 1)
-            if b[-1] not in (1, p):
-                raise InternalInvariantError("root order outside {1, p}")
-        rooted = [l for l, bl in enumerate(b) if bl == p]
+        # p is prime, so a factor is rooted (by p) iff some exponent is prime to p
+        rooted = [l for l, row in enumerate(a) if any(e % p for e in row)]
 
         # base p-th roots for the factorization units of the pullbacks
         xi = CycScalar.zeta(self.order, self.N // p)
         base_roots: Dict[int, CycScalar] = {}
         for j in Jp:
             u = facts[j].unit
-            if u == CycScalar.one(self.order):
-                base_roots[j] = CycScalar.one(self.order)
-                continue
             c0 = root_of_unity_pth_root(u, p)
             if c0 is None:
                 raise LiftInconsistencyError(
@@ -611,24 +596,17 @@ class _Engine:
                 )
             base_roots[j] = c0
 
-        # names for the new root generators
+        # names for the new root generators, by factor index
         pins = self.opts.pins()
-        names = []
+        names: Dict[int, str] = {}
         used = set(ring.gen_degrees)
-        counter = 1
         for l in rooted:
             pin = pins.get((qlist[l].key(), p))
-            if pin and pin not in used:
-                names.append(pin)
-                used.add(pin)
-                continue
-            while f"z{counter}" in used:
-                counter += 1
-            names.append(f"z{counter}")
-            used.add(f"z{counter}")
+            names[l] = pin if pin and pin not in used else fresh_root_name(used)
+            used.add(names[l])
 
         new_stack, incl, delta, mode = self._extend_group_and_ring(
-            D, p, coset, Jp, qlist, a, b, rooted, names
+            D, p, coset, Jp, qlist, a, names
         )
         new_ring = new_stack.cox_ring
 
@@ -648,10 +626,9 @@ class _Engine:
             expected: Dict[str, int] = {}
             for l in range(len(qlist)):
                 s = sum(cvec[pos] * a[l][j] for pos, j in enumerate(Jp))
-                if b[l] == p:
+                if l in names:
                     if s:
-                        zel = new_ring.gen(names[rooted.index(l)])
-                        expected[zel.key()] = s
+                        expected[new_ring.gen(names[l]).key()] = s
                 else:
                     if s % p:
                         raise LiftInconsistencyError(
@@ -695,8 +672,8 @@ class _Engine:
             for l in range(len(qlist)):
                 if not a[l][j]:
                     continue
-                if b[l] == p:
-                    img = img * new_ring.gen(names[rooted.index(l)]) ** a[l][j]
+                if l in names:
+                    img = img * new_ring.gen(names[l]) ** a[l][j]
                 else:
                     img = img * (qlist[l] ** (a[l][j] // p))
             new_images[coset[j][0]] = new_ring.normal_form(img)
@@ -729,9 +706,7 @@ class _Engine:
                 zero_pullbacks=tuple(
                     coset[j][0].key() for j in range(len(coset)) if j not in Jp
                 ),
-                roots=tuple(
-                    (qkeys[l], p, names[rooted.index(l)]) for l in rooted
-                ),
+                roots=tuple((qkeys[l], p, name) for l, name in names.items()),
                 constraint_rows=tuple(rows),
                 constraint_rhs=tuple(rhs),
                 kernel_monomials=tuple(kmonos),
@@ -743,8 +718,9 @@ class _Engine:
             )
         )
 
-    def _extend_group_and_ring(self, D, p, coset, Jp, qlist, a, b, rooted, names):
-        """Extend ring and grading group for one divisor step.
+    def _extend_group_and_ring(self, D, p, coset, Jp, qlist, a, names):
+        """Extend ring and grading group for one divisor step; ``names``
+        maps the index of each rooted factor in qlist to its generator.
 
         First tries the plain iterated pushouts with a solved image for
         the new class; when the degree equations have no solution there,
@@ -757,7 +733,7 @@ class _Engine:
         for j in Jp:
             acc = pic.zero()
             for l in range(len(qlist)):
-                if b[l] == 1 and a[l][j]:
+                if l not in names and a[l][j]:
                     acc = acc + (a[l][j] // p) * ring.degree_of(qlist[l])
             unrooted_deg[j] = acc
         lam_pD = self._lambda_of(p * D)
@@ -765,7 +741,7 @@ class _Engine:
 
         # --- pushout attempt
         seq_stack = self.stack
-        for l, name in zip(rooted, names):
+        for l, name in names.items():
             seq_stack = root_divisor(seq_stack, qlist[l], p, name, check_irreducible=True)
         G_seq = seq_stack.pic
         # each pushout only appends a coordinate, so their composite is one inclusion
@@ -773,10 +749,9 @@ class _Engine:
         eqs = [(p, incl(lam_pD))]
         for j in Jp:
             deg_img = G_seq.zero()
-            for pos, l in enumerate(rooted):
+            for l, name in names.items():
                 if a[l][j]:
-                    zdeg = seq_stack.cox_ring.gen_degrees[names[pos]]
-                    deg_img = deg_img + a[l][j] * zdeg
+                    deg_img = deg_img + a[l][j] * seq_stack.cox_ring.gen_degrees[name]
             deg_img = deg_img + incl(unrooted_deg[j])
             eqs.append((coset[j][2], deg_img - incl(lam_k[j])))
         delta = solve_linear_over_group(G_seq, eqs)
@@ -785,6 +760,7 @@ class _Engine:
 
         # --- universal extension
         n_old = pic.ambient_rank
+        rooted = list(names)
         R = len(rooted)
         rows = []
         for pos, l in enumerate(rooted):
@@ -802,7 +778,7 @@ class _Engine:
                 row[n_old + pos] = -a[l][j]
             row[n_old + R] = coset[j][2]
             rows.append(row)
-        infos = [DivisorRootInfo(qlist[l], p, names[pos]) for pos, l in enumerate(rooted)]
+        infos = [DivisorRootInfo(qlist[l], p, name) for l, name in names.items()]
         # irreducibility was certified during the pushout attempt above
         new_stack = apply_divisor_batch(self.stack, infos, rows)
         G_new = new_stack.pic
@@ -980,22 +956,22 @@ class _SymTerm:
         )
 
     def pow(self, k: int) -> "_SymTerm":
-        out = _SymTerm(
-            self.const ** k,
-            tuple(x * k for x in self.varvec),
-            self.element ** k,
-        )
-        return out
+        return _SymTerm(self.const ** k, tuple(x * k for x in self.varvec), self.element ** k)
 
 
 def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
-    """Build the factoring map from the candidate stack through the result.
+    """Build the factoring map Theta from the result's stack to the candidate's.
 
-    Replays the result tower: each rooted divisor needs an element of the
-    candidate ring whose power normalizes to the rooted section (unit
-    freedom solved lexicographically), each line-bundle root extends the
-    group map by the candidate's image of the rooted class.  Returns a
-    Theta on success and a NoFactor with the obstruction otherwise.
+    Reads only the two stacks and lift maps, never the step records, so a
+    result rebuilt from its document factors too.  Replays the result
+    tower: each rooted divisor needs an element of the candidate ring whose
+    power normalizes to the rooted section (unit freedom solved
+    lexicographically), and fixes the group image of its generator's slot.
+    Every other new slot s is a rooted class, sent to psi(D) for any D
+    with phi(D) = e_s, where phi and psi are the two lifts' group maps;
+    the final check theta o phi = psi makes the choice of D immaterial.
+    Returns a Theta on success and a NoFactor with the obstruction
+    otherwise.
     """
     res_base = result.stack.coarse
     cand_base = candidate.stack.coarse
@@ -1009,18 +985,10 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
     cand_pic = candidate.stack.pic
     N = cand_ring.scalar_order.N
 
-    nvars_total = sum(
-        len(step.roots) for step in result.stack.tower if step.kind != "line_bundle"
+    nvars_total = sum(len(step.roots) for step in result.stack.tower)
+    search_factor = min(
+        math.prod(info.order for step in candidate.stack.tower for info in step.roots), 16
     )
-    cand_orders = [
-        info.order
-        for step in candidate.stack.tower
-        for info in (step.roots if step.kind != "line_bundle" else ())
-    ]
-    search_factor = 1
-    for o in cand_orders:
-        search_factor *= o
-    search_factor = min(search_factor, 16)
 
     sym: Dict[str, _SymTerm] = {}
     for name, _d in res_base.ring.generators:
@@ -1033,36 +1001,30 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
         )
 
     def theta_sym(e: HomogeneousElement) -> Optional[_SymTerm]:
-        if len(e.terms) == 1:
-            c, m = e.terms[0]
-            acc = _SymTerm(c, (0,) * nvars_total, cand_ring.one())
-            for nm, ex in m.pairs:
-                if nm not in sym:
-                    return None
-                acc = acc.mul(sym[nm].pow(ex))
-            return acc
-        # multi-term: allowed only when no unit variables are involved
-        acc = HomogeneousElement.zero()
+        parts = []
         for c, m in e.terms:
             part = _SymTerm(c, (0,) * nvars_total, cand_ring.one())
             for nm, ex in m.pairs:
                 if nm not in sym:
                     return None
-                st = sym[nm].pow(ex)
-                if any(st.varvec):
-                    return None
-                part = part.mul(st)
-            acc = acc + part.element.scale(part.const)
+                part = part.mul(sym[nm].pow(ex))
+            parts.append(part)
+        if len(parts) == 1:
+            return parts[0]
+        # multi-term: allowed only when no unit variables are involved
+        # (unit-variable vectors never go negative, so no factor carries one)
+        if any(any(part.varvec) for part in parts):
+            return None
+        acc = sum((part.element.scale(part.const) for part in parts), HomogeneousElement.zero())
         return _SymTerm(CycScalar.one(cand_ring.scalar_order), (0,) * nvars_total, acc)
 
-    # group map, extended record by record while replaying the result tower
+    # group map, extended slot by slot while replaying the result tower
     theta_group_images: List[GroupElement] = list(cand_base.inclusion.images)
     res_stage = canonical_stack(res_base.ring, res_base.irrelevant)
     equations: List[Tuple[Tuple[int, ...], int]] = []  # rows over unit vars mod N
     var_cursor = 0
     psi = candidate.group_map
-    tower = list(result.stack.tower)
-    cursor = 0
+    phi_image = Subgroup(result.stack.pic, result.group_map.images)
 
     def process_root(info, step_idx):
         nonlocal var_cursor
@@ -1106,42 +1068,20 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
         var_cursor += 1
         return None
 
-    # pair tower entries with the step records that produced them; towers of
-    # hand-assembled lift data may carry no records at all
-    paired: List[Tuple[object, Optional[StepRecord]]] = []
-    for record in result.steps:
-        if record.kind == "line_bundle" or record.group_mode == "universal":
-            n_entries = 1
-        else:
-            n_entries = len(record.roots)
-        for _ in range(n_entries):
-            paired.append((tower[cursor], record))
-            cursor += 1
-    while cursor < len(tower):
-        paired.append((tower[cursor], None))
-        cursor += 1
-
-    for step_idx, (entry, record) in enumerate(paired):
-        if entry.kind == "line_bundle":
-            if record is None:
-                return NoFactor(
-                    "line-bundle root without a step record cannot be transported",
-                    step_idx,
-                )
-            theta_group_images.append(psi(result.target.cl.element(record.cls_coords)))
-        else:
-            for info in entry.roots:
-                fail = process_root(info, step_idx)
-                if fail is not None:
-                    return fail
-            if entry.kind == "divisor_batch":
-                if record is None:
-                    return NoFactor(
-                        "batched divisor roots without a step record cannot be "
-                        "transported", step_idx,
-                    )
-                theta_group_images.append(psi(result.target.cl.element(record.cls_coords)))
+    for step_idx, entry in enumerate(result.stack.tower):
+        for info in entry.roots:
+            fail = process_root(info, step_idx)
+            if fail is not None:
+                return fail
         res_stage = replay_tower(res_stage, (entry,))
+        # every other new slot s is a rooted class: theta(e_s) = psi(D) for
+        # any D with phi(D) = e_s, where phi is the result's group map
+        for slot in range(len(theta_group_images), res_stage.pic.ambient_rank):
+            D = phi_image.express(result.stack.pic.basis_element(slot))
+            if D is None:
+                return NoFactor(f"class slot {slot} is not in the image of the lift's "
+                                "group map", step_idx)
+            theta_group_images.append(psi(result.target.cl.element(D)))
         try:
             GroupHomomorphism(res_stage.pic, cand_pic, list(theta_group_images))
         except InputDataError as exc:

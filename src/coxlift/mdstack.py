@@ -72,7 +72,6 @@ class MdStackData:
     irrelevant_gens: Tuple[HomogeneousElement, ...]
     tower: Tuple[RootStep, ...]
     coarse: Optional[CoarseData] = None
-    assertions: Tuple[Tuple[str, bool], ...] = ()
 
 
 def _mature_declared_rules(ring: GradedRing) -> GradedRing:
@@ -126,8 +125,8 @@ def _mature_declared_rules(ring: GradedRing) -> GradedRing:
     return ring
 
 
-def canonical_stack(cox_ring: GradedRing, irrelevant: Sequence[HomogeneousElement] = (),
-                    assertions: Sequence[Tuple[str, bool]] = ()) -> MdStackData:
+def canonical_stack(cox_ring: GradedRing,
+                    irrelevant: Sequence[HomogeneousElement] = ()) -> MdStackData:
     """Wrap a class-group-graded Cox ring as a stack with an empty tower.
 
     The grading group doubles as the Picard group and the coarse data is
@@ -144,19 +143,12 @@ def canonical_stack(cox_ring: GradedRing, irrelevant: Sequence[HomogeneousElemen
         irrelevant,
         GroupHomomorphism.identity(cox_ring.grading_group),
     )
-    return MdStackData(
-        cox_ring,
-        cox_ring.grading_group,
-        irrelevant,
-        (),
-        coarse,
-        tuple(assertions),
-    )
+    return MdStackData(cox_ring, cox_ring.grading_group, irrelevant, (), coarse)
 
 
-def _fresh_name(ring: GradedRing, start: int = 1) -> str:
-    i = start
-    used = set(ring.gen_degrees)
+def fresh_root_name(used) -> str:
+    """The first of z1, z2, ... that is not in ``used``."""
+    i = 1
     while f"z{i}" in used:
         i += 1
     return f"z{i}"
@@ -167,9 +159,7 @@ def _extend_stack(S: MdStackData, ring: GradedRing, incl: GroupHomomorphism,
     """S with its ring replaced by one graded by the larger group, the step
     logged, and the coarse inclusion composed with incl : S.pic -> new pic."""
     coarse = S.coarse and replace(S.coarse, inclusion=incl.compose(S.coarse.inclusion))
-    return MdStackData(
-        ring, ring.grading_group, S.irrelevant_gens, S.tower + (step,), coarse, S.assertions
-    )
+    return MdStackData(ring, ring.grading_group, S.irrelevant_gens, S.tower + (step,), coarse)
 
 
 def _adjoin_roots(S: MdStackData, roots: Sequence[DivisorRootInfo],
@@ -231,7 +221,7 @@ def root_divisor(S: MdStackData, s: HomogeneousElement, n: int,
                 f"{s.key()} factors as {[(f.key(), e) for f, e in fact.factors]}"
             )
     if zname is None:
-        zname = _fresh_name(ring)
+        zname = fresh_root_name(ring.gen_degrees)
     new_group, incl, delta = pushout_root(S.pic, ring.degree_of(s), n)
     info = DivisorRootInfo(s, n, zname)
     return _adjoin_roots(S, (info,), new_group, incl, (delta,),
@@ -318,7 +308,7 @@ def effective_generators(ring: GradedRing) -> list:
     return [n for n, _ in ring.generators if n not in eliminable]
 
 
-def graded_factorial_spotcheck(S: MdStackData, degree_bound: int = 4):
+def graded_factorial_spotcheck(S: MdStackData, degree_bound: int):
     """Search bounded products of irreducible generators for a factorization clash.
 
     Enumerates all multisets (size <= degree_bound) of generator elements

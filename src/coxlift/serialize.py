@@ -17,7 +17,8 @@ from typing import Dict, List, Optional, Tuple
 from .abgroup import FgAbelianGroup, GroupHomomorphism, quotient_group
 from .cyclo import CycOrder, CycScalar
 from .errors import InputDataError
-from .gring import Factorization, GradedRing, HomogeneousElement, Monomial, RewriteRule
+from .gring import (DEFAULT_STEP_CAP, Factorization, GradedRing, HomogeneousElement,
+                    Monomial, RewriteRule)
 from .lift import (
     BaseMorphism,
     CoxLiftResult,
@@ -93,27 +94,47 @@ def required_field(block, key: str, where: str):
     return block[key]
 
 
+def optional_object(block, key: str, where: str) -> dict:
+    """block[key], or {} when absent; a value that is not an object is an InputDataError."""
+    value = block.get(key, {})
+    if not isinstance(value, dict):
+        raise InputDataError(f"{where} field {key!r} must be an object, got {value!r}")
+    return value
+
+
 def _monomial(data, what: str) -> Monomial:
-    return Monomial({str(k): _integer(v, what) for k, v in data.items()})
+    """A monomial from an object of integer exponents; ``what`` names the field."""
+    if not isinstance(data, dict):
+        raise InputDataError(f"{what} must be an object of exponents, got {data!r}")
+    return Monomial({str(k): _integer(v, f"{what} exponent") for k, v in data.items()})
+
+
+def _rational(x, what: str) -> Fraction:
+    """An exact rational from an integer or a "p/q" string, never a float or a bool."""
+    if type(x) is int:
+        return Fraction(x)
+    if isinstance(x, str):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputDataError(f"{what} must be an integer or a \"p/q\" string, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
 # scalars and elements
 
 
-def parse_scalar(data, order: CycOrder) -> CycScalar:
-    if isinstance(data, str):
-        return CycScalar.from_rational(order, Fraction(data))
-    if isinstance(data, (int, float)):
-        return CycScalar.from_rational(order, Fraction(data))
-    if isinstance(data, dict):
-        if "zeta" in data:
-            return CycScalar.zeta(order, _integer(data["zeta"], "zeta exponent"))
-        if "coeffs" in data:
-            coeffs = [Fraction(c) for c in data["coeffs"]]
-            sub = CycOrder(_integer(data.get("order", order.N), "scalar order"))
-            return CycScalar(sub, coeffs).promote(order)
-    raise InputDataError(f"cannot parse scalar {data!r}")
+def parse_scalar(data, order: CycOrder, what: str = "scalar") -> CycScalar:
+    if not isinstance(data, dict):
+        return CycScalar.from_rational(order, _rational(data, what))
+    if "zeta" in data:
+        return CycScalar.zeta(order, _integer(data["zeta"], "zeta exponent"))
+    if "coeffs" in data:
+        coeffs = [_rational(c, f"{what} coefficient") for c in data["coeffs"]]
+        sub = CycOrder(_integer(data.get("order", order.N), "scalar order"))
+        return CycScalar(sub, coeffs).promote(order)
+    raise InputDataError(f"cannot parse {what} {data!r}")
 
 
 def emit_scalar(s: CycScalar):
@@ -126,12 +147,14 @@ def emit_scalar(s: CycScalar):
 
 
 def parse_element(data, order: CycOrder) -> HomogeneousElement:
-    if not isinstance(data, dict) or "terms" not in data:
-        raise InputDataError(f"element must be a dict with a 'terms' list: {data!r}")
+    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
+        raise InputDataError(f"element must be an object with a 'terms' list: {data!r}")
     terms = []
     for t in data["terms"]:
-        coeff = parse_scalar(t.get("c", "1"), order)
-        mono = _monomial(t.get("m", {}), "monomial exponent")
+        if not isinstance(t, dict):
+            raise InputDataError(f"element term must be an object, got {t!r}")
+        coeff = parse_scalar(t.get("c", "1"), order, "term coefficient")
+        mono = _monomial(t.get("m", {}), "term monomial")
         terms.append((coeff, mono))
     return HomogeneousElement(terms)
 
@@ -160,7 +183,7 @@ def emit_group(G: FgAbelianGroup):
 def _parse_rules(data, order: CycOrder) -> List[RewriteRule]:
     rules = []
     for r in data or []:
-        lhs = _monomial(required_field(r, "lhs", "rewrite rule"), "rule exponent")
+        lhs = _monomial(required_field(r, "lhs", "rewrite rule"), "rule lhs")
         rhs = parse_element(required_field(r, "rhs", "rewrite rule"), order)
         rules.append(RewriteRule(lhs, rhs))
     return rules
@@ -174,7 +197,7 @@ def _emit_rules(rules):
 
 
 def _parse_ring_block(data, group: FgAbelianGroup, order: CycOrder,
-                      step_cap: int = 10000) -> GradedRing:
+                      step_cap: int) -> GradedRing:
     gens = []
     for g in data.get("generators", []):
         name = str(required_field(g, "name", "ring generator"))
@@ -234,9 +257,14 @@ def _parse_declared(block, ring: GradedRing, order: CycOrder):
     for entry in entries:
         element = parse_element(required_field(entry, "element", "declared factorization"),
                                 order)
-        unit = parse_scalar(entry.get("unit", "1"), order)
+        unit = parse_scalar(entry.get("unit", "1"), order, "declared unit")
         factors = []
-        for fdata, exp in entry.get("factors", []):
+        for factor in entry.get("factors", []):
+            if not isinstance(factor, list) or len(factor) != 2:
+                raise InputDataError(
+                    f"declared factor must be a [factor, exponent] pair, got {factor!r}"
+                )
+            fdata, exp = factor
             if isinstance(fdata, str):
                 fel = HomogeneousElement.monomial(order, Monomial.gen(fdata))
             else:
@@ -270,9 +298,10 @@ def _read(data) -> dict:
 
 def _options(data):
     """(step cap, spot-check bound) from the document's options block."""
-    topts = data.get("options", {})
-    return (_integer(topts.get("step_cap", 10000), "step_cap"),
-            _integer(topts.get("spotcheck_bound", 4), "spotcheck_bound"))
+    topts = optional_object(data, "options", "problem")
+    return (_integer(topts.get("step_cap", DEFAULT_STEP_CAP), "step_cap"),
+            _integer(topts.get("spotcheck_bound", LiftOptions().spotcheck_bound),
+                     "spotcheck_bound"))
 
 
 def parse_problem(data) -> ProblemSpec:
@@ -310,12 +339,11 @@ def parse_problem(data) -> ProblemSpec:
     declared, pins = _parse_declared(sblock, bare_ring, order)
     source_ring = bare_ring.with_data(declared_factorizations=declared)
     assertions = {
-        str(k): bool(v) for k, v in sblock.get("assertions", {}).items()
+        str(k): bool(v) for k, v in optional_object(sblock, "assertions", "source").items()
     }
     source_stack = canonical_stack(
         source_ring,
         tuple(parse_element(e, order) for e in sblock.get("irrelevant", [])),
-        tuple(sorted(assertions.items())),
     )
 
     bblock = required_field(data, "base_morphism", "problem")
@@ -329,7 +357,7 @@ def parse_problem(data) -> ProblemSpec:
     target_names = set(target_ring.gen_degrees)
     source_names = set(source_ring.gen_degrees)
     for item in bblock.get("images", []):
-        mono = _monomial(required_field(item, "monomial", "base image"), "monomial exponent")
+        mono = _monomial(required_field(item, "monomial", "base image"), "base image monomial")
         if not set(mono.names()) <= target_names:
             raise InputDataError(f"base key {mono.key()} uses unknown target generators")
         img = parse_element(required_field(item, "image", "base image"), order)
@@ -376,7 +404,6 @@ def parse_decompose(data) -> DecomposeSpec:
         tuple(parse_element(e, order) for e in sblock.get("irrelevant", [])),
         (),
         coarse,
-        (),
     )
     options = LiftOptions(spotcheck_bound=spot)
     return DecomposeSpec(name, order, stack, options)
@@ -384,6 +411,10 @@ def parse_decompose(data) -> DecomposeSpec:
 
 # ---------------------------------------------------------------------------
 # results
+
+
+def _emit_root(info: DivisorRootInfo) -> dict:
+    return {"section": emit_element(info.section), "order": info.order, "name": info.name}
 
 
 def emit_tower(tower) -> list:
@@ -394,30 +425,10 @@ def emit_tower(tower) -> list:
                 {"kind": "line_bundle", "class": list(step.bundle_class), "order": step.order}
             )
         elif step.kind == "divisor":
-            info = step.roots[0]
-            out.append(
-                {
-                    "kind": "divisor",
-                    "section": emit_element(info.section),
-                    "order": info.order,
-                    "name": info.name,
-                }
-            )
+            out.append({"kind": "divisor", **_emit_root(step.roots[0])})
         else:
-            out.append(
-                {
-                    "kind": "divisor_batch",
-                    "roots": [
-                        {
-                            "section": emit_element(i.section),
-                            "order": i.order,
-                            "name": i.name,
-                        }
-                        for i in step.roots
-                    ],
-                    "group_relations": [list(r) for r in step.group_relations],
-                }
-            )
+            out.append({"kind": "divisor_batch", "roots": list(map(_emit_root, step.roots)),
+                        "group_relations": [list(r) for r in step.group_relations]})
     return out
 
 

@@ -1,12 +1,16 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from helpers import PROBLEMS, load_raw
 
 from coxlift.cli import main
+from coxlift.cyclo import CycOrder, CycScalar
+from coxlift.errors import InputDataError
 from coxlift.serialize import (
     parse_problem,
+    parse_scalar,
     parse_tower,
     replay_result,
 )
@@ -266,3 +270,35 @@ def test_missing_problem_field_gives_exit_2(tmp_path, capsys, path, message):
     bad.write_text(json.dumps(raw))
     assert run_cli("lift", str(bad)) == 2
     assert message in capsys.readouterr().err
+
+
+BASE_IMAGE = ["base_morphism", "images", 0]
+
+
+@pytest.mark.parametrize("path,value,message", [
+    ([*DECLARED, "factors", 0], ["z1"], "declared factor must be a [factor, exponent] pair"),
+    ([*BASE_IMAGE, "image", "terms", 0], 5, "element term must be an object"),
+    ([*BASE_IMAGE, "image", "terms", 0, "c"], "1/0", "term coefficient must be"),
+    ([*BASE_IMAGE, "image", "terms", 0, "c"], "abc", "term coefficient must be"),
+    ([*BASE_IMAGE, "monomial"], [1], "base image monomial must be an object"),
+    (["options"], [], "problem field 'options' must be an object"),
+    (["source", "assertions"], [], "source field 'assertions' must be an object"),
+], ids=["factor", "term", "coefficient-1/0", "coefficient-abc", "monomial", "options",
+        "assertions"])
+def test_malformed_problem_field_gives_exit_2(tmp_path, capsys, path, value, message):
+    raw = load_raw("mu3")
+    _set(raw, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("lift", str(bad)) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_scalars_are_exact_or_rejected():
+    """JSON floats and bools carry no exact rational, so they are rejected."""
+    order = CycOrder(3)
+    assert parse_scalar("1/3", order) == CycScalar.from_rational(order, Fraction(1, 3))
+    assert parse_scalar(-2, order) == CycScalar.from_rational(order, Fraction(-2))
+    for bad in (0.1, 1.0, True, False, {"coeffs": [0.5, "0"]}, {"coeffs": [True, 0]}):
+        with pytest.raises(InputDataError, match="must be an integer or a"):
+            parse_scalar(bad, order)

@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
 
 import pytest
-from helpers import load_raw, load_spec, lift_of
+from helpers import PROBLEMS, load_raw, load_spec, lift_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -663,9 +664,9 @@ def test_termination_bound_is_respected():
         assert s.p == 2
 
 
-def test_decompose_factors_each_subgroup_matrix_once(monkeypatch):
-    """Every subgroup K the lift visits answers all its queries from one
-    Smith form of [K generators; class group relations]."""
+def _line_bundle_over_batch_stack():
+    """x rooted by 2 and then by 3, plus a line-bundle root: its
+    decomposition roots a line bundle and then two divisors."""
     order = CycOrder(6)
     # a nonzero Picard subgroup: with none, [K; relations] would be the
     # quotient's own matrix [relations; K]
@@ -674,7 +675,41 @@ def test_decompose_factors_each_subgroup_matrix_once(monkeypatch):
     stack = canonical_stack(GradedRing([("x", gen), ("y", gen)], cl0, order))
     stack = root_divisor(stack, stack.cox_ring.gen("x"), 2, "r1")
     stack = root_divisor(stack, stack.cox_ring.gen("r1"), 3, "r2")
-    stack = root_line_bundle(stack, stack.pic.element([1, 0, 0]), 2)
+    return root_line_bundle(stack, stack.pic.element([1, 0, 0]), 2)
+
+
+def assert_factors_through_itself_as_identity(res):
+    """Theta(res, res) of the result without its step records, as
+    ``coxlift verify`` rebuilds one: the identity on Pic and on every
+    generator of the lifted ring."""
+    bare = replace(res, steps=())
+    theta = check_factors_through(bare, bare)
+    assert isinstance(theta, Theta), theta
+    pic = res.stack.pic
+    assert [g == pic.basis_element(i) for i, g in enumerate(theta.group_map.images)] \
+        == [True] * pic.ambient_rank
+    ring = res.stack.cox_ring
+    for name, _deg in ring.generators:
+        assert ring.elements_equal(theta.ring_images[name], ring.gen(name)), name
+
+
+@pytest.mark.parametrize("name", [
+    p.stem for p in sorted(PROBLEMS.glob("*.json")) if "decompose" not in load_raw(p.stem)
+])
+def test_lift_factors_through_itself_without_step_records(name):
+    assert_factors_through_itself_as_identity(lift_of(name))
+
+
+def test_decomposition_factors_through_itself_without_step_records():
+    res = decompose_as_roots(_line_bundle_over_batch_stack())
+    assert [s.kind for s in res.stack.tower] == ["line_bundle", "divisor", "divisor"]
+    assert_factors_through_itself_as_identity(res)
+
+
+def test_decompose_factors_each_subgroup_matrix_once(monkeypatch):
+    """Every subgroup K the lift visits answers all its queries from one
+    Smith form of [K generators; class group relations]."""
+    stack = _line_bundle_over_batch_stack()
     factored = []
     real_snf = abgroup.smith_normal_form_full
 
