@@ -664,7 +664,7 @@ def test_termination_bound_is_respected():
         assert s.p == 2
 
 
-def _line_bundle_over_batch_stack():
+def _line_bundle_over_roots_stack():
     """x rooted by 2 and then by 3, plus a line-bundle root: its
     decomposition roots a line bundle and then two divisors."""
     order = CycOrder(6)
@@ -701,7 +701,7 @@ def test_lift_factors_through_itself_without_step_records(name):
 
 
 def test_decomposition_factors_through_itself_without_step_records():
-    res = decompose_as_roots(_line_bundle_over_batch_stack())
+    res = decompose_as_roots(_line_bundle_over_roots_stack())
     assert [s.kind for s in res.stack.tower] == ["line_bundle", "divisor", "divisor"]
     assert_factors_through_itself_as_identity(res)
 
@@ -709,7 +709,7 @@ def test_decomposition_factors_through_itself_without_step_records():
 def test_decompose_factors_each_subgroup_matrix_once(monkeypatch):
     """Every subgroup K the lift visits answers all its queries from one
     Smith form of [K generators; class group relations]."""
-    stack = _line_bundle_over_batch_stack()
+    stack = _line_bundle_over_roots_stack()
     factored = []
     real_snf = abgroup.smith_normal_form_full
 
