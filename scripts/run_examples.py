@@ -8,8 +8,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from coxlift.cli import load_document, run_document
-from coxlift.serialize import human_log, result_json
+from coxlift.cli import run_document
+from coxlift.serialize import human_log, load_document, result_json
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 

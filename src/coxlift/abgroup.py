@@ -201,6 +201,8 @@ class FgAbelianGroup:
     """Finitely generated abelian group Z^n / (row span of relations)."""
 
     def __init__(self, ambient_rank: int, relations: Iterable[Sequence[int]] = ()):
+        if ambient_rank < 0:
+            raise InputDataError(f"ambient rank must be nonnegative, got {ambient_rank}")
         self.ambient_rank = int(ambient_rank)
         self.relations = IntMatrix(relations, cols=self.ambient_rank)
         S, _, V, Vi = smith_normal_form_full(self.relations)

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .abgroup import FgAbelianGroup, GroupHomomorphism
+from .abgroup import FgAbelianGroup
 from .errors import (
     CoxliftError,
     InputDataError,
@@ -32,12 +32,11 @@ from .serialize import (
     emit_verification,
     human_log,
     integer_rows,
-    optional_object,
+    load_document,
     parse_decompose,
     parse_element,
     parse_problem,
-    replay_result,
-    required_field,
+    read_result,
     result_json,
 )
 
@@ -87,23 +86,6 @@ def _build_parser():
     return ap
 
 
-def load_document(path, step_cap=None, spotcheck_bound=None) -> dict:
-    """Read a problem or decompose document.
-
-    Option values that are given are written into the document's
-    "options" block, so the rings parsed from it carry the step cap.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise InputDataError("a problem document must be a JSON object")
-    given = {"step_cap": step_cap, "spotcheck_bound": spotcheck_bound}
-    overrides = {k: v for k, v in given.items() if v is not None}
-    if overrides:
-        raw["options"] = {**optional_object(raw, "options", "problem"), **overrides}
-    return raw
-
-
 def run_document(raw: dict) -> dict:
     """Parse a lift or decompose document, run it (with its built-in
     verification) and return the result document."""
@@ -139,21 +121,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     spec = parse_problem(load_document(args.problem, args.step_cap, args.spotcheck_bound))
-    with open(args.result, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema") != RESULT_SCHEMA:
-        raise InputDataError(f"result document must have schema {RESULT_SCHEMA}")
-    stack = replay_result(spec, doc)
-    ring = stack.cox_ring
-    images = {
-        name: ring.normal_form(parse_element(el, spec.order))
-        for name, el in required_field(doc, "images", "result").items()
-    }
-    group_map = GroupHomomorphism(
-        spec.target.cl,
-        stack.pic,
-        [stack.pic.element(c) for c in required_field(doc, "group_map", "result")],
-    )
+    stack, images, group_map = read_result(spec, args.result)
     provided = CoxLiftResult(
         target=spec.target,
         base=spec.base,
@@ -184,12 +152,11 @@ def _cmd_factor(args) -> int:
     ring = spec.source_stack.cox_ring
     element = ring.normal_form(parse_element(json.loads(args.element), spec.order))
     fact = ring.h_factorize(element)
-    doc = {
+    print(result_json({
         "element": element.key(),
         "unit": fact.unit.as_string(),
         "factors": [[f.key(), e] for f, e in fact.factors],
-    }
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    }))
     return 0
 
 
@@ -217,10 +184,7 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
-    except (InputDataError, CoxliftError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (CoxliftError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

@@ -1,5 +1,11 @@
 """Problem and result documents: versioned JSON with exact scalars.
 
+The shape table (``PROBLEM``, ``DECOMPOSE``, ``RESULT`` and the shapes
+they are made of) is the one description of ``coxlift/1``: each field
+with its shape, its default or ``REQUIRED``, and the label its errors
+name.  ``_walk`` reads a whole document through it before anything is
+built, so the builders index data that has already been checked.
+
 Rationals serialize as "p/q" strings, roots of unity as {"zeta": k}
 relative to the problem's cyclotomic order, group elements as integer
 coordinate arrays, and elements as term lists.  Output key order is
@@ -10,9 +16,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from types import FunctionType
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .abgroup import FgAbelianGroup, GroupHomomorphism, quotient_group
 from .cyclo import CycOrder, CycScalar
@@ -62,215 +70,264 @@ class DecomposeSpec:
 
 
 # ---------------------------------------------------------------------------
-# integers: checked where they enter, so 2.5 or "2" never becomes 2
+# the walker and the readers: integers are checked where they enter, so 2.5
+# or "2" never becomes 2; scalars need Q(zeta_N), which is known only once
+# the groups are built, so they are read as functions of it
 
 
-def _integer(x, what: str) -> int:
-    if type(x) is not int:
-        raise InputDataError(f"{what} must be an integer, got {x!r}")
-    return x
+REQUIRED = object()
+_KINDS = {dict: "an object", list: "a list", int: "an integer", str: "a string",
+          bool: "true or false"}
 
 
-def _integer_vector(data, what: str) -> list:
-    if not isinstance(data, list):
-        raise InputDataError(f"{what} must be a list of integers, got {data!r}")
-    return [_integer(x, what) for x in data]
+class Of(NamedTuple):
+    """A list or an object (``container``) whose every item has one shape."""
+    container: type
+    item: object
+    label: str
 
 
-def integer_rows(data, what: str) -> list:
+def _walk(value, shape, label: str):
+    """``value`` read through ``shape``; ``label`` names it in errors.
+
+    A shape is a dict of fields, key -> (shape, default or REQUIRED, label),
+    that ignores other keys; an Of; a JSON type; a string the value must
+    equal; or a reader (value, label) -> value.  Readers are called directly
+    and an Of a JSON type is checked by one comprehension, so the walk
+    recurses only through objects and lists of objects.
+    """
+    kind = type(shape)
+    if kind is str:
+        if value != shape:
+            raise InputDataError(f"unsupported {label} {value!r}; expected {shape}")
+        return value
+    if kind is not dict and kind is not Of and kind is not type:
+        return shape(value, label)
+    expected = shape.container if kind is Of else shape if kind is type else dict
+    if type(value) is not expected:
+        raise InputDataError(f"{label} must be {_KINDS[expected]}, got {value!r}")
+    if kind is dict:
+        out = {}
+        for key, (sub, default, sublabel) in shape.items():
+            v = value.get(key, default)
+            if v is REQUIRED:
+                raise InputDataError(f"{label} lacks the required field {key!r}")
+            out[key] = sub(v, sublabel) if type(sub) is FunctionType else _walk(v, sub, sublabel)
+        return out
+    if kind is type:
+        return value
+    _, item, item_label = shape
+    if type(item) is type:
+        bad = [v for v in (value if expected is list else value.values()) if type(v) is not item]
+        if bad:
+            raise InputDataError(f"{item_label} must be {_KINDS[item]}, got {bad[0]!r}")
+        return value
+    if expected is list:
+        return [_walk(v, item, item_label) for v in value]
+    return {k: _walk(v, item, item_label) for k, v in value.items()}
+
+
+def integer_rows(x, label: str) -> list:
     """A JSON list of integer lists; floats, bools and strings are rejected."""
-    if not isinstance(data, list):
-        raise InputDataError(f"{what} must be a list of integer lists, got {data!r}")
-    return [_integer_vector(row, what) for row in data]
+    return _walk(x, Of(list, Of(list, int, label), label), label)
 
 
-def required_field(block, key: str, where: str):
-    """block[key]; a block that is not an object, or lacks the field, is an
-    InputDataError naming the block and the field."""
-    if not isinstance(block, dict):
-        raise InputDataError(f"{where} must be an object, got {block!r}")
-    if key not in block:
-        raise InputDataError(f"{where} lacks the required field {key!r}")
-    return block[key]
-
-
-def optional_object(block, key: str, where: str) -> dict:
-    """block[key], or {} when absent; a value that is not an object is an InputDataError."""
-    value = block.get(key, {})
-    if not isinstance(value, dict):
-        raise InputDataError(f"{where} field {key!r} must be an object, got {value!r}")
-    return value
-
-
-def _monomial(data, what: str) -> Monomial:
-    """A monomial from an object of integer exponents; ``what`` names the field."""
-    if not isinstance(data, dict):
-        raise InputDataError(f"{what} must be an object of exponents, got {data!r}")
-    return Monomial({str(k): _integer(v, f"{what} exponent") for k, v in data.items()})
-
-
-def _rational(x, what: str) -> Fraction:
+def _rational(x, label: str) -> Fraction:
     """An exact rational from an integer or a "p/q" string, never a float or a bool."""
-    if type(x) is int:
-        return Fraction(x)
-    if isinstance(x, str):
+    if type(x) is int or type(x) is str:
         try:
             return Fraction(x)
         except (ValueError, ZeroDivisionError):
             pass
-    raise InputDataError(f"{what} must be an integer or a \"p/q\" string, got {x!r}")
+    raise InputDataError(f"{label} must be an integer or a \"p/q\" string, got {x!r}")
+
+
+def _scalar(x, label: str):
+    """order -> CycScalar, from a rational, {"zeta": k}, or {"coeffs": [...]}
+    with an optional "order" (the problem's order when absent)."""
+    if type(x) is not dict:
+        q = _rational(x, label)
+        return lambda order: CycScalar.from_rational(order, q)
+    if "zeta" in x:
+        k = _walk(x["zeta"], int, f"{label} zeta exponent")
+        return lambda order: CycScalar.zeta(order, k)
+    if "coeffs" in x:
+        coeffs = _walk(x["coeffs"], Of(list, _rational, f"{label} coefficient"),
+                       f"{label} coefficients")
+        sub = _walk(x["order"], int, f"{label} order") if "order" in x else None
+        return lambda order: CycScalar(CycOrder(order.N if sub is None else sub),
+                                       coeffs).promote(order)
+    raise InputDataError(f"cannot parse {label} {x!r}")
+
+
+def _factor(x, label: str):
+    """(element, exponent) from a [generator name or element, exponent] pair."""
+    if type(x) is not list or len(x) != 2:
+        raise InputDataError(f"{label} must be a [factor, exponent] pair, got {x!r}")
+    f, e = x
+    if type(f) is str:
+        f = {"terms": [{"m": {f: 1}}]}
+    return _walk(f, ELEMENT, label), _walk(e, int, f"{label} exponent")
+
+
+def _tower_step(x, label: str):
+    """(kind, fields) of a tower step, read through the table of its kind."""
+    kind = _walk(x, {"kind": (str, REQUIRED, "tower step kind")}, label)["kind"]
+    if kind not in TOWER_STEPS:
+        raise InputDataError(f"unknown tower step kind {kind!r}")
+    return kind, _walk(x, TOWER_STEPS[kind], label)
 
 
 # ---------------------------------------------------------------------------
-# scalars and elements
+# the shape table of coxlift/1
+
+
+GROUP = {"ambient_rank": (int, REQUIRED, "ambient_rank"),
+         "relations": (integer_rows, [], "group relations")}
+ELEMENT = {"terms": (Of(list, {"c": (_scalar, "1", "term coefficient"),
+                             "m": (Of(dict, int, "term monomial exponent"), {},
+                                   "term monomial")}, "element term"),
+                     REQUIRED, "element terms")}
+GENERATOR = {"name": (str, REQUIRED, "generator name"),
+             "degree": (Of(list, int, "generator degree"), [], "generator degree")}
+RULE = {"lhs": (Of(dict, int, "rule lhs exponent"), REQUIRED, "rule lhs"),
+        "rhs": (ELEMENT, REQUIRED, "rule rhs")}
+RING = {
+    "class_group": (GROUP, REQUIRED, "class_group"),
+    "generators": (Of(list, GENERATOR, "ring generator"), [], "generators"),
+    "relations": (Of(list, RULE, "rewrite rule"), [], "relations"),
+    "irreducibles": (Of(list, str, "irreducible"), [], "irreducibles"),
+    "irrelevant": (Of(list, ELEMENT, "irrelevant element"), [], "irrelevant"),
+}
+ROOT = {"section": (ELEMENT, REQUIRED, "root section"),
+        "order": (int, REQUIRED, "root order"),
+        "name": (str, REQUIRED, "root name")}
+DECLARED = {
+    "element": (ELEMENT, REQUIRED, "declared element"),
+    "unit": (_scalar, "1", "declared unit"),
+    "factors": (Of(list, _factor, "declared factor"), [], "declared factors"),
+    "roots": (Of(list, ROOT, "declared root"), [], "declared roots"),
+}
+# the rings whose declared factorizations are read: a lift's source, a decompose stack
+DECLARING_RING = {**RING, "declared_factorizations": (
+    Of(list, DECLARED, "declared factorization"), [], "declared_factorizations")}
+OPTIONS = {"step_cap": (int, DEFAULT_STEP_CAP, "step_cap"),
+           "spotcheck_bound": (int, LiftOptions().spotcheck_bound, "spotcheck_bound")}
+HEADER = {
+    "schema": (SCHEMA, REQUIRED, "schema"),
+    "cyclotomic_order": (int, 1, "cyclotomic_order"),
+    "options": (OPTIONS, {}, "problem field 'options'"),
+}
+BASE_IMAGE = {"monomial": (Of(dict, int, "base image monomial exponent"), REQUIRED,
+                           "base image monomial"),
+              "image": (ELEMENT, REQUIRED, "base image element")}
+PROBLEM = {
+    **HEADER,
+    "name": (str, "problem", "name"),
+    "target": ({**RING, "pic_subgroup": (integer_rows, [], "pic_subgroup")},
+               REQUIRED, "target"),
+    "source": ({**DECLARING_RING, "assertions": (Of(dict, bool, "assertion"), {},
+                                                 "source field 'assertions'")},
+               REQUIRED, "source"),
+    "base_morphism": ({"group_map": (integer_rows, [], "group_map"),
+                       "images": (Of(list, BASE_IMAGE, "base image"), [], "images")},
+                      REQUIRED, "base_morphism"),
+}
+DECOMPOSE = {
+    **HEADER,
+    "name": (str, "decompose", "name"),
+    "decompose": ({"stack": (DECLARING_RING, REQUIRED, "decompose stack"),
+                   "coarse": ({**RING, "inclusion": (integer_rows, [], "inclusion")},
+                              REQUIRED, "decompose coarse")},
+                  REQUIRED, "decompose"),
+}
+TOWER_STEPS = {
+    "line_bundle": {"class": (Of(list, int, "tower class"), REQUIRED, "tower class"),
+                    "order": (int, REQUIRED, "tower order")},
+    "divisor": ROOT,
+    "divisor_batch": {"roots": (Of(list, ROOT, "tower root"), REQUIRED, "tower roots"),
+                      "group_relations": (integer_rows, REQUIRED, "tower group relations")},
+}
+TOWER = Of(list, _tower_step, "tower step")
+RESULT_TOWER = {"schema": (RESULT_SCHEMA, REQUIRED, "result schema"),
+                "tower": (TOWER, REQUIRED, "tower")}
+RESULT = {**RESULT_TOWER, "images": (Of(dict, ELEMENT, "image"), REQUIRED, "images"),
+          "group_map": (integer_rows, REQUIRED, "group_map")}
+
+
+def _read(data) -> dict:
+    """The document itself, or the one read from a path."""
+    if isinstance(data, (str, bytes, os.PathLike)):
+        with open(data, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    return data
+
+
+def load_document(path, step_cap=None, spotcheck_bound=None) -> dict:
+    """A problem or decompose document, with the option values that are
+    given in place of its own, so the rings parsed from it carry them."""
+    raw = _read(path)
+    if type(raw) is not dict:
+        raise InputDataError("a problem document must be a JSON object")
+    given = {"step_cap": step_cap, "spotcheck_bound": spotcheck_bound}
+    raw["options"] = {**_walk(raw, {"options": HEADER["options"]}, "problem")["options"],
+                      **{k: v for k, v in given.items() if v is not None}}
+    return raw
+
+
+def _element(el, order: CycOrder) -> HomogeneousElement:
+    return HomogeneousElement([(t["c"](order), Monomial(t["m"])) for t in el["terms"]])
 
 
 def parse_scalar(data, order: CycOrder, what: str = "scalar") -> CycScalar:
-    if not isinstance(data, dict):
-        return CycScalar.from_rational(order, _rational(data, what))
-    if "zeta" in data:
-        return CycScalar.zeta(order, _integer(data["zeta"], "zeta exponent"))
-    if "coeffs" in data:
-        coeffs = [_rational(c, f"{what} coefficient") for c in data["coeffs"]]
-        sub = CycOrder(_integer(data.get("order", order.N), "scalar order"))
-        return CycScalar(sub, coeffs).promote(order)
-    raise InputDataError(f"cannot parse {what} {data!r}")
-
-
-def emit_scalar(s: CycScalar):
-    if s.is_rational():
-        return str(s.rational_value())
-    k = s.as_root_of_unity()
-    if k is not None:
-        return {"zeta": k}
-    return {"order": s.order.N, "coeffs": [str(c) for c in s.coeffs]}
+    return _scalar(data, what)(order)
 
 
 def parse_element(data, order: CycOrder) -> HomogeneousElement:
-    if not isinstance(data, dict) or not isinstance(data.get("terms"), list):
-        raise InputDataError(f"element must be an object with a 'terms' list: {data!r}")
-    terms = []
-    for t in data["terms"]:
-        if not isinstance(t, dict):
-            raise InputDataError(f"element term must be an object, got {t!r}")
-        coeff = parse_scalar(t.get("c", "1"), order, "term coefficient")
-        mono = _monomial(t.get("m", {}), "term monomial")
-        terms.append((coeff, mono))
-    return HomogeneousElement(terms)
+    return _element(_walk(data, ELEMENT, "element"), order)
 
 
-def emit_element(e: HomogeneousElement):
-    return {
-        "terms": [
-            {"c": emit_scalar(c), "m": {n: x for n, x in m.pairs}} for c, m in e.terms
-        ]
-    }
+def _ring(block, group: FgAbelianGroup, order: CycOrder, step_cap: int) -> GradedRing:
+    gens = [(g["name"], group.element(g["degree"])) for g in block["generators"]]
+    rules = [RewriteRule(Monomial(r["lhs"]), _element(r["rhs"], order))
+             for r in block["relations"]]
+    return GradedRing(gens, group, order, rules, block["irreducibles"], {}, step_cap)
 
 
-def parse_group(data) -> FgAbelianGroup:
-    return FgAbelianGroup(_integer(required_field(data, "ambient_rank", "class_group"),
-                                   "ambient_rank"),
-                          integer_rows(data.get("relations", []), "group relations"))
-
-
-def emit_group(G: FgAbelianGroup):
-    return {
-        "ambient_rank": G.ambient_rank,
-        "relations": [list(r) for r in G.relations.entries],
-    }
-
-
-def _parse_rules(data, order: CycOrder) -> List[RewriteRule]:
-    rules = []
-    for r in data or []:
-        lhs = _monomial(required_field(r, "lhs", "rewrite rule"), "rule lhs")
-        rhs = parse_element(required_field(r, "rhs", "rewrite rule"), order)
-        rules.append(RewriteRule(lhs, rhs))
-    return rules
-
-
-def _emit_rules(rules):
-    return [
-        {"lhs": {n: e for n, e in r.lhs.pairs}, "rhs": emit_element(r.rhs)}
-        for r in rules
-    ]
-
-
-def _parse_ring_block(data, group: FgAbelianGroup, order: CycOrder,
-                      step_cap: int) -> GradedRing:
-    gens = []
-    for g in data.get("generators", []):
-        name = str(required_field(g, "name", "ring generator"))
-        gens.append((name, group.element(_integer_vector(g.get("degree", []),
-                                                         f"degree of {name}"))))
-    return GradedRing(
-        gens,
-        group,
-        order,
-        _parse_rules(data.get("relations"), order),
-        [str(n) for n in data.get("irreducibles", [])],
-        {},
-        step_cap,
-    )
-
-
-# ---------------------------------------------------------------------------
-# problems
-
-
-def _global_order(raw, target_cl, pic_gens) -> CycOrder:
+def _global_order(doc, target_cl, pic_gens) -> CycOrder:
     Q, _ = quotient_group(target_cl, pic_gens)
     if not Q.is_finite():
         raise InputDataError("class group is not torsion over the Picard subgroup")
-    N = Q.exponent()
-    declared = _integer(raw.get("cyclotomic_order", 1), "cyclotomic_order")
-    if declared < 1:
+    if doc["cyclotomic_order"] < 1:
         raise InputDataError("cyclotomic_order must be positive")
-    return CycOrder(math.lcm(N, declared))
+    return CycOrder(math.lcm(Q.exponent(), doc["cyclotomic_order"]))
 
 
-def _parse_declared(block, ring: GradedRing, order: CycOrder):
+def _parse_declared(entries, ring: GradedRing, order: CycOrder):
     """Validate declared factorizations against a scratch root extension.
 
-    Returns (declared dict, root name pins).  Verification runs before
-    the declarations are attached, so a wrong declaration cannot make
-    itself true by rewriting.
+    Returns (ring with the declarations attached, root name pins).
+    Verification runs before the declarations are attached, so a wrong
+    declaration cannot make itself true by rewriting.
     """
     declared: Dict[str, Factorization] = {}
     pins: List[Tuple[Tuple[str, int], str]] = []
-    entries = block.get("declared_factorizations", [])
     if not entries:
-        return declared, tuple(pins)
+        return ring, ()
     scratch = canonical_stack(ring)
     for entry in entries:
-        for root in entry.get("roots", []):
-            section = scratch.cox_ring.normal_form(
-                parse_element(required_field(root, "section", "declared root"), order)
-            )
-            name = str(required_field(root, "name", "declared root"))
-            n = _integer(required_field(root, "order", "declared root"), "declared root order")
+        for root in entry["roots"]:
+            section = scratch.cox_ring.normal_form(_element(root["section"], order))
+            name, n = root["name"], root["order"]
             if name not in scratch.cox_ring.gen_degrees:
                 scratch = root_divisor(scratch, section, n, name)
             lead, _ = section.leading()
             pins.append(((section.scale(lead.inverse()).key(), n), name))
     sring = scratch.cox_ring
     for entry in entries:
-        element = parse_element(required_field(entry, "element", "declared factorization"),
-                                order)
-        unit = parse_scalar(entry.get("unit", "1"), order, "declared unit")
-        factors = []
-        for factor in entry.get("factors", []):
-            if not isinstance(factor, list) or len(factor) != 2:
-                raise InputDataError(
-                    f"declared factor must be a [factor, exponent] pair, got {factor!r}"
-                )
-            fdata, exp = factor
-            if isinstance(fdata, str):
-                fel = HomogeneousElement.monomial(order, Monomial.gen(fdata))
-            else:
-                fel = parse_element(fdata, order)
-            factors.append((fel, _integer(exp, "declared factor exponent")))
-        fact = Factorization(unit, tuple(factors))
+        element = _element(entry["element"], order)
+        factors = [(_element(f, order), e) for f, e in entry["factors"]]
+        fact = Factorization(entry["unit"](order), tuple(factors))
         missing = [
             n for f, _ in factors for n in f.support() if n not in sring.gen_degrees
         ]
@@ -285,70 +342,37 @@ def _parse_declared(block, ring: GradedRing, order: CycOrder):
                 f"declared factorization of {element.key()} fails verification: {diag}"
             )
         declared[element.key()] = fact
-    return declared, tuple(pins)
+    return ring.with_data(declared_factorizations=declared), tuple(pins)
 
 
-def _read(data) -> dict:
-    """The document itself, or the one read from a path."""
-    if isinstance(data, (str, bytes)):
-        with open(data, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return data
-
-
-def _options(data):
-    """(step cap, spot-check bound) from the document's options block."""
-    topts = optional_object(data, "options", "problem")
-    return (_integer(topts.get("step_cap", DEFAULT_STEP_CAP), "step_cap"),
-            _integer(topts.get("spotcheck_bound", LiftOptions().spotcheck_bound),
-                     "spotcheck_bound"))
+# ---------------------------------------------------------------------------
+# problems
 
 
 def parse_problem(data) -> ProblemSpec:
-    data = _read(data)
-    if data.get("schema") != SCHEMA:
-        raise InputDataError(f"unsupported schema {data.get('schema')!r}; expected {SCHEMA}")
-    if "decompose" in data:
-        raise InputDataError("this is a decompose document; use parse_decompose")
-    name = str(data.get("name", "problem"))
-    step_cap, spot = _options(data)
+    doc = _walk(_read(data), PROBLEM, "problem")
+    step_cap = doc["options"]["step_cap"]
+    tblock, sblock, bblock = doc["target"], doc["source"], doc["base_morphism"]
+    cl = FgAbelianGroup(**tblock["class_group"])
+    pic_gens = [cl.element(c) for c in tblock["pic_subgroup"]]
+    order = _global_order(doc, cl, pic_gens)
 
-    tblock = required_field(data, "target", "problem")
-    cl = parse_group(required_field(tblock, "class_group", "target"))
-    pic_gens = [cl.element(c) for c in integer_rows(tblock.get("pic_subgroup", []),
-                                                    "pic_subgroup")]
-    order = _global_order(data, cl, pic_gens)
-
-    target_ring = _parse_ring_block(tblock, cl, order, step_cap=step_cap)
-    if not tblock.get("generators"):
+    target_ring = _ring(tblock, cl, order, step_cap)
+    if not tblock["generators"]:
         raise InputDataError("target needs at least one Cox ring generator")
-    target = TargetData(
-        cl=cl,
-        pic_gens=tuple(pic_gens),
-        ring=target_ring,
-        irrelevant=tuple(
-            parse_element(e, order) for e in tblock.get("irrelevant", [])
-        ),
-    )
+    target = TargetData(cl=cl, pic_gens=tuple(pic_gens), ring=target_ring,
+                        irrelevant=tuple(_element(e, order) for e in tblock["irrelevant"]))
     # TargetData.validate has nothing left to catch: the ring is graded by
     # cl, and _global_order has rejected an infinite Cl/Pic
 
-    sblock = required_field(data, "source", "problem")
-    clx = parse_group(required_field(sblock, "class_group", "source"))
-    bare_ring = _parse_ring_block(sblock, clx, order, step_cap=step_cap)
-    declared, pins = _parse_declared(sblock, bare_ring, order)
-    source_ring = bare_ring.with_data(declared_factorizations=declared)
-    assertions = {
-        str(k): bool(v) for k, v in optional_object(sblock, "assertions", "source").items()
-    }
+    clx = FgAbelianGroup(**sblock["class_group"])
+    source_ring, pins = _parse_declared(sblock["declared_factorizations"],
+                                        _ring(sblock, clx, order, step_cap), order)
     source_stack = canonical_stack(
-        source_ring,
-        tuple(parse_element(e, order) for e in sblock.get("irrelevant", [])),
+        source_ring, tuple(_element(e, order) for e in sblock["irrelevant"])
     )
 
-    bblock = required_field(data, "base_morphism", "problem")
-    group_images = [clx.element(c) for c in integer_rows(bblock.get("group_map", []),
-                                                         "group_map")]
+    group_images = [clx.element(c) for c in bblock["group_map"]]
     if len(group_images) != len(pic_gens):
         raise InputDataError(
             "base morphism group_map must list one image per pic_subgroup generator"
@@ -356,61 +380,78 @@ def parse_problem(data) -> ProblemSpec:
     images: Dict[Monomial, HomogeneousElement] = {}
     target_names = set(target_ring.gen_degrees)
     source_names = set(source_ring.gen_degrees)
-    for item in bblock.get("images", []):
-        mono = _monomial(required_field(item, "monomial", "base image"), "base image monomial")
+    for item in bblock["images"]:
+        mono = Monomial(item["monomial"])
         if not set(mono.names()) <= target_names:
             raise InputDataError(f"base key {mono.key()} uses unknown target generators")
-        img = parse_element(required_field(item, "image", "base image"), order)
+        img = _element(item["image"], order)
         if not img.support() <= source_names:
             raise InputDataError(
                 f"base image of {mono.key()} uses unknown source generators"
             )
         images[mono] = source_ring.normal_form(img)
     base = BaseMorphism(images=images, group_images=tuple(group_images))
-    options = LiftOptions(spotcheck_bound=spot, root_name_pins=pins)
-    return ProblemSpec(name, order, target, source_stack, base, options, assertions)
+    options = LiftOptions(spotcheck_bound=doc["options"]["spotcheck_bound"],
+                          root_name_pins=pins)
+    return ProblemSpec(doc["name"], order, target, source_stack, base, options,
+                       sblock["assertions"])
 
 
 def parse_decompose(data) -> DecomposeSpec:
-    data = _read(data)
-    if data.get("schema") != SCHEMA or "decompose" not in data:
-        raise InputDataError("not a decompose document")
-    name = str(data.get("name", "decompose"))
-    step_cap, spot = _options(data)
-    block = data["decompose"]
-    sblock = required_field(block, "stack", "decompose")
-    cblock = required_field(block, "coarse", "decompose")
-    pic = parse_group(required_field(sblock, "class_group", "decompose stack"))
-    coarse_group = parse_group(required_field(cblock, "class_group", "decompose coarse"))
-    incl_rows = integer_rows(cblock.get("inclusion", []), "inclusion")
-    if len(incl_rows) != coarse_group.ambient_rank:
+    doc = _walk(_read(data), DECOMPOSE, "decompose document")
+    step_cap = doc["options"]["step_cap"]
+    sblock, cblock = doc["decompose"]["stack"], doc["decompose"]["coarse"]
+    pic = FgAbelianGroup(**sblock["class_group"])
+    coarse_group = FgAbelianGroup(**cblock["class_group"])
+    if len(cblock["inclusion"]) != coarse_group.ambient_rank:
         raise InputDataError("inclusion must list one image per coarse generator")
-    pic_gens = [pic.element(r) for r in incl_rows]
-    order = _global_order(data, pic, pic_gens)
-    stack_bare = _parse_ring_block(sblock, pic, order, step_cap=step_cap)
-    declared, _pins = _parse_declared(sblock, stack_bare, order)
-    stack_ring = stack_bare.with_data(declared_factorizations=declared)
-    coarse_ring = _parse_ring_block(cblock, coarse_group, order, step_cap=step_cap)
+    pic_gens = [pic.element(r) for r in cblock["inclusion"]]
+    order = _global_order(doc, pic, pic_gens)
+    stack_ring, _pins = _parse_declared(sblock["declared_factorizations"],
+                                        _ring(sblock, pic, order, step_cap), order)
+    coarse_ring = _ring(cblock, coarse_group, order, step_cap)
     incl = GroupHomomorphism(coarse_group, pic, pic_gens)
-    coarse = CoarseData(
-        coarse_ring,
-        coarse_group,
-        tuple(parse_element(e, order) for e in cblock.get("irrelevant", [])),
-        incl,
-    )
-    stack = MdStackData(
-        stack_ring,
-        pic,
-        tuple(parse_element(e, order) for e in sblock.get("irrelevant", [])),
-        (),
-        coarse,
-    )
-    options = LiftOptions(spotcheck_bound=spot)
-    return DecomposeSpec(name, order, stack, options)
+    coarse = CoarseData(coarse_ring, coarse_group,
+                        tuple(_element(e, order) for e in cblock["irrelevant"]), incl)
+    stack = MdStackData(stack_ring, pic,
+                        tuple(_element(e, order) for e in sblock["irrelevant"]), (), coarse)
+    options = LiftOptions(spotcheck_bound=doc["options"]["spotcheck_bound"])
+    return DecomposeSpec(doc["name"], order, stack, options)
 
 
 # ---------------------------------------------------------------------------
 # results
+
+
+def emit_scalar(s: CycScalar):
+    if s.is_rational():
+        return str(s.rational_value())
+    k = s.as_root_of_unity()
+    if k is not None:
+        return {"zeta": k}
+    return {"order": s.order.N, "coeffs": [str(c) for c in s.coeffs]}
+
+
+def emit_element(e: HomogeneousElement):
+    return {
+        "terms": [
+            {"c": emit_scalar(c), "m": {n: x for n, x in m.pairs}} for c, m in e.terms
+        ]
+    }
+
+
+def emit_group(G: FgAbelianGroup):
+    return {
+        "ambient_rank": G.ambient_rank,
+        "relations": [list(r) for r in G.relations.entries],
+    }
+
+
+def _emit_rules(rules):
+    return [
+        {"lhs": {n: e for n, e in r.lhs.pairs}, "rhs": emit_element(r.rhs)}
+        for r in rules
+    ]
 
 
 def _emit_root(info: DivisorRootInfo) -> dict:
@@ -432,39 +473,21 @@ def emit_tower(tower) -> list:
     return out
 
 
-def _tower_order(item) -> int:
-    return _integer(required_field(item, "order", "tower step"), "tower order")
-
-
-def _tower_root(item, order: CycOrder) -> DivisorRootInfo:
-    return DivisorRootInfo(
-        parse_element(required_field(item, "section", "tower step"), order),
-        _tower_order(item),
-        str(required_field(item, "name", "tower step")),
-    )
+def _tower(steps, order: CycOrder) -> tuple:
+    out = []
+    for kind, s in steps:
+        if kind == "line_bundle":
+            out.append(RootStep(kind=kind, bundle_class=tuple(s["class"]), order=s["order"]))
+        else:  # a divisor step is its own one root
+            roots = tuple(DivisorRootInfo(_element(r["section"], order), r["order"], r["name"])
+                          for r in s.get("roots", [s]))
+            relations = tuple(map(tuple, s.get("group_relations", ())))
+            out.append(RootStep(kind=kind, roots=roots, group_relations=relations))
+    return tuple(out)
 
 
 def parse_tower(data, order: CycOrder):
-    steps = []
-    for item in data:
-        kind = required_field(item, "kind", "tower step")
-        if kind == "line_bundle":
-            bundle_class = _integer_vector(required_field(item, "class", "tower step"),
-                                           "tower class")
-            steps.append(RootStep(kind=kind, bundle_class=tuple(bundle_class),
-                                  order=_tower_order(item)))
-        elif kind == "divisor":
-            steps.append(RootStep(kind=kind, roots=(_tower_root(item, order),)))
-        elif kind == "divisor_batch":
-            roots = tuple(_tower_root(r, order)
-                          for r in required_field(item, "roots", "tower step"))
-            relations = integer_rows(required_field(item, "group_relations", "tower step"),
-                                     "tower group relations")
-            steps.append(RootStep(kind=kind, roots=roots,
-                                  group_relations=tuple(map(tuple, relations))))
-        else:
-            raise InputDataError(f"unknown tower step kind {kind!r}")
-    return tuple(steps)
+    return _tower(_walk(data, TOWER, "tower"), order)
 
 
 def emit_step_record(s: StepRecord) -> dict:
@@ -536,8 +559,23 @@ def result_json(doc: dict) -> str:
 
 def replay_result(spec: ProblemSpec, doc: dict) -> MdStackData:
     """Rebuild the final stack of a result document over the problem's source."""
-    tower = parse_tower(required_field(doc, "tower", "result"), spec.order)
-    return replay_tower(spec.source_stack, tower)
+    tower = _walk(doc, RESULT_TOWER, "result")["tower"]
+    return replay_tower(spec.source_stack, _tower(tower, spec.order))
+
+
+def read_result(spec: ProblemSpec, data):
+    """(final stack, images, group map) of a result document of spec's
+    problem, or of the result file it names."""
+    doc = _walk(_read(data), RESULT, "result")
+    stack = replay_tower(spec.source_stack, _tower(doc["tower"], spec.order))
+    unknown = sorted(set(doc["images"]) - set(spec.target.ring.gen_degrees))
+    if unknown:
+        raise InputDataError(f"images name unknown target generators {unknown}")
+    images = {name: stack.cox_ring.normal_form(_element(el, spec.order))
+              for name, el in doc["images"].items()}
+    group_map = GroupHomomorphism(spec.target.cl, stack.pic,
+                                  [stack.pic.element(c) for c in doc["group_map"]])
+    return stack, images, group_map
 
 
 def human_log(doc: dict) -> str:
@@ -552,17 +590,11 @@ def human_log(doc: dict) -> str:
             lines.append(
                 f"  [line-bundle root: class {step['class']}, order {step['order']}]"
             )
-        elif step["kind"] == "divisor":
-            lines.append(
-                f"  [divisor root: {_element_str(step['section'])}, order {step['order']},"
-                f" generator {step['name']}]"
-            )
         else:
-            for r in step["roots"]:
-                lines.append(
-                    f"  [divisor root: {_element_str(r['section'])}, order {r['order']},"
-                    f" generator {r['name']}] (shared grading extension)"
-                )
+            shared = " (shared grading extension)" if "roots" in step else ""
+            for r in step.get("roots", [step]):
+                lines.append(f"  [divisor root: {_element_str(r['section'])}, order {r['order']},"
+                             f" generator {r['name']}]{shared}")
     fs = doc.get("final_stack", {})
     pc = fs.get("pic_canonical", {})
     parts = ["Z"] * pc.get("free_rank", 0) + [f"Z/{d}" for d in pc.get("invariants", [])]

@@ -1,9 +1,14 @@
+import contextlib
+import copy
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from helpers import PROBLEMS, load_raw
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxlift.cli import main
 from coxlift.cyclo import CycOrder, CycScalar
@@ -283,8 +288,17 @@ BASE_IMAGE = ["base_morphism", "images", 0]
     ([*BASE_IMAGE, "monomial"], [1], "base image monomial must be an object"),
     (["options"], [], "problem field 'options' must be an object"),
     (["source", "assertions"], [], "source field 'assertions' must be an object"),
+    (["source", "relations"], 5, "relations must be a list, got 5"),
+    (["source", "irreducibles"], 5, "irreducibles must be a list, got 5"),
+    (["target", "irrelevant"], 5, "irrelevant must be a list, got 5"),
+    ([*DECLARED, "roots"], 5, "declared roots must be a list, got 5"),
+    ([*DECLARED, "unit"], {"coeffs": 5}, "declared unit coefficients must be a list, got 5"),
+    (["source", "declared_factorizations"], {},
+     "declared_factorizations must be a list, got {}"),
+    (["target", "class_group", "ambient_rank"], -1, "ambient rank must be nonnegative, got -1"),
 ], ids=["factor", "term", "coefficient-1/0", "coefficient-abc", "monomial", "options",
-        "assertions"])
+        "assertions", "relations", "irreducibles", "irrelevant", "roots", "unit-coeffs",
+        "declared_factorizations", "negative-rank"])
 def test_malformed_problem_field_gives_exit_2(tmp_path, capsys, path, value, message):
     raw = load_raw("mu3")
     _set(raw, path, value)
@@ -302,3 +316,90 @@ def test_scalars_are_exact_or_rejected():
     for bad in (0.1, 1.0, True, False, {"coeffs": [0.5, "0"]}, {"coeffs": [True, 0]}):
         with pytest.raises(InputDataError, match="must be an integer or a"):
             parse_scalar(bad, order)
+
+
+def test_snf_rejects_a_negative_ambient_rank(capsys):
+    assert run_cli("snf", "--matrix", "[]", "--ambient-rank", "-1") == 2
+    assert "ambient rank must be nonnegative, got -1" in capsys.readouterr().err
+
+
+def _lifted(tmp_path, name):
+    """(problem path, result path, result document) of a bundled lift."""
+    problem = str(PROBLEMS / f"{name}.json")
+    result = tmp_path / "res.json"
+    assert run_cli("lift", problem, "--out", str(result), "--log", "json") == 0
+    return problem, result, json.loads(result.read_text())
+
+
+@pytest.mark.parametrize("value", ["1", 1.5, True])
+def test_verify_reads_group_map_as_integers(tmp_path, capsys, value):
+    problem, result, doc = _lifted(tmp_path, "a1_into_half11")
+    doc["group_map"][0][0] = value
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", problem, str(result)) == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
+def test_verify_rejects_images_of_unknown_generators(tmp_path, capsys):
+    problem, result, doc = _lifted(tmp_path, "a1_into_half11")
+    doc["images"]["bogus"] = doc["images"]["x"]
+    result.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", problem, str(result)) == 2
+    assert "unknown target generators ['bogus']" in capsys.readouterr().err
+
+
+# one value of each JSON type; a substitution uses those of another type
+JSON_VALUES = [5, "x", [], {}, None, 2.5, True, [5], {"a": 1}]
+
+
+def _field_paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _field_paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def bundled_documents(tmp_path_factory):
+    """(argv with the document's place left as None, document, its field paths)
+    for every bundled problem and for the result document of every bundled lift."""
+    tmp = tmp_path_factory.mktemp("lifted")
+    docs = []
+    for path in sorted(PROBLEMS.glob("*.json")):
+        raw = json.loads(path.read_text())
+        command = "decompose" if "decompose" in raw else "lift"
+        docs.append(([command, None], raw, list(_field_paths(raw))))
+        if command == "lift":
+            result = tmp / path.name
+            assert run_cli("lift", str(path), "--out", str(result), "--log", "json") == 0
+            doc = json.loads(result.read_text())
+            docs.append((["verify", str(path), None], doc, list(_field_paths(doc))))
+    return tmp, docs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_one_field_of_another_type_never_crashes_the_cli(bundled_documents, data):
+    """Replacing any one field of a bundled document with a value of another
+    JSON type gives an exit code, never an uncaught exception."""
+    tmp, docs = bundled_documents
+    argv, doc, paths = data.draw(st.sampled_from(docs))
+    path = data.draw(st.sampled_from(paths))
+    original = doc
+    for key in path:
+        original = original[key]
+    value = data.draw(st.sampled_from([v for v in JSON_VALUES
+                                       if type(v) is not type(original)]))
+    if path:
+        doc = copy.deepcopy(doc)
+        _set(doc, path, value)
+    else:
+        doc = value
+    bad = tmp / "substituted.json"
+    bad.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run_cli(*(str(bad) if a is None else a for a in argv))
+    assert code in (0, 1, 2)
