@@ -92,18 +92,17 @@ def _walk(value, shape, label: str):
 
     A shape is a dict of fields, key -> (shape, default or REQUIRED, label),
     that ignores other keys; an Of; a JSON type; a string the value must
-    equal; or a reader (value, label) -> value.  Readers are called directly
-    and an Of a JSON type is checked by one comprehension, so the walk
-    recurses only through objects and lists of objects.
+    equal; or a reader (value, label) -> value, called directly.  An Of a
+    JSON type is checked by one comprehension, not one call per item.
     """
     kind = type(shape)
-    if kind is str:
+    if kind is not dict and kind is not Of and kind is not type:
+        if kind is not str:
+            return shape(value, label)
         if value != shape:
             raise InputDataError(f"unsupported {label} {value!r}; expected {shape}")
         return value
-    if kind is not dict and kind is not Of and kind is not type:
-        return shape(value, label)
-    expected = shape.container if kind is Of else shape if kind is type else dict
+    expected = dict if kind is dict else shape.container if kind is Of else shape
     if type(value) is not expected:
         raise InputDataError(f"{label} must be {_KINDS[expected]}, got {value!r}")
     if kind is dict:
@@ -167,7 +166,14 @@ def _factor(x, label: str):
     f, e = x
     if type(f) is str:
         f = {"terms": [{"m": {f: 1}}]}
-    return _walk(f, ELEMENT, label), _walk(e, int, f"{label} exponent")
+    return _terms(f, label), _walk(e, int, f"{label} exponent")
+
+
+def _terms(x, label: str) -> list:
+    """The terms of an element, each read through ``TERM``."""
+    if type(x) is not dict or type(x.get("terms")) is not list:
+        raise InputDataError(f"{label} must be an object with a 'terms' list, got {x!r}")
+    return [_walk(t, TERM, "element term") for t in x["terms"]]
 
 
 def _tower_step(x, label: str):
@@ -184,31 +190,28 @@ def _tower_step(x, label: str):
 
 GROUP = {"ambient_rank": (int, REQUIRED, "ambient_rank"),
          "relations": (integer_rows, [], "group relations")}
-ELEMENT = {"terms": (Of(list, {"c": (_scalar, "1", "term coefficient"),
-                             "m": (Of(dict, int, "term monomial exponent"), {},
-                                   "term monomial")}, "element term"),
-                     REQUIRED, "element terms")}
+TERM = {"c": (_scalar, "1", "term coefficient"),
+        "m": (Of(dict, int, "term monomial exponent"), {}, "term monomial")}
 GENERATOR = {"name": (str, REQUIRED, "generator name"),
              "degree": (Of(list, int, "generator degree"), [], "generator degree")}
 RULE = {"lhs": (Of(dict, int, "rule lhs exponent"), REQUIRED, "rule lhs"),
-        "rhs": (ELEMENT, REQUIRED, "rule rhs")}
+        "rhs": (_terms, REQUIRED, "rule rhs")}
 RING = {
     "class_group": (GROUP, REQUIRED, "class_group"),
     "generators": (Of(list, GENERATOR, "ring generator"), [], "generators"),
     "relations": (Of(list, RULE, "rewrite rule"), [], "relations"),
     "irreducibles": (Of(list, str, "irreducible"), [], "irreducibles"),
-    "irrelevant": (Of(list, ELEMENT, "irrelevant element"), [], "irrelevant"),
+    "irrelevant": (Of(list, _terms, "irrelevant element"), [], "irrelevant"),
 }
-ROOT = {"section": (ELEMENT, REQUIRED, "root section"),
+ROOT = {"section": (_terms, REQUIRED, "root section"),
         "order": (int, REQUIRED, "root order"),
         "name": (str, REQUIRED, "root name")}
 DECLARED = {
-    "element": (ELEMENT, REQUIRED, "declared element"),
+    "element": (_terms, REQUIRED, "declared element"),
     "unit": (_scalar, "1", "declared unit"),
     "factors": (Of(list, _factor, "declared factor"), [], "declared factors"),
     "roots": (Of(list, ROOT, "declared root"), [], "declared roots"),
 }
-# the rings whose declared factorizations are read: a lift's source, a decompose stack
 DECLARING_RING = {**RING, "declared_factorizations": (
     Of(list, DECLARED, "declared factorization"), [], "declared_factorizations")}
 OPTIONS = {"step_cap": (int, DEFAULT_STEP_CAP, "step_cap"),
@@ -220,7 +223,7 @@ HEADER = {
 }
 BASE_IMAGE = {"monomial": (Of(dict, int, "base image monomial exponent"), REQUIRED,
                            "base image monomial"),
-              "image": (ELEMENT, REQUIRED, "base image element")}
+              "image": (_terms, REQUIRED, "base image element")}
 PROBLEM = {
     **HEADER,
     "name": (str, "problem", "name"),
@@ -251,7 +254,7 @@ TOWER_STEPS = {
 TOWER = Of(list, _tower_step, "tower step")
 RESULT_TOWER = {"schema": (RESULT_SCHEMA, REQUIRED, "result schema"),
                 "tower": (TOWER, REQUIRED, "tower")}
-RESULT = {**RESULT_TOWER, "images": (Of(dict, ELEMENT, "image"), REQUIRED, "images"),
+RESULT = {**RESULT_TOWER, "images": (Of(dict, _terms, "image"), REQUIRED, "images"),
           "group_map": (integer_rows, REQUIRED, "group_map")}
 
 
@@ -264,8 +267,7 @@ def _read(data) -> dict:
 
 
 def load_document(path, step_cap=None, spotcheck_bound=None) -> dict:
-    """A problem or decompose document, with the option values that are
-    given in place of its own, so the rings parsed from it carry them."""
+    """The problem or decompose document at ``path``, given options in place of its own."""
     raw = _read(path)
     if type(raw) is not dict:
         raise InputDataError("a problem document must be a JSON object")
@@ -275,8 +277,8 @@ def load_document(path, step_cap=None, spotcheck_bound=None) -> dict:
     return raw
 
 
-def _element(el, order: CycOrder) -> HomogeneousElement:
-    return HomogeneousElement([(t["c"](order), Monomial(t["m"])) for t in el["terms"]])
+def _element(terms, order: CycOrder) -> HomogeneousElement:
+    return HomogeneousElement([(t["c"](order), Monomial(t["m"])) for t in terms])
 
 
 def parse_scalar(data, order: CycOrder, what: str = "scalar") -> CycScalar:
@@ -284,7 +286,7 @@ def parse_scalar(data, order: CycOrder, what: str = "scalar") -> CycScalar:
 
 
 def parse_element(data, order: CycOrder) -> HomogeneousElement:
-    return _element(_walk(data, ELEMENT, "element"), order)
+    return _element(_terms(data, "element"), order)
 
 
 def _ring(block, group: FgAbelianGroup, order: CycOrder, step_cap: int) -> GradedRing:
