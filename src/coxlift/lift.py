@@ -14,7 +14,6 @@ and the size of the solution set is reported.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations_with_replacement
@@ -36,7 +35,12 @@ from .abgroup import (
     solve_linear_over_group,
 )
 from .cyclo import CycScalar, root_of_unity_pth_root
-from .errors import InputDataError, InternalInvariantError, LiftInconsistencyError
+from .errors import (
+    FactorizationOracleRequired,
+    InputDataError,
+    InternalInvariantError,
+    LiftInconsistencyError,
+)
 from .gring import GradedRing, HomogeneousElement, Monomial
 from .mdstack import (
     DivisorRootInfo,
@@ -986,9 +990,6 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
     N = cand_ring.scalar_order.N
 
     nvars_total = sum(len(step.roots) for step in result.stack.tower)
-    search_factor = min(
-        math.prod(info.order for step in candidate.stack.tower for info in step.roots), 16
-    )
 
     sym: Dict[str, _SymTerm] = {}
     for name, _d in res_base.ring.generators:
@@ -1028,27 +1029,28 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
 
     def process_root(info, step_idx):
         nonlocal var_cursor
+        key = info.section.key()
         target_sym = theta_sym(res_stage.cox_ring.normal_form(info.section))
         if target_sym is None:
-            return NoFactor(
-                f"cannot transport section {info.section.key()} (unsupported shape)",
-                step_idx,
-            )
-        found = _find_root_monomial(
-            cand_ring, target_sym.element, info.order, search_factor
-        )
-        if found is None:
-            return NoFactor(
-                f"candidate ring has no {info.order}-th root of {info.section.key()}",
-                step_idx,
-            )
-        m_el, sigma = found
-        k = sigma.as_root_of_unity()
+            return NoFactor(f"cannot transport section {key} (unsupported shape)", step_idx)
+        section = cand_ring.normal_form(target_sym.element)
+        if section.is_zero():
+            return NoFactor(f"section {key} vanishes in the candidate ring", step_idx)
+        try:
+            fact = cand_ring.h_factorize(section)
+        except FactorizationOracleRequired as exc:
+            return NoFactor(f"cannot factor section {key} in the candidate ring: {exc}",
+                            step_idx)
+        # an n-th root is unique up to a unit: m = prod f^(e/n) has
+        # m^n = sigma * section with sigma = unit^-1
+        if any(e % info.order for _f, e in fact.factors):
+            return NoFactor(f"candidate ring has no {info.order}-th root of {key}", step_idx)
+        m_el = cand_ring.one()
+        for f, e in fact.factors:
+            m_el = m_el * f ** (e // info.order)
+        k = fact.unit.inverse().as_root_of_unity()
         if k is None:
-            return NoFactor(
-                f"root of {info.section.key()} differs by a non-root-of-unity scalar",
-                step_idx,
-            )
+            return NoFactor(f"root of {key} differs by a non-root-of-unity scalar", step_idx)
         kc = target_sym.const.as_root_of_unity()
         if kc is None:
             return NoFactor("accumulated unit is not a root of unity", step_idx)
@@ -1162,36 +1164,6 @@ def _unit_ratio(ring: GradedRing, a: HomogeneousElement,
     if ring.elements_equal(a.scale(ratio), b):
         return ratio
     return None
-
-
-def _find_root_monomial(ring: GradedRing, target: HomogeneousElement, order: int,
-                        bound_factor: int):
-    """Smallest monomial m (graded lex) with m^order = sigma * target; returns
-    (element of m, sigma) or None."""
-    target = ring.normal_form(target)
-    if target.is_zero():
-        return None
-    tdeg = max((m.total_degree() for _c, m in target.terms), default=1)
-    bound = max(1, tdeg) * max(1, bound_factor)
-    names = [n for n, _ in ring.generators]
-    for total in range(1, bound + 1):
-        for exps in _exponent_vectors(len(names), total):
-            mono = Monomial(zip(names, exps))
-            el = HomogeneousElement.monomial(ring.scalar_order, mono)
-            powered = ring.normal_form(el ** order)
-            ratio = _unit_ratio(ring, target, powered)
-            if ratio is not None:
-                return el, ratio
-    return None
-
-
-def _exponent_vectors(n: int, total: int):
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _exponent_vectors(n - 1, total - first):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------

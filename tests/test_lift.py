@@ -706,6 +706,68 @@ def test_decomposition_factors_through_itself_without_step_records():
     assert_factors_through_itself_as_identity(res)
 
 
+def _tower_over_affine_space(ngens, steps):
+    """A^ngens rooted step by step: ("divisor", section, n, name) or
+    ("line_bundle", class coordinates, n)."""
+    cl0 = FgAbelianGroup(0, [])
+    names = [f"x{i}" for i in range(ngens)]
+    ring = GradedRing([(n, cl0.zero()) for n in names], cl0, CycOrder(30),
+                      irreducibles=names)
+    stack = canonical_stack(ring)
+    for kind, what, n, *name in steps:
+        if kind == "divisor":
+            stack = root_divisor(stack, stack.cox_ring.gen(what), n, *name)
+        else:
+            stack = root_line_bundle(stack, stack.pic.element(what), n)
+    return stack
+
+
+def _stack_as_lift(res, stack, group_map=None):
+    """A stack as a would-be lift of res's target: identity images and, by
+    default, the identity on Pic."""
+    pic = stack.pic
+    if group_map is None:
+        group_map = GroupHomomorphism(
+            res.target.cl, pic, [pic.basis_element(i) for i in range(pic.ambient_rank)]
+        )
+    images = {name: stack.cox_ring.gen(name) for name, _ in res.target.ring.generators}
+    return replace(res, stack=stack, images=images, group_map=group_map, steps=())
+
+
+def test_decomposition_factors_through_its_input_read_without_a_tower():
+    """The bench's T2g3s#5: x0 = r2^5 = r3^15.  The engine roots x0 by 3 and
+    then by 5, so its roots are read off the input's declared
+    factorizations, not off its tower."""
+    stack = _tower_over_affine_space(2, [
+        ("divisor", "x1", 5, "r1"), ("divisor", "x0", 5, "r2"), ("divisor", "r2", 3, "r3"),
+    ])
+    res = decompose_as_roots(stack)
+    theta = check_factors_through(res, _stack_as_lift(res, replace(stack, tower=())))
+    assert isinstance(theta, Theta), theta
+    # both ways against the stack with its tower: the two stacks are
+    # isomorphic, whatever the reconstruction check says of them
+    assert isinstance(check_factors_through(res, _stack_as_lift(res, stack)), Theta)
+    assert isinstance(check_factors_through(_stack_as_lift(res, stack), res), Theta)
+
+
+def test_non_factoring_tower_gives_no_factor():
+    """The decomposition's first root, a cube root of x0, does not exist in
+    the candidate ring, where x0 = r5^8."""
+    res = decompose_as_roots(_tower_over_affine_space(3, [
+        ("divisor", "x1", 3, "r1"), ("line_bundle", [3], 2), ("divisor", "r1", 3, "r2"),
+        ("divisor", "x0", 3, "r3"), ("line_bundle", [1, 0, 2, 1], 5),
+    ]))
+    cand = _tower_over_affine_space(3, [
+        ("divisor", "x0", 2, "r1"), ("divisor", "r1", 2, "r2"), ("divisor", "x1", 5, "r3"),
+        ("divisor", "x2", 3, "r4"), ("divisor", "r2", 2, "r5"),
+    ])
+    zero = GroupHomomorphism(res.target.cl, cand.pic,
+                             [cand.pic.zero()] * res.target.cl.ambient_rank)
+    out = check_factors_through(res, _stack_as_lift(res, cand, zero))
+    assert isinstance(out, NoFactor)
+    assert "3-th root of 1*x0" in out.reason
+
+
 def test_decompose_factors_each_subgroup_matrix_once(monkeypatch):
     """Every subgroup K the lift visits answers all its queries from one
     Smith form of [K generators; class group relations]."""
