@@ -131,6 +131,13 @@ def integer_rows(x, label: str) -> list:
     return _walk(x, Of(list, Of(list, int, label), label), label)
 
 
+def _nonnegative(x, label: str) -> int:
+    """An integer of at least 0."""
+    if _walk(x, int, label) < 0:
+        raise InputDataError(f"{label} must not be negative, got {x}")
+    return x
+
+
 def _rational(x, label: str) -> Fraction:
     """An exact rational from an integer or a "p/q" string, never a float or a bool."""
     if type(x) is int or type(x) is str:
@@ -215,7 +222,7 @@ DECLARED = {
 DECLARING_RING = {**RING, "declared_factorizations": (
     Of(list, DECLARED, "declared factorization"), [], "declared_factorizations")}
 OPTIONS = {"step_cap": (int, DEFAULT_STEP_CAP, "step_cap"),
-           "spotcheck_bound": (int, LiftOptions().spotcheck_bound, "spotcheck_bound")}
+           "spotcheck_bound": (_nonnegative, LiftOptions().spotcheck_bound, "spotcheck_bound")}
 HEADER = {
     "schema": (SCHEMA, REQUIRED, "schema"),
     "cyclotomic_order": (int, 1, "cyclotomic_order"),
@@ -293,6 +300,9 @@ def _ring(block, group: FgAbelianGroup, order: CycOrder, step_cap: int) -> Grade
     gens = [(g["name"], group.element(g["degree"])) for g in block["generators"]]
     rules = [RewriteRule(Monomial(r["lhs"]), _element(r["rhs"], order))
              for r in block["relations"]]
+    for rule in rules:
+        if not rule.rhs.support():
+            raise InputDataError(f"rewrite rule {rule.key()} makes a generator zero or a unit")
     return GradedRing(gens, group, order, rules, block["irreducibles"], {}, step_cap)
 
 

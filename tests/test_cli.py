@@ -229,6 +229,30 @@ def test_non_integer_scalar_and_option_fields_are_rejected(tmp_path, capsys, nam
     assert "must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rhs", [{"terms": []}, {"terms": [{}]}])
+def test_rule_making_a_generator_zero_or_a_unit_is_rejected(tmp_path, capsys, rhs):
+    raw = load_raw("decompose_half11_root")
+    _set(raw, ["decompose", "stack", "relations", 0, "rhs"], rhs)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("decompose", str(bad)) == 2
+    assert "makes a generator zero or a unit" in capsys.readouterr().err
+
+
+def test_negative_spotcheck_bound_is_rejected(tmp_path, capsys):
+    """A negative bound would report a spot-check that compared nothing."""
+    raw = load_raw("mu3")
+    raw["options"] = {"spotcheck_bound": -1}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("lift", str(bad)) == 2
+    assert "spotcheck_bound must not be negative" in capsys.readouterr().err
+    assert run_cli("lift", str(PROBLEMS / "mu3.json"), "--spotcheck-bound=-1") == 2
+    assert "spotcheck_bound must not be negative" in capsys.readouterr().err
+    assert run_cli("lift", str(PROBLEMS / "mu3.json"), "--spotcheck-bound=0",
+                   "--log", "json") == 0
+
+
 @pytest.mark.parametrize("name,path,value", [
     ("mu3_zero", [0, "order"], 3.7),
     ("mu3_zero", [0, "class"], ""),
