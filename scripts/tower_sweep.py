@@ -18,9 +18,9 @@ three ``check_factors_through`` outcomes (``Theta``, ``NoFactor``,
   from_nat that native stack -> result
 
 A stack is read as a lift with identity images and the identity on Pic.
-The summary gives the status counts, the slowest tower, the count of each
-factoring outcome over the towers that finish, and the slowest factoring
-call.  The checkout's own ``src`` is imported, so the script measures the
+The summary gives the status counts, the slowest tower that finishes,
+the count of each factoring outcome over the towers that finish, and the
+slowest factoring call.  The checkout's own ``src`` is imported, so the script measures the
 commit it sits in.
 """
 
@@ -119,10 +119,12 @@ def main(argv=None) -> int:
                       f"{row.get('sha256', '-'):<64} "
                       + " ".join(f"{k}={v[0]}" for k, v in checks.items()), flush=True)
     finished = [r for r in rows if "checks" in r]
-    slowest = max(rows, key=lambda r: r["seconds"])
     print()
     print("statuses:", dict(sorted(Counter(r["status"] for r in rows).items())))
-    print(f"slowest tower: {slowest['name']} {slowest['status']} {slowest['seconds']:.3f}s")
+    if finished:
+        slowest = max(finished, key=lambda r: r["seconds"])
+        print(f"slowest finishing tower: {slowest['name']} {slowest['status']} "
+              f"{slowest['seconds']:.3f}s")
     for key in ("parsed", "to_nat", "from_nat"):
         counts = Counter(r["checks"][key][0] for r in finished)
         print(f"{key} over {len(finished)} finishing towers:", dict(sorted(counts.items())))
