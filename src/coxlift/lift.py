@@ -968,9 +968,11 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
 
     Reads only the two stacks and lift maps, never the step records, so a
     result rebuilt from its document factors too.  Replays the result
-    tower: each rooted divisor needs an element of the candidate ring whose
-    power normalizes to the rooted section (unit freedom solved
-    lexicographically), and fixes the group image of its generator's slot.
+    tower: each rooted divisor needs an n-th root of the transported section
+    in the candidate ring.  In a factorially graded ring that root is unique
+    up to a unit, so it is read off the section's h-factorization (its unit
+    freedom solved lexicographically), and it fixes the group image of its
+    generator's slot.
     Every other new slot s is a rooted class, sent to psi(D) for any D
     with phi(D) = e_s, where phi and psi are the two lifts' group maps;
     the final check theta o phi = psi makes the choice of D immaterial.
@@ -1041,8 +1043,7 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
         except FactorizationOracleRequired as exc:
             return NoFactor(f"cannot factor section {key} in the candidate ring: {exc}",
                             step_idx)
-        # an n-th root is unique up to a unit: m = prod f^(e/n) has
-        # m^n = sigma * section with sigma = unit^-1
+        # m = prod f^(e/n) has m^n = sigma * section with sigma = unit^-1
         if any(e % info.order for _f, e in fact.factors):
             return NoFactor(f"candidate ring has no {info.order}-th root of {key}", step_idx)
         m_el = cand_ring.one()
