@@ -1040,7 +1040,7 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
             return NoFactor(f"section {key} vanishes in the candidate ring", step_idx)
         try:
             fact = cand_ring.h_factorize(section)
-        except FactorizationOracleRequired as exc:
+        except (FactorizationOracleRequired, InputDataError) as exc:
             return NoFactor(f"cannot factor section {key} in the candidate ring: {exc}",
                             step_idx)
         # m = prod f^(e/n) has m^n = sigma * section with sigma = unit^-1

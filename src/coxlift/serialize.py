@@ -300,10 +300,18 @@ def _ring(block, group: FgAbelianGroup, order: CycOrder, step_cap: int) -> Grade
     gens = [(g["name"], group.element(g["degree"])) for g in block["generators"]]
     rules = [RewriteRule(Monomial(r["lhs"]), _element(r["rhs"], order))
              for r in block["relations"]]
+    # a root rule z^n -> c*s factors s as c^-1 * z^n, as a root built by
+    # root_divisor declares it
+    declared = {}
     for rule in rules:
         if not rule.rhs.support():
             raise InputDataError(f"rewrite rule {rule.key()} makes a generator zero or a unit")
-    return GradedRing(gens, group, order, rules, block["irreducibles"], {}, step_cap)
+        if len(rule.lhs.pairs) == 1 and rule.lhs.pairs[0][1] > 1:
+            (name, n), = rule.lhs.pairs
+            c, _ = rule.rhs.leading()
+            z = HomogeneousElement.monomial(order, Monomial.gen(name))
+            declared[rule.rhs.scale(c.inverse()).key()] = Factorization(c.inverse(), ((z, n),))
+    return GradedRing(gens, group, order, rules, block["irreducibles"], declared, step_cap)
 
 
 def _global_order(doc, target_cl, pic_gens) -> CycOrder:
@@ -354,7 +362,8 @@ def _parse_declared(entries, ring: GradedRing, order: CycOrder):
                 f"declared factorization of {element.key()} fails verification: {diag}"
             )
         declared[element.key()] = fact
-    return ring.with_data(declared_factorizations=declared), tuple(pins)
+    return ring.with_data(declared_factorizations={**ring.declared_factorizations,
+                                                   **declared}), tuple(pins)
 
 
 # ---------------------------------------------------------------------------

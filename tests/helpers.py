@@ -1,9 +1,12 @@
 """Shared fixtures: parsed bundled problems and hand-built lift data."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
+from coxlift.abgroup import GroupHomomorphism
 from coxlift.lift import run_cox_lift
+from coxlift.mdstack import canonical_stack, root_divisor, root_line_bundle
 from coxlift.serialize import parse_problem
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
@@ -32,3 +35,29 @@ def lift_of(name):
             spec.target, spec.source_stack, spec.base, spec.options
         )
     return _results[name]
+
+
+def tower_over(ring, steps):
+    """The canonical stack of ring rooted step by step: ("divisor",
+    generator, n, new name) or ("line_bundle", class coordinates, n), the
+    class padded with zeros to the current Pic rank."""
+    stack = canonical_stack(ring)
+    for kind, what, n, *name in steps:
+        if kind == "divisor":
+            stack = root_divisor(stack, stack.cox_ring.gen(what), n, *name)
+        else:
+            cls = list(what) + [0] * (stack.pic.ambient_rank - len(what))
+            stack = root_line_bundle(stack, stack.pic.element(cls), n)
+    return stack
+
+
+def stack_as_lift(res, stack, group_map=None):
+    """A stack as a would-be lift of res's target: identity images and, by
+    default, the identity on Pic."""
+    pic = stack.pic
+    if group_map is None:
+        group_map = GroupHomomorphism(
+            res.target.cl, pic, [pic.basis_element(i) for i in range(pic.ambient_rank)]
+        )
+    images = {name: stack.cox_ring.gen(name) for name, _ in res.target.ring.generators}
+    return replace(res, stack=stack, images=images, group_map=group_map, steps=())

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 from itertools import product as iproduct
 
 import pytest
-from helpers import PROBLEMS, load_raw, load_spec, lift_of
+from helpers import PROBLEMS, lift_of, load_raw, load_spec, stack_as_lift, tower_over
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +19,7 @@ from coxlift.abgroup import (
 from coxlift import abgroup
 from coxlift.cyclo import CycOrder, CycScalar
 from coxlift.errors import InputDataError, LiftInconsistencyError
-from coxlift.gring import GradedRing, HomogeneousElement, Monomial
+from coxlift.gring import Factorization, GradedRing, HomogeneousElement, Monomial
 from coxlift.lift import (
     BaseMorphism,
     CoxLiftResult,
@@ -37,7 +37,7 @@ from coxlift.lift import (
 )
 from coxlift.lift import _Engine, LiftOptions
 from coxlift.mdstack import canonical_stack, root_divisor, root_line_bundle
-from coxlift.serialize import parse_problem
+from coxlift.serialize import parse_decompose, parse_problem
 
 
 def target_of(name):
@@ -707,31 +707,11 @@ def test_decomposition_factors_through_itself_without_step_records():
 
 
 def _tower_over_affine_space(ngens, steps):
-    """A^ngens rooted step by step: ("divisor", section, n, name) or
-    ("line_bundle", class coordinates, n)."""
+    """A^ngens rooted step by step, as ``tower_over`` reads the steps."""
     cl0 = FgAbelianGroup(0, [])
     names = [f"x{i}" for i in range(ngens)]
-    ring = GradedRing([(n, cl0.zero()) for n in names], cl0, CycOrder(30),
-                      irreducibles=names)
-    stack = canonical_stack(ring)
-    for kind, what, n, *name in steps:
-        if kind == "divisor":
-            stack = root_divisor(stack, stack.cox_ring.gen(what), n, *name)
-        else:
-            stack = root_line_bundle(stack, stack.pic.element(what), n)
-    return stack
-
-
-def _stack_as_lift(res, stack, group_map=None):
-    """A stack as a would-be lift of res's target: identity images and, by
-    default, the identity on Pic."""
-    pic = stack.pic
-    if group_map is None:
-        group_map = GroupHomomorphism(
-            res.target.cl, pic, [pic.basis_element(i) for i in range(pic.ambient_rank)]
-        )
-    images = {name: stack.cox_ring.gen(name) for name, _ in res.target.ring.generators}
-    return replace(res, stack=stack, images=images, group_map=group_map, steps=())
+    return tower_over(GradedRing([(n, cl0.zero()) for n in names], cl0, CycOrder(30),
+                                 irreducibles=names), steps)
 
 
 def test_decomposition_factors_through_its_input_read_without_a_tower():
@@ -742,12 +722,34 @@ def test_decomposition_factors_through_its_input_read_without_a_tower():
         ("divisor", "x1", 5, "r1"), ("divisor", "x0", 5, "r2"), ("divisor", "r2", 3, "r3"),
     ])
     res = decompose_as_roots(stack)
-    theta = check_factors_through(res, _stack_as_lift(res, replace(stack, tower=())))
+    theta = check_factors_through(res, stack_as_lift(res, replace(stack, tower=())))
     assert isinstance(theta, Theta), theta
     # both ways against the stack with its tower: the two stacks are
     # isomorphic, whatever the reconstruction check says of them
-    assert isinstance(check_factors_through(res, _stack_as_lift(res, stack)), Theta)
-    assert isinstance(check_factors_through(_stack_as_lift(res, stack), res), Theta)
+    assert isinstance(check_factors_through(res, stack_as_lift(res, stack)), Theta)
+    assert isinstance(check_factors_through(stack_as_lift(res, stack), res), Theta)
+
+
+def test_bundled_decomposition_factors_through_its_parsed_input():
+    """decompose_half11_root declares no factorization: its rule z^2 -> t
+    alone says that t = z^2 has a square root."""
+    spec = parse_decompose(str(PROBLEMS / "decompose_half11_root.json"))
+    res = decompose_as_roots(spec.stack, spec.options)
+    theta = check_factors_through(res, stack_as_lift(res, spec.stack))
+    assert isinstance(theta, Theta), theta
+
+
+def test_section_whose_factorization_loops_gives_no_factor():
+    stack = _tower_over_affine_space(2, [("divisor", "x0", 2, "r1")])
+    res = decompose_as_roots(stack)
+    ring = stack.cox_ring
+    one = CycScalar.one(ring.scalar_order)
+    looping = {"1*x0": Factorization(one, ((ring.gen("x1"), 1),)),
+               "1*x1": Factorization(one, ((ring.gen("x0"), 1),))}
+    cand = replace(stack, cox_ring=ring.with_data(declared_factorizations=looping))
+    out = check_factors_through(res, stack_as_lift(res, cand))
+    assert isinstance(out, NoFactor)
+    assert "cannot factor section 1*x0" in out.reason
 
 
 def test_non_factoring_tower_gives_no_factor():
@@ -763,7 +765,7 @@ def test_non_factoring_tower_gives_no_factor():
     ])
     zero = GroupHomomorphism(res.target.cl, cand.pic,
                              [cand.pic.zero()] * res.target.cl.ambient_rank)
-    out = check_factors_through(res, _stack_as_lift(res, cand, zero))
+    out = check_factors_through(res, stack_as_lift(res, cand, zero))
     assert isinstance(out, NoFactor)
     assert "3-th root of 1*x0" in out.reason
 
