@@ -2,12 +2,12 @@
 """Decompose every random root tower of the bench's shapes and factor the
 results against their inputs.
 
-    python3 scripts/tower_sweep.py [--limit 4] [--seeds 8]
+    python3 scripts/tower_sweep.py
 
 Builds the 96 towers of 2-4 generators, 3-6 steps and tower seeds 0-7
 with ``bench/workloads.random_tower`` and ``tower_document`` (base
 generators not relabelled), and runs ``decompose_as_roots`` on each under
-a time limit.  Per tower it prints the status, the seconds taken, the
+a 4 s limit.  Per tower it prints the status, the seconds taken, the
 SHA-256 of the emitted result document as ``result_json`` writes it, and
 three ``check_factors_through`` outcomes (``Theta``, ``NoFactor``,
 ``timeout`` or ``error:<exception>``), each under the same limit:
@@ -17,7 +17,8 @@ three ``check_factors_through`` outcomes (``Theta``, ``NoFactor``,
            and root_line_bundle, read the same way
   from_nat that native stack -> result
 
-A stack is read as a lift with identity images and the identity on Pic.
+A stack is read as a lift by ``tests/helpers.stack_as_lift``: identity
+images and the identity on Pic.
 The summary gives the status counts, the slowest tower that finishes,
 the count of each factoring outcome over the towers that finish, and the
 slowest factoring call.  The checkout's own ``src`` is imported, so the script measures the
@@ -26,66 +27,39 @@ commit it sits in.
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import random
 import signal
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench"), str(ROOT / "tests")]
 
-from coxlift.abgroup import GroupHomomorphism  # noqa: E402
 from coxlift.lift import Theta, check_factors_through, decompose_as_roots  # noqa: E402
-from coxlift.mdstack import canonical_stack, root_divisor, root_line_bundle  # noqa: E402
 from coxlift.serialize import emit_result, parse_decompose, result_json  # noqa: E402
+from helpers import stack_as_lift, tower_over  # noqa: E402
 from run import _on_alarm, run_limited  # noqa: E402
 from workloads import random_tower, tower_document  # noqa: E402
 
-
-def native_stack(coarse, steps):
-    """The tower's stack built root by root over the canonical stack of A^n."""
-    stack = canonical_stack(coarse.ring, coarse.irrelevant)
-    for step in steps:
-        if step[0] == "divisor":
-            _kind, victim, n, name = step
-            stack = root_divisor(stack, stack.cox_ring.gen(victim), n, name)
-        else:
-            _kind, cls, n = step
-            cls = list(cls) + [0] * (stack.pic.ambient_rank - len(cls))
-            stack = root_line_bundle(stack, stack.pic.element(cls), n)
-    return stack
+LIMIT = 4.0  # seconds per call
+SEEDS = range(8)
 
 
-def as_lift(result, stack):
-    """``stack`` as a lift of the result's target: identity images and the
-    identity on Pic."""
-    pic = stack.pic
-    return replace(
-        result, stack=stack, steps=(), table={},
-        images={name: stack.cox_ring.gen(name) for name, _ in result.target.ring.generators},
-        group_map=GroupHomomorphism(
-            result.target.cl, pic, [pic.basis_element(i) for i in range(pic.ambient_rank)]
-        ),
-    )
-
-
-def factor_outcome(result, candidate, limit):
-    status, value, secs = run_limited(lambda: check_factors_through(result, candidate), limit)
+def factor_outcome(result, candidate):
+    status, value, secs = run_limited(lambda: check_factors_through(result, candidate), LIMIT)
     if status != "ok":
         return status, secs
     return ("Theta" if isinstance(value, Theta) else "NoFactor"), secs
 
 
-def sweep_one(ngens, nsteps, seed, limit):
+def sweep_one(ngens, nsteps, seed):
     name = f"T{ngens}g{nsteps}s#{seed}"
     steps = random_tower(random.Random(seed), ngens, nsteps)
     spec = parse_decompose(tower_document(name, ngens, steps))
     status, result, secs = run_limited(
-        lambda: decompose_as_roots(spec.stack, spec.options), limit)
+        lambda: decompose_as_roots(spec.stack, spec.options), LIMIT)
     row = {"name": name, "status": status, "seconds": secs}
     if status != "ok":
         return row
@@ -93,26 +67,22 @@ def sweep_one(ngens, nsteps, seed, limit):
     failed = [c["name"] for c in doc["verification"]["checks"] if not c["passed"]]
     row["status"] = "failed:" + ",".join(failed) if failed else "ok"
     row["sha256"] = hashlib.sha256(result_json(doc).encode()).hexdigest()
-    native = as_lift(result, native_stack(spec.stack.coarse, steps))
+    native = stack_as_lift(result, tower_over(spec.stack.coarse.ring, steps))
     row["checks"] = {
-        "parsed": factor_outcome(result, as_lift(result, spec.stack), limit),
-        "to_nat": factor_outcome(result, native, limit),
-        "from_nat": factor_outcome(native, result, limit),
+        "parsed": factor_outcome(result, stack_as_lift(result, spec.stack)),
+        "to_nat": factor_outcome(result, native),
+        "from_nat": factor_outcome(native, result),
     }
     return row
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--limit", type=float, default=4.0, help="seconds per call")
-    ap.add_argument("--seeds", type=int, default=8, help="tower seeds 0..SEEDS-1")
-    args = ap.parse_args(argv)
+def main() -> int:
     signal.signal(signal.SIGALRM, _on_alarm)
     rows = []
     for nsteps in range(3, 7):
         for ngens in range(2, 5):
-            for seed in range(args.seeds):
-                row = sweep_one(ngens, nsteps, seed, args.limit)
+            for seed in SEEDS:
+                row = sweep_one(ngens, nsteps, seed)
                 rows.append(row)
                 checks = row.get("checks", {})
                 print(f"{row['name']:<10} {row['status']:<22} {row['seconds']:7.3f}s "
