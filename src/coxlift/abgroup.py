@@ -75,21 +75,6 @@ class IntMatrix:
     def __repr__(self):
         return f"IntMatrix({list(map(list, self.entries))!r}, cols={self.cols})"
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)], cols=n)
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise InputDataError("matrix shape mismatch in product")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                row.append(sum(self.entries[i][k] * other.entries[k][j] for k in range(self.cols)))
-            out.append(row)
-        return IntMatrix(out, cols=other.cols)
-
     def vec_mul(self, vec: Sequence[int]) -> tuple:
         """Row vector times this matrix."""
         if len(vec) != self.rows:

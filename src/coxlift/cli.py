@@ -21,7 +21,6 @@ from .gring import DEFAULT_STEP_CAP
 from .lift import (
     CoxLiftResult,
     LiftOptions,
-    VerificationReport,
     decompose_as_roots,
     run_cox_lift,
     verify_lift,
@@ -129,9 +128,6 @@ def _cmd_verify(args) -> int:
         stack=stack,
         images=images,
         group_map=group_map,
-        table={},
-        steps=(),
-        verification=VerificationReport(()),
     )
     report = verify_lift(spec.target, spec.source_stack, spec.base, provided,
                          spotcheck_bound=spec.options.spotcheck_bound)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import count
 from typing import Dict, Iterable, Optional, Sequence, Tuple
@@ -207,6 +208,16 @@ class RewriteRule:
     def key(self) -> str:
         return f"{self.lhs.key()} -> {self.rhs.key()}"
 
+    @cached_property
+    def root_factorization(self) -> Optional[Tuple[str, "Factorization"]]:
+        """(key of s, s = c^-1 * z^n) for a root rule z^n -> c*s with n > 1."""
+        if len(self.lhs.pairs) != 1 or self.lhs.pairs[0][1] < 2 or not self.rhs.support():
+            return None
+        (name, n), = self.lhs.pairs
+        c, _ = self.rhs.leading()
+        z = HomogeneousElement.monomial(c.order, Monomial.gen(name))
+        return self.rhs.scale(c.inverse()).key(), Factorization(c.inverse(), ((z, n),))
+
 
 @dataclass(frozen=True)
 class Factorization:
@@ -220,9 +231,6 @@ class Factorization:
         for f, e in self.factors:
             acc = acc * (f ** e)
         return acc
-
-    def factor_keys(self):
-        return sorted((f.key(), e) for f, e in self.factors)
 
 
 def _derive_weights(gen_names: Sequence[str], rules: Sequence[RewriteRule]):
@@ -283,7 +291,13 @@ DEFAULT_STEP_CAP = 10000
 
 
 class GradedRing:
-    """Named generators graded by an abelian group, plus rewrite and factor data."""
+    """Named generators graded by an abelian group, plus rewrite and factor data.
+
+    ``declared_factorizations`` holds every factorization the ring knows,
+    keyed by element: s = c^-1 * z^n for each rule z^n -> c*s with n > 1,
+    and the declarations passed in, which win over a rule's for the same
+    element.
+    """
 
     def __init__(
         self,
@@ -307,7 +321,10 @@ class GradedRing:
         self.scalar_order = scalar_order
         self.rules = tuple(rules)
         self.irreducibles = frozenset(irreducibles)
-        self.declared_factorizations = dict(declared_factorizations or {})
+        self._declared = dict(declared_factorizations or {})
+        self.declared_factorizations = dict(
+            filter(None, (r.root_factorization for r in self.rules)))
+        self.declared_factorizations.update(self._declared)
         self.step_cap = int(step_cap)
         unknown = self.irreducibles - set(names)
         if unknown:
@@ -572,7 +589,11 @@ class GradedRing:
             parts.append((self.gen(name), low))
             coeffs = coeffs[low:]
         while len(coeffs) > 2 and all(c.is_rational() for c in coeffs):
-            root = self._rational_root(coeffs)
+            # the rational-root theorem bounds the roots of an integer
+            # polynomial, so clear the denominators first
+            scale = CycScalar.from_rational(
+                self.scalar_order, math.lcm(*(c.rational_value().denominator for c in coeffs)))
+            root = self._rational_root([c * scale for c in coeffs])
             if root is None:
                 break
             coeffs, rem = _pdivmod(coeffs, (-root, one))
@@ -583,9 +604,6 @@ class GradedRing:
             lead = coeffs[1]
             unit = unit * lead
             parts.append((self._poly_from_coeffs(name, (coeffs[0] * lead.inverse(), one)), 1))
-            return unit, parts
-        if len(coeffs) == 1:
-            unit = unit * coeffs[0]
             return unit, parts
         # square-free split: gcd with the derivative peels repeated factors
         deriv = [
@@ -640,13 +658,6 @@ class GradedRing:
                         return CycScalar.from_rational(self.scalar_order, cand)
         return None
 
-    def is_h_irreducible(self, e: HomogeneousElement) -> bool:
-        e = self.normal_form(e)
-        if e.is_zero():
-            return False
-        fact = self.h_factorize(e)
-        return len(fact.factors) == 1 and fact.factors[0][1] == 1
-
     def verify_factorization(self, e: HomogeneousElement, fact: Factorization):
         """Check that fact multiplies out to e, possibly only after p-th powers.
 
@@ -686,11 +697,6 @@ class GradedRing:
             irreducibles if irreducibles is not None else self.irreducibles,
             declared_factorizations
             if declared_factorizations is not None
-            else self.declared_factorizations,
+            else self._declared,
             self.step_cap,
         )
-
-    def serialize_key(self) -> str:
-        gens = ",".join(f"{n}:{list(d.coords)}" for n, d in self.generators)
-        rules = ";".join(r.key() for r in self.rules)
-        return f"[{gens}][{rules}]"

@@ -14,7 +14,7 @@ and the size of the solution set is reported.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations_with_replacement
 from operator import add, le
@@ -157,9 +157,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
 
 @dataclass(frozen=True)
 class CoxLiftResult:
@@ -169,9 +166,9 @@ class CoxLiftResult:
     stack: MdStackData
     images: Dict[str, HomogeneousElement]
     group_map: GroupHomomorphism
-    table: Dict[Monomial, HomogeneousElement]
-    steps: Tuple[StepRecord, ...]
-    verification: VerificationReport
+    table: Dict[Monomial, HomogeneousElement] = field(default_factory=dict)
+    steps: Tuple[StepRecord, ...] = ()
+    verification: VerificationReport = VerificationReport(())
 
 
 @dataclass(frozen=True)
@@ -831,7 +828,6 @@ def run_cox_lift(target: TargetData, source_stack: MdStackData, base: BaseMorphi
         group_map=group_map,
         table=table,
         steps=steps,
-        verification=VerificationReport(()),
     )
     report = verify_lift(target, source_stack, base, draft,
                          spotcheck_bound=options.spotcheck_bound)

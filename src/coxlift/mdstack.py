@@ -23,7 +23,7 @@ from .abgroup import (
 )
 from .cyclo import CycScalar
 from .errors import FactorizationOracleRequired, InputDataError
-from .gring import Factorization, GradedRing, HomogeneousElement, Monomial, RewriteRule
+from .gring import GradedRing, HomogeneousElement, Monomial, RewriteRule
 
 
 @dataclass(frozen=True)
@@ -60,18 +60,36 @@ class CoarseData:
     """Snapshot of the base stack plus the composed grading-group inclusion."""
 
     ring: GradedRing
-    group: FgAbelianGroup
     irrelevant: Tuple[HomogeneousElement, ...]
     inclusion: GroupHomomorphism  # coarse group -> current pic
+
+    @property
+    def group(self) -> FgAbelianGroup:
+        return self.ring.grading_group
 
 
 @dataclass(frozen=True)
 class MdStackData:
     cox_ring: GradedRing
-    pic: FgAbelianGroup
     irrelevant_gens: Tuple[HomogeneousElement, ...]
     tower: Tuple[RootStep, ...]
     coarse: Optional[CoarseData] = None
+
+    @property
+    def pic(self) -> FgAbelianGroup:
+        return self.cox_ring.grading_group
+
+
+def _rule_shape(r: RewriteRule):
+    """(g, h) for a rule g -> ... and a rule ... -> 1*h; None where the
+    rule does not have that shape."""
+    alias = r.lhs.pairs[0][0] if len(r.lhs.pairs) == 1 and r.lhs.pairs[0][1] == 1 else None
+    plain = None
+    if len(r.rhs.terms) == 1:
+        c, m = r.rhs.terms[0]
+        if c == CycScalar.one(c.order) and len(m.pairs) == 1 and m.pairs[0][1] == 1:
+            plain = m.pairs[0][0]
+    return alias, plain
 
 
 def _mature_declared_rules(ring: GradedRing) -> GradedRing:
@@ -80,48 +98,26 @@ def _mature_declared_rules(ring: GradedRing) -> GradedRing:
     Once every factor name exists in the ring, a declaration g = unit *
     prod(factors) is oriented as the elimination rule g -> rhs, so normal
     forms expose the factorization.  Generators already defined by a root
-    rule (appearing as a whole rule side) are left alone.
+    rule (appearing as a whole rule side) are left alone.  One pass in name
+    order suffices: the rule added for g guards the names it shows, and a
+    name passed over stays so as rules are added.
     """
-    skipped = set()
-    changed = True
-    while changed:
-        changed = False
-        gen_names = set(ring.gen_degrees)
-        guarded = set()
-        for r in ring.rules:
-            if len(r.lhs.pairs) == 1 and r.lhs.pairs[0][1] == 1:
-                guarded.add(r.lhs.pairs[0][0])
-            if len(r.rhs.terms) == 1:
-                c, m = r.rhs.terms[0]
-                if (
-                    c == CycScalar.one(ring.scalar_order)
-                    and len(m.pairs) == 1
-                    and m.pairs[0][1] == 1
-                ):
-                    guarded.add(m.pairs[0][0])
-        for name in sorted(gen_names):
-            if name in guarded or name in skipped:
-                continue
-            fact = ring.declared_factorizations.get(f"1*{name}")
-            if fact is None:
-                continue
-            support = set()
-            for f, _e in fact.factors:
-                support |= f.support()
-            if not support <= gen_names:
-                continue
-            rhs = ring.normal_form(fact.expand())
-            try:
-                ring = ring.with_data(
-                    rules=tuple(ring.rules) + (RewriteRule(Monomial.gen(name), rhs),)
-                )
-            except InputDataError:
-                # not orientable under the current grading or term order;
-                # the declaration stays available as factorization data
-                skipped.add(name)
-                continue
-            changed = True
-            break
+    gen_names = set(ring.gen_degrees)
+    guarded = {n for r in ring.rules for n in _rule_shape(r) if n is not None}
+    for name in sorted(gen_names):
+        fact = ring.declared_factorizations.get(f"1*{name}")
+        if name in guarded or fact is None:
+            continue
+        if not set().union(*(f.support() for f, _e in fact.factors)) <= gen_names:
+            continue
+        rule = RewriteRule(Monomial.gen(name), ring.normal_form(fact.expand()))
+        try:
+            ring = ring.with_data(rules=ring.rules + (rule,))
+        except InputDataError:
+            # not orientable under the current grading or term order;
+            # the declaration stays available as factorization data
+            continue
+        guarded.update(n for n in _rule_shape(rule) if n is not None)
     return ring
 
 
@@ -137,13 +133,8 @@ def canonical_stack(cox_ring: GradedRing,
     for g in irrelevant:
         if not cox_ring.is_homogeneous(cox_ring.normal_form(g)):
             raise InputDataError(f"irrelevant generator {g.key()} is not homogeneous")
-    coarse = CoarseData(
-        cox_ring,
-        cox_ring.grading_group,
-        irrelevant,
-        GroupHomomorphism.identity(cox_ring.grading_group),
-    )
-    return MdStackData(cox_ring, cox_ring.grading_group, irrelevant, (), coarse)
+    coarse = CoarseData(cox_ring, irrelevant, GroupHomomorphism.identity(cox_ring.grading_group))
+    return MdStackData(cox_ring, irrelevant, (), coarse)
 
 
 def fresh_root_name(used) -> str:
@@ -159,7 +150,7 @@ def _extend_stack(S: MdStackData, ring: GradedRing, incl: GroupHomomorphism,
     """S with its ring replaced by one graded by the larger group, the step
     logged, and the coarse inclusion composed with incl : S.pic -> new pic."""
     coarse = S.coarse and replace(S.coarse, inclusion=incl.compose(S.coarse.inclusion))
-    return MdStackData(ring, ring.grading_group, S.irrelevant_gens, S.tower + (step,), coarse)
+    return MdStackData(ring, S.irrelevant_gens, S.tower + (step,), coarse)
 
 
 def _adjoin_roots(S: MdStackData, roots: Sequence[DivisorRootInfo],
@@ -168,26 +159,19 @@ def _adjoin_roots(S: MdStackData, roots: Sequence[DivisorRootInfo],
     """Adjoin one generator z per root, of degree deltas[i] in new_group.
 
     The old generators are regraded through incl : S.pic -> new_group.
-    Each root adds the rule z^n -> section and the declared factorization
-    section = z^n, after which declared factorizations of single
+    Each root adds the rule z^n -> section, from which the ring reads the
+    factorization section = z^n; then declared factorizations of single
     generators that became expressible are matured into rules.
     """
     ring = S.cox_ring
     gens = [(name, incl(d)) for name, d in ring.generators]
     rules = list(ring.rules)
-    declared = dict(ring.declared_factorizations)
-    one = CycScalar.one(ring.scalar_order)
     for info, delta in zip(roots, deltas):
         if info.name in dict(gens):
             raise InputDataError(f"generator name {info.name!r} already in use")
         gens.append((info.name, delta))
         rules.append(RewriteRule(Monomial.gen(info.name, info.order), info.section))
-        z_el = HomogeneousElement.monomial(ring.scalar_order, Monomial.gen(info.name))
-        declared[info.section.key()] = Factorization(one, ((z_el, info.order),))
-    new_ring = GradedRing(
-        gens, new_group, ring.scalar_order, rules,
-        ring.irreducibles, declared, ring.step_cap,
-    )
+    new_ring = ring.with_data(generators=gens, grading_group=new_group, rules=rules)
     return _extend_stack(S, _mature_declared_rules(new_ring), incl, step)
 
 
@@ -290,21 +274,9 @@ def replay_tower(base: MdStackData, tower: Sequence[RootStep]) -> MdStackData:
 def effective_generators(ring: GradedRing) -> list:
     """Generators not eliminated by a rule whose right side is another generator
     (or a plain monomial in other generators) of the ring."""
-    eliminable = set()
-    for r in ring.rules:
-        if len(r.lhs.pairs) == 1 and r.lhs.pairs[0][1] == 1:
-            # alias rule g -> element eliminates g itself
-            eliminable.add(r.lhs.pairs[0][0])
-            continue
-        if len(r.rhs.terms) == 1:
-            c, m = r.rhs.terms[0]
-            if (
-                c == CycScalar.one(ring.scalar_order)
-                and len(m.pairs) == 1
-                and m.pairs[0][1] == 1
-            ):
-                # z^n -> g exhibits g as a power of z
-                eliminable.add(m.pairs[0][0])
+    # an alias rule g -> element eliminates g itself; otherwise z^n -> g
+    # exhibits g as a power of z
+    eliminable = {alias or plain for alias, plain in map(_rule_shape, ring.rules)}
     return [n for n, _ in ring.generators if n not in eliminable]
 
 

@@ -300,18 +300,10 @@ def _ring(block, group: FgAbelianGroup, order: CycOrder, step_cap: int) -> Grade
     gens = [(g["name"], group.element(g["degree"])) for g in block["generators"]]
     rules = [RewriteRule(Monomial(r["lhs"]), _element(r["rhs"], order))
              for r in block["relations"]]
-    # a root rule z^n -> c*s factors s as c^-1 * z^n, as a root built by
-    # root_divisor declares it
-    declared = {}
     for rule in rules:
         if not rule.rhs.support():
             raise InputDataError(f"rewrite rule {rule.key()} makes a generator zero or a unit")
-        if len(rule.lhs.pairs) == 1 and rule.lhs.pairs[0][1] > 1:
-            (name, n), = rule.lhs.pairs
-            c, _ = rule.rhs.leading()
-            z = HomogeneousElement.monomial(order, Monomial.gen(name))
-            declared[rule.rhs.scale(c.inverse()).key()] = Factorization(c.inverse(), ((z, n),))
-    return GradedRing(gens, group, order, rules, block["irreducibles"], declared, step_cap)
+    return GradedRing(gens, group, order, rules, block["irreducibles"], step_cap=step_cap)
 
 
 def _global_order(doc, target_cl, pic_gens) -> CycOrder:
@@ -362,8 +354,7 @@ def _parse_declared(entries, ring: GradedRing, order: CycOrder):
                 f"declared factorization of {element.key()} fails verification: {diag}"
             )
         declared[element.key()] = fact
-    return ring.with_data(declared_factorizations={**ring.declared_factorizations,
-                                                   **declared}), tuple(pins)
+    return ring.with_data(declared_factorizations=declared), tuple(pins)
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +423,9 @@ def parse_decompose(data) -> DecomposeSpec:
                                         _ring(sblock, pic, order, step_cap), order)
     coarse_ring = _ring(cblock, coarse_group, order, step_cap)
     incl = GroupHomomorphism(coarse_group, pic, pic_gens)
-    coarse = CoarseData(coarse_ring, coarse_group,
-                        tuple(_element(e, order) for e in cblock["irrelevant"]), incl)
-    stack = MdStackData(stack_ring, pic,
-                        tuple(_element(e, order) for e in sblock["irrelevant"]), (), coarse)
+    coarse = CoarseData(coarse_ring, tuple(_element(e, order) for e in cblock["irrelevant"]), incl)
+    stack = MdStackData(stack_ring, tuple(_element(e, order) for e in sblock["irrelevant"]),
+                        (), coarse)
     options = LiftOptions(spotcheck_bound=doc["options"]["spotcheck_bound"])
     return DecomposeSpec(doc["name"], order, stack, options)
 

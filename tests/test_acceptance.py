@@ -16,7 +16,6 @@ from coxlift.lift import (
     CoxLiftResult,
     NoFactor,
     Theta,
-    VerificationReport,
     check_factors_through,
     decompose_as_roots,
     run_cox_lift,
@@ -73,8 +72,7 @@ def test_criterion_2_origin_golden_and_minimality():
     point = CoxLiftResult(
         target=spec.target, base=spec.base, source_stack=spec.source_stack,
         stack=spec.source_stack, images={"x": zero, "y": zero},
-        group_map=zero_hom, table=dict(spec.base.images), steps=(),
-        verification=VerificationReport(()),
+        group_map=zero_hom, table=dict(spec.base.images),
     )
     assert verify_lift(spec.target, spec.source_stack, spec.base, point).passed
     out = check_factors_through(point, res)
@@ -145,7 +143,7 @@ def test_criterion_5_unique_factorization_property_suite():
         victim = rng.choice(names)
         n = rng.choice([2, 3])
         section = ring.gen(victim)
-        assert ring.is_h_irreducible(section)
+        assert [e for _f, e in ring.h_factorize(section).factors] == [1]
         rooted = root_divisor(stack, section, n)
         ok, ce = graded_factorial_spotcheck(rooted, 4)
         assert ok, f"trial {trial}: unexpected clash {ce}"

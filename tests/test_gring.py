@@ -133,22 +133,42 @@ def test_h_factorize_examples():
     R = GradedRing([("t", cl0.zero())], cl0, N2)
     fact = R.h_factorize(R.gen("t"))
     assert fact.unit == CycScalar.one(N2)
-    assert fact.factor_keys() == [("1*t", 1)]
+    assert [(f.key(), e) for f, e in fact.factors] == [("1*t", 1)]
 
     R3 = ring_mu3_rooted()
     fu = R3.h_factorize(R3.gen("u"))
-    assert fu.factor_keys() == [("1*u", 1)]
+    assert [(f.key(), e) for f, e in fu.factors] == [("1*z1", 3)]
 
     Rxy = ring_kxy_z2()
     f = Rxy.h_factorize(Rxy.mono({"x": 2, "y": 1}, CycScalar.from_rational(N2, 3)))
     assert f.unit == CycScalar.from_rational(N2, 3)
-    assert f.factor_keys() == [("1*x", 2), ("1*y", 1)]
+    assert [(g.key(), e) for g, e in f.factors] == [("1*x", 2), ("1*y", 1)]
 
 
 def test_h_factorize_through_declared_root_data():
     R = ring_kt_with_root()
     fact = R.h_factorize(R.gen("t"))
-    assert fact.factor_keys() == [("1*z", 2)]
+    assert [(f.key(), e) for f, e in fact.factors] == [("1*z", 2)]
+
+
+def test_root_rules_factor_their_sections_unless_declared_otherwise():
+    # z^2 -> 3*t gives t = 1/3 * z^2; a declaration of t takes precedence
+    cl0 = FgAbelianGroup(0, [])
+    gens = [(n, cl0.zero()) for n in ("t", "y", "z")]
+    tmp = GradedRing(gens, cl0, N2)
+    rules = [RewriteRule(Monomial.gen("z", 2), tmp.gen("t").scale(CycScalar.from_rational(N2, 3)))]
+    R = GradedRing(gens, cl0, N2, rules=rules)
+    fact = R.h_factorize(R.gen("t"))
+    assert fact.unit == CycScalar.from_rational(N2, Fraction(1, 3))
+    assert [(f.key(), e) for f, e in fact.factors] == [("1*z", 2)]
+
+    minus_y2 = Factorization(CycScalar.from_rational(N2, -1), ((tmp.gen("y"), 2),))
+    R = GradedRing(gens, cl0, N2, rules=rules, declared_factorizations={"1*t": minus_y2})
+    fact = R.h_factorize(R.gen("t"))
+    assert fact.unit == CycScalar.from_rational(N2, -1)
+    assert [(f.key(), e) for f, e in fact.factors] == [("1*y", 2)]
+    # a ring built from it keeps the declaration and re-reads the rules
+    assert R.with_data(rules=()).declared_factorizations == {"1*t": minus_y2}
 
 
 def test_h_factorize_univariate_rational_roots():
@@ -536,3 +556,71 @@ def test_h_factorize_finds_roots_below_the_budget():
     fact = R.h_factorize(linear[0] * linear[1])
     assert sorted(f.key() for f, k in fact.factors) == sorted(f.key() for f in linear)
     assert fact.unit == CycScalar.one(N2)
+
+
+# -- factoring over Q against sympy ----------------------------------------------
+
+
+@st.composite
+def rational_products(draw):
+    """(unit, k, linear roots with multiplicities, quadratic or None): the
+    polynomial unit * t^k * prod (t - r)^m [* (t^2 + b t + c)] over Q(zeta_3),
+    of degree at most 8, with the unit a rational times a power of zeta_3."""
+    unit = (draw(st.fractions(-5, 5, max_denominator=3).filter(bool)),
+            draw(st.integers(0, 2)))
+    k = draw(st.integers(0, 3))
+    quad = draw(st.none() | st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(
+        lambda bc: bc[1] and not sympy.sqrt(bc[0] ** 2 - 4 * bc[1]).is_rational))
+    budget = 8 - k - (2 if quad else 0)
+    roots = []
+    for r, m in draw(st.lists(st.tuples(
+            st.fractions(-6, 6, max_denominator=4).filter(bool), st.integers(1, 3)),
+            max_size=4)):
+        if m <= budget:
+            roots.append((r, m))
+            budget -= m
+    return unit, k, roots, quad
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(rational_products())
+def test_h_factorize_matches_sympy_over_q(case):
+    (q, j), k, roots, quad = case
+    cl0 = FgAbelianGroup(0, [])
+    R = GradedRing([("t", cl0.zero())], cl0, N3)
+    t = R.gen("t")
+    zeta_j = CycScalar.zeta(N3, j)
+    e = R.const(CycScalar.from_rational(N3, q) * zeta_j) * t ** k
+    for r, m in roots:
+        e = e * (t - R.const(CycScalar.from_rational(N3, r))) ** m
+    if quad:
+        b, c = quad
+        e = e * (t ** 2 + t.scale(CycScalar.from_rational(N3, b))
+                 + R.const(CycScalar.from_rational(N3, c)))
+        with pytest.raises(FactorizationOracleRequired):
+            R.h_factorize(e)
+        return
+
+    # sympy factors the expanded polynomial divided by zeta^j, which is rational
+    x = sympy.Symbol("t")
+    unscaled = {(m.total_degree(),): (c * zeta_j.inverse()).rational_value()
+                for c, m in e.terms}
+    poly = sympy.Poly.from_dict({d: sympy.Rational(v.numerator, v.denominator)
+                                 for d, v in unscaled.items()}, x, domain="QQ")
+    content, sym_factors = poly.factor_list()
+    want = []
+    for f, mult in sym_factors:
+        content *= f.LC() ** mult
+        want.append((tuple(Fraction(int(a.p), int(a.q)) for a in reversed(f.monic().all_coeffs())),
+                     mult))
+    unit = CycScalar.from_rational(N3, Fraction(int(content.p), int(content.q))) * zeta_j
+
+    fact = R.h_factorize(e)
+    got = []
+    for f, mult in fact.factors:
+        coeffs = [Fraction(0)] * (max(m.total_degree() for _, m in f.terms) + 1)
+        for c, m in f.terms:
+            coeffs[m.total_degree()] = c.rational_value()
+        got.append((tuple(coeffs), mult))
+    assert fact.unit == unit
+    assert sorted(got) == sorted(want)

@@ -26,7 +26,6 @@ from coxlift.lift import (
     NoFactor,
     TargetData,
     Theta,
-    VerificationReport,
     check_factors_through,
     choose_extension_class,
     coset_generators,
@@ -308,12 +307,12 @@ def test_verify_lift_flags_tampered_degree():
     fake = CoxLiftResult(
         target=res.target, base=res.base, source_stack=res.source_stack,
         stack=res.stack, images=tampered, group_map=res.group_map,
-        table=res.table, steps=res.steps, verification=VerificationReport(()),
+        table=res.table, steps=res.steps,
     )
     report = verify_lift(spec.target, spec.source_stack, spec.base, fake)
-    failing = [c.name for c in report.failures()]
-    assert "homogeneity" in failing
-    assert "x" in [c for c in report.failures() if c.name == "homogeneity"][0].detail
+    failures = [c for c in report.checks if not c.passed]
+    assert "homogeneity" in [c.name for c in failures]
+    assert "x" in [c for c in failures if c.name == "homogeneity"][0].detail
 
 
 def test_verify_lift_flags_wrong_unit_choice():
@@ -330,11 +329,11 @@ def test_verify_lift_flags_wrong_unit_choice():
     fake = CoxLiftResult(
         target=res.target, base=res.base, source_stack=res.source_stack,
         stack=res.stack, images=tampered, group_map=res.group_map,
-        table=res.table, steps=res.steps, verification=VerificationReport(()),
+        table=res.table, steps=res.steps,
     )
     report = verify_lift(spec.target, spec.source_stack, spec.base, fake)
     assert not report.passed
-    assert "restriction" in [c.name for c in report.failures()]
+    assert "restriction" in [c.name for c in report.checks if not c.passed]
 
 
 def test_mutated_base_unit_aborts_with_diagnostic():
@@ -591,8 +590,7 @@ def point_lift_for(spec):
         target=spec.target, base=spec.base, source_stack=spec.source_stack,
         stack=spec.source_stack,
         images={n: zero for n, _ in spec.target.ring.generators},
-        group_map=zero_hom, table=dict(spec.base.images), steps=(),
-        verification=VerificationReport(()),
+        group_map=zero_hom, table=dict(spec.base.images),
     )
 
 
@@ -623,7 +621,7 @@ def test_factors_through_deeper_root():
     cand = CoxLiftResult(
         target=spec.target, base=spec.base, source_stack=source, stack=cand_stack,
         images={"x": w2, "y": HomogeneousElement.zero()},
-        group_map=psi, table={}, steps=(), verification=VerificationReport(()),
+        group_map=psi,
     )
     assert verify_lift(spec.target, source, spec.base, cand).passed
     out = check_factors_through(res, cand)
@@ -651,7 +649,7 @@ def test_factors_through_extra_root_candidate():
         stack=extra_stack,
         images=res.images,
         group_map=incl.compose(res.group_map),
-        table=res.table, steps=(), verification=VerificationReport(()),
+        table=res.table,
     )
     assert verify_lift(spec.target, spec.source_stack, spec.base, cand).passed
     assert isinstance(check_factors_through(res, cand), Theta)
@@ -728,6 +726,20 @@ def test_decomposition_factors_through_its_input_read_without_a_tower():
     # isomorphic, whatever the reconstruction check says of them
     assert isinstance(check_factors_through(res, stack_as_lift(res, stack)), Theta)
     assert isinstance(check_factors_through(stack_as_lift(res, stack), res), Theta)
+
+
+def test_decomposition_factors_through_its_input_built_by_hand():
+    """T2g3s#5 again, its final ring rebuilt with GradedRing alone: the
+    rules z^n -> s factor the sections without any declaration."""
+    stack = _tower_over_affine_space(2, [
+        ("divisor", "x1", 5, "r1"), ("divisor", "x0", 5, "r2"), ("divisor", "r2", 3, "r3"),
+    ])
+    ring = stack.cox_ring
+    hand = GradedRing(ring.generators, ring.grading_group, ring.scalar_order, ring.rules,
+                      ring.irreducibles)
+    res = decompose_as_roots(stack)
+    theta = check_factors_through(res, stack_as_lift(res, replace(stack, cox_ring=hand, tower=())))
+    assert isinstance(theta, Theta), theta
 
 
 def test_bundled_decomposition_factors_through_its_parsed_input():

@@ -3,7 +3,7 @@ import pytest
 from coxlift.abgroup import FgAbelianGroup
 from coxlift.cyclo import CycOrder, CycScalar
 from coxlift.errors import InputDataError
-from coxlift.gring import GradedRing, HomogeneousElement, Monomial, RewriteRule
+from coxlift.gring import Factorization, GradedRing, HomogeneousElement, Monomial, RewriteRule
 from coxlift.mdstack import (
     canonical_stack,
     effective_generators,
@@ -143,7 +143,8 @@ def test_tower_replay_reproduces_stack():
     S = root_line_bundle(S, S.pic.element([0, 1]), 2)
     R = replay_tower(S0, S.tower)
     assert R.pic.relations == S.pic.relations
-    assert R.cox_ring.serialize_key() == S.cox_ring.serialize_key()
+    assert ([(n, d.coords) for n, d in R.cox_ring.generators]
+            == [(n, d.coords) for n, d in S.cox_ring.generators])
     assert [r.key() for r in R.cox_ring.rules] == [r.key() for r in S.cox_ring.rules]
     assert R.tower == S.tower
 
@@ -154,3 +155,15 @@ def test_chained_roots_give_z6():
     S = root_divisor(S, S.cox_ring.gen("z1"), 3, "z2")
     assert S.pic.describe() == "Z/6"
     assert effective_generators(S.cox_ring) == ["z2"]
+
+
+def test_maturing_guards_the_names_of_each_rule_it_adds():
+    # a = h matures to a -> h, which shows h as a generator, so h = x stays
+    # a declaration and h is not eliminated as well
+    cl = FgAbelianGroup(0, [])
+    tmp = GradedRing([(n, cl.zero()) for n in "ahx"], cl, N2)
+    one = CycScalar.one(N2)
+    declared = {"1*a": Factorization(one, ((tmp.gen("h"), 1),)),
+                "1*h": Factorization(one, ((tmp.gen("x"), 1),))}
+    S = canonical_stack(tmp.with_data(declared_factorizations=declared))
+    assert [r.key() for r in S.cox_ring.rules] == ["a -> 1*h"]
