@@ -20,9 +20,12 @@ three ``check_factors_through`` outcomes (``Theta``, ``NoFactor``,
 A stack is read as a lift by ``tests/helpers.stack_as_lift``: identity
 images and the identity on Pic.
 The summary gives the status counts, the slowest tower that finishes,
-the count of each factoring outcome over the towers that finish, and the
-slowest factoring call.  The checkout's own ``src`` is imported, so the script measures the
-commit it sits in.
+the count of each factoring outcome over the towers that finish, the
+slowest factoring call, and one SHA-256 over the rows in sweep order, each
+row ``name status digest-or-"-" parsed=... to_nat=... from_nat=...``
+without the seconds, joined by newlines; two checkouts sweep alike iff
+their rows digests agree.  The checkout's own ``src`` is imported, so the
+script measures the commit it sits in.
 """
 
 from __future__ import annotations
@@ -76,6 +79,13 @@ def sweep_one(ngens, nsteps, seed):
     return row
 
 
+def row_text(row) -> str:
+    """The row as the rows digest reads it: everything but the seconds."""
+    checks = row.get("checks", {})
+    return " ".join([row["name"], row["status"], row.get("sha256", "-")]
+                    + [f"{k}={v[0]}" for k, v in checks.items()])
+
+
 def main() -> int:
     signal.signal(signal.SIGALRM, _on_alarm)
     rows = []
@@ -102,6 +112,8 @@ def main() -> int:
     if calls:
         secs, name, key = max(calls)
         print(f"slowest check_factors_through: {name} {key} {secs:.3f}s")
+    digest = hashlib.sha256("\n".join(map(row_text, rows)).encode()).hexdigest()
+    print("rows sha256:", digest)
     return 0
 
 

@@ -45,11 +45,11 @@ from .gring import GradedRing, HomogeneousElement, Monomial
 from .mdstack import (
     DivisorRootInfo,
     MdStackData,
-    apply_divisor_batch,
+    RootStep,
     canonical_stack,
+    extend,
     fresh_root_name,
     graded_factorial_spotcheck,
-    replay_tower,
     root_divisor,
     root_line_bundle,
 )
@@ -743,7 +743,7 @@ class _Engine:
         # --- pushout attempt
         seq_stack = self.stack
         for l, name in names.items():
-            seq_stack = root_divisor(seq_stack, qlist[l], p, name, check_irreducible=True)
+            seq_stack = root_divisor(seq_stack, qlist[l], p, name)
         G_seq = seq_stack.pic
         # each pushout only appends a coordinate, so their composite is one inclusion
         incl = coordinate_inclusion(pic, G_seq)
@@ -779,17 +779,12 @@ class _Engine:
                 row[n_old + pos] = -a[l][j]
             row[n_old + R] = coset[j][2]
             rows.append(row)
-        infos = [DivisorRootInfo(qlist[l], p, name) for l, name in names.items()]
+        infos = tuple(DivisorRootInfo(qlist[l], p, name) for l, name in names.items())
         # irreducibility was certified during the pushout attempt above
-        new_stack = apply_divisor_batch(self.stack, infos, rows)
+        new_stack = extend(self.stack, RootStep(kind="divisor_batch", roots=infos,
+                                                group_relations=tuple(map(tuple, rows))))
         G_new = new_stack.pic
         incl = coordinate_inclusion(pic, G_new)
-        for krow in Subgroup(G_new, incl.images).relations():
-            if not pic.element(krow).is_zero():
-                raise LiftInconsistencyError(
-                    "inconsistent degree data: the grading extension collapses "
-                    "existing degrees"
-                )
         delta = G_new.basis_element(n_old + R)
         return new_stack, incl, delta, "universal"
 
@@ -963,15 +958,17 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
     """Build the factoring map Theta from the result's stack to the candidate's.
 
     Reads only the two stacks and lift maps, never the step records, so a
-    result rebuilt from its document factors too.  Replays the result
-    tower: each rooted divisor needs an n-th root of the transported section
-    in the candidate ring.  In a factorially graded ring that root is unique
-    up to a unit, so it is read off the section's h-factorization (its unit
-    freedom solved lexicographically), and it fixes the group image of its
-    generator's slot.
+    result rebuilt from its document factors too.  Walks the result's
+    tower: each rooted divisor needs an n-th root of its section, as the
+    tower records it, transported to the candidate ring.  In a factorially
+    graded ring that root is unique up to a unit, so it is read off the
+    section's h-factorization (its unit freedom solved lexicographically),
+    and it fixes the group image of its generator's slot.
     Every other new slot s is a rooted class, sent to psi(D) for any D
     with phi(D) = e_s, where phi and psi are the two lifts' group maps;
     the final check theta o phi = psi makes the choice of D immaterial.
+    The grading map is checked once, over the whole Pic, and every result
+    rule, each root's z^n -> s included, must hold in the candidate.
     Returns a Theta on success and a NoFactor with the obstruction
     otherwise.
     """
@@ -1017,9 +1014,8 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
         acc = sum((part.element.scale(part.const) for part in parts), HomogeneousElement.zero())
         return _SymTerm(CycScalar.one(cand_ring.scalar_order), (0,) * nvars_total, acc)
 
-    # group map, extended slot by slot while replaying the result tower
+    # group map, extended slot by slot along the result tower
     theta_group_images: List[GroupElement] = list(cand_base.inclusion.images)
-    res_stage = canonical_stack(res_base.ring, res_base.irrelevant)
     equations: List[Tuple[Tuple[int, ...], int]] = []  # rows over unit vars mod N
     var_cursor = 0
     psi = candidate.group_map
@@ -1028,7 +1024,7 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
     def process_root(info, step_idx):
         nonlocal var_cursor
         key = info.section.key()
-        target_sym = theta_sym(res_stage.cox_ring.normal_form(info.section))
+        target_sym = theta_sym(info.section)
         if target_sym is None:
             return NoFactor(f"cannot transport section {key} (unsupported shape)", step_idx)
         section = cand_ring.normal_form(target_sym.element)
@@ -1067,24 +1063,21 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
         var_cursor += 1
         return None
 
+    rank = res_base.group.ambient_rank
     for step_idx, entry in enumerate(result.stack.tower):
+        rank += entry.new_slots
         for info in entry.roots:
             fail = process_root(info, step_idx)
             if fail is not None:
                 return fail
-        res_stage = replay_tower(res_stage, (entry,))
         # every other new slot s is a rooted class: theta(e_s) = psi(D) for
         # any D with phi(D) = e_s, where phi is the result's group map
-        for slot in range(len(theta_group_images), res_stage.pic.ambient_rank):
+        for slot in range(len(theta_group_images), rank):
             D = phi_image.express(result.stack.pic.basis_element(slot))
             if D is None:
                 return NoFactor(f"class slot {slot} is not in the image of the lift's "
                                 "group map", step_idx)
             theta_group_images.append(psi(result.target.cl.element(D)))
-        try:
-            GroupHomomorphism(res_stage.pic, cand_pic, list(theta_group_images))
-        except InputDataError as exc:
-            return NoFactor(f"grading map does not extend: {exc}", step_idx)
 
     # generator-image compatibility pins the unit variables
     for name, _deg in result.target.ring.generators:

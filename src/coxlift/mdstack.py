@@ -1,16 +1,19 @@
 """Stack data: a graded Cox ring, its Picard-type grading group, the
 irrelevant-ideal generators, and a log of root constructions.
 
-Pure transformations build new stacks from old: rooting a prime divisor
-(adjoin z with z^n = s and push the grading group out by an n-th root of
-the class of s), rooting several divisors over an explicitly presented
-group extension, and rooting a line bundle (grading group only).  A tower
-log records every step so a stack can be replayed from its base.
+A stack grows only through ``extend``, which applies one tower step:
+rooting a prime divisor (adjoin z with z^n = s and push the grading group
+out by an n-th root of the class of s), rooting several divisors over an
+explicitly presented group extension, or rooting a line bundle (grading
+group only).  ``root_divisor`` and ``root_line_bundle`` validate their
+input and build the step; ``replay_tower`` folds ``extend`` over a tower
+log, which records every step so a stack can be replayed from its base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence, Tuple
 
@@ -18,6 +21,7 @@ from .abgroup import (
     FgAbelianGroup,
     GroupElement,
     GroupHomomorphism,
+    Subgroup,
     coordinate_inclusion,
     pushout_root,
 )
@@ -53,6 +57,11 @@ class RootStep:
     bundle_class: Tuple[int, ...] = ()
     order: int = 0
     group_relations: Tuple[Tuple[int, ...], ...] = ()
+
+    @property
+    def new_slots(self) -> int:
+        """How many ambient coordinates the step appends to the grading group."""
+        return len(self.roots) + 1 if self.kind == "divisor_batch" else 1
 
 
 @dataclass(frozen=True)
@@ -145,130 +154,103 @@ def fresh_root_name(used) -> str:
     return f"z{i}"
 
 
-def _extend_stack(S: MdStackData, ring: GradedRing, incl: GroupHomomorphism,
-                  step: RootStep) -> MdStackData:
-    """S with its ring replaced by one graded by the larger group, the step
-    logged, and the coarse inclusion composed with incl : S.pic -> new pic."""
-    coarse = S.coarse and replace(S.coarse, inclusion=incl.compose(S.coarse.inclusion))
-    return MdStackData(ring, S.irrelevant_gens, S.tower + (step,), coarse)
+def extend(S: MdStackData, step: RootStep) -> MdStackData:
+    """S grown by one tower step: the only constructor of a stack's tower.
 
-
-def _adjoin_roots(S: MdStackData, roots: Sequence[DivisorRootInfo],
-                  new_group: FgAbelianGroup, incl: GroupHomomorphism,
-                  deltas: Sequence[GroupElement], step: RootStep) -> MdStackData:
-    """Adjoin one generator z per root, of degree deltas[i] in new_group.
-
-    The old generators are regraded through incl : S.pic -> new_group.
-    Each root adds the rule z^n -> section, from which the ring reads the
-    factorization section = z^n; then declared factorizations of single
-    generators that became expressible are matured into rules.
+    The grading group is pushed out by an n-th root of one class (the
+    section's degree for "divisor", the given class for "line_bundle"), or
+    presented by the step's relation rows over pic's ambient generators,
+    one slot per root and the rooted class ("divisor_batch"); the batch
+    rows must not identify classes of pic.  Each root z is adjoined in its
+    new slot with the rule z^n -> section, its section normalized at this
+    stage, and declared factorizations that became expressible mature into
+    rules.  The step is logged and the coarse inclusion composed.
     """
     ring = S.cox_ring
+    roots = []
+    for info in step.roots:
+        if info.order < 1:
+            raise InputDataError("root order must be positive")
+        section = ring.normal_form(info.section)
+        if section.is_zero():
+            raise InputDataError("cannot root the zero section")
+        roots.append(replace(info, section=section))
+    step = replace(step, roots=tuple(roots))
+    n_old = S.pic.ambient_rank
+    if step.kind == "divisor_batch":
+        width = n_old + len(roots) + 1
+        if any(len(row) != width for row in step.group_relations):
+            raise InputDataError("batch relation row has the wrong length")
+        rows = [list(r) + [0] * (width - n_old) for r in S.pic.relations.entries]
+        new_group = FgAbelianGroup(width, rows + list(map(list, step.group_relations)))
+        incl = coordinate_inclusion(S.pic, new_group)
+        if any(not S.pic.element(k).is_zero()
+               for k in Subgroup(new_group, incl.images).relations()):
+            raise InputDataError("batch relations collapse existing degrees")
+    elif step.kind == "divisor":
+        (info,) = roots
+        new_group, incl, _delta = pushout_root(S.pic, ring.degree_of(info.section), info.order)
+    elif step.kind == "line_bundle":
+        new_group, incl, _delta = pushout_root(S.pic, S.pic.element(step.bundle_class),
+                                               step.order)
+    else:
+        raise InputDataError(f"unknown tower step kind {step.kind!r}")
     gens = [(name, incl(d)) for name, d in ring.generators]
     rules = list(ring.rules)
-    for info, delta in zip(roots, deltas):
+    for slot, info in enumerate(roots, n_old):
         if info.name in dict(gens):
             raise InputDataError(f"generator name {info.name!r} already in use")
-        gens.append((info.name, delta))
+        gens.append((info.name, new_group.basis_element(slot)))
         rules.append(RewriteRule(Monomial.gen(info.name, info.order), info.section))
     new_ring = ring.with_data(generators=gens, grading_group=new_group, rules=rules)
-    return _extend_stack(S, _mature_declared_rules(new_ring), incl, step)
+    if roots:
+        new_ring = _mature_declared_rules(new_ring)
+    coarse = S.coarse and replace(S.coarse, inclusion=incl.compose(S.coarse.inclusion))
+    return MdStackData(new_ring, S.irrelevant_gens, S.tower + (step,), coarse)
 
 
 def root_divisor(S: MdStackData, s: HomogeneousElement, n: int,
-                 zname: Optional[str] = None, check_irreducible: bool = True) -> MdStackData:
-    """Adjoin an n-th root of the section s along its (prime) divisor.
+                 zname: Optional[str] = None) -> MdStackData:
+    """Adjoin an n-th root of the section s along its prime divisor.
 
-    The ring gains a generator z with rule z^n -> s; the grading group is
-    pushed out by an n-th root of the class of s.  By default the section
-    must be h-irreducible: rooting a reducible divisor destroys unique
-    homogeneous factorization (z^n = s1*s2 against z*...*z).
+    The validating front door to ``extend``: s is taken monic in normal
+    form and must be h-irreducible, since rooting a reducible divisor
+    destroys unique homogeneous factorization (z^n = s1*s2 against
+    z*...*z).  The ring gains a generator z with rule z^n -> s; the
+    grading group is pushed out by an n-th root of the class of s.
     """
     ring = S.cox_ring
-    if n < 1:
-        raise InputDataError("root order must be positive")
     s = ring.normal_form(s)
     if s.is_zero():
         raise InputDataError("cannot root the zero section")
     lead_c, _ = s.leading()
     s = s.scale(lead_c.inverse())
-    if check_irreducible:
-        try:
-            fact = ring.h_factorize(s)
-        except FactorizationOracleRequired:
-            raise InputDataError(
-                f"cannot certify section {s.key()} as h-irreducible; declare its factorization"
-            )
-        if len(fact.factors) != 1 or fact.factors[0][1] != 1:
-            raise InputDataError(
-                f"root along non-prime divisor breaks graded factoriality: "
-                f"{s.key()} factors as {[(f.key(), e) for f, e in fact.factors]}"
-            )
+    try:
+        fact = ring.h_factorize(s)
+    except FactorizationOracleRequired:
+        raise InputDataError(
+            f"cannot certify section {s.key()} as h-irreducible; declare its factorization"
+        )
+    if len(fact.factors) != 1 or fact.factors[0][1] != 1:
+        raise InputDataError(
+            f"root along non-prime divisor breaks graded factoriality: "
+            f"{s.key()} factors as {[(f.key(), e) for f, e in fact.factors]}"
+        )
     if zname is None:
         zname = fresh_root_name(ring.gen_degrees)
-    new_group, incl, delta = pushout_root(S.pic, ring.degree_of(s), n)
-    info = DivisorRootInfo(s, n, zname)
-    return _adjoin_roots(S, (info,), new_group, incl, (delta,),
-                         RootStep(kind="divisor", roots=(info,)))
+    return extend(S, RootStep(kind="divisor", roots=(DivisorRootInfo(s, n, zname),)))
 
 
 def root_line_bundle(S: MdStackData, a: GroupElement, n: int) -> MdStackData:
     """Adjoin an n-th root of the class a; the ring's term data is untouched."""
-    if n < 1:
-        raise InputDataError("root order must be positive")
-    new_group, incl, _delta = pushout_root(S.pic, a, n)
-    new_ring = S.cox_ring.with_data(
-        generators=[(name, incl(d)) for name, d in S.cox_ring.generators],
-        grading_group=new_group,
-    )
-    step = RootStep(kind="line_bundle", bundle_class=tuple(a.coords), order=n)
-    return _extend_stack(S, new_ring, incl, step)
-
-
-def apply_divisor_batch(S: MdStackData, roots: Sequence[DivisorRootInfo],
-                        relations: Sequence[Sequence[int]]) -> MdStackData:
-    """Root several divisors at once with an explicit grading extension.
-
-    The new group is presented on pic's ambient generators plus one slot
-    per rooted divisor plus one trailing slot for the class being rooted;
-    the caller supplies all relation rows beyond pic's own.  Used by the
-    lift engine when the per-divisor pushouts admit no compatible degree
-    map; coming from that engine the rows always contain b_l*e_l = [q_l].
-    """
-    n_old = S.pic.ambient_rank
-    m = len(roots)
-    rows = [list(r) + [0] * (m + 1) for r in S.pic.relations.entries]
-    for row in relations:
-        if len(row) != n_old + m + 1:
-            raise InputDataError("batch relation row has the wrong length")
-        rows.append(list(row))
-    new_group = FgAbelianGroup(n_old + m + 1, rows)
-    # the inclusion must stay injective, else the input degrees were inconsistent
-    incl = coordinate_inclusion(S.pic, new_group)
-    deltas = [new_group.basis_element(n_old + idx) for idx in range(m)]
-    step = RootStep(
-        kind="divisor_batch",
-        roots=tuple(roots),
-        group_relations=tuple(tuple(int(x) for x in row) for row in relations),
-    )
-    return _adjoin_roots(S, roots, new_group, incl, deltas, step)
+    if not a.group.same_presentation(S.pic):
+        raise InputDataError("root class must lie in the given group")
+    return extend(S, RootStep(kind="line_bundle", bundle_class=tuple(a.coords), order=n))
 
 
 def replay_tower(base: MdStackData, tower: Sequence[RootStep]) -> MdStackData:
     """Rebuild a stack by replaying a tower over its base stack."""
-    cur = base
-    for step in tower:
-        if step.kind == "divisor":
-            (info,) = step.roots
-            cur = root_divisor(cur, info.section, info.order, info.name,
-                               check_irreducible=False)
-        elif step.kind == "line_bundle":
-            cur = root_line_bundle(cur, cur.pic.element(step.bundle_class), step.order)
-        elif step.kind == "divisor_batch":
-            cur = apply_divisor_batch(cur, step.roots, step.group_relations)
-        else:
-            raise InputDataError(f"unknown tower step kind {step.kind!r}")
-    return cur
+    return reduce(extend, tower, base)
 
 
 def effective_generators(ring: GradedRing) -> list:

@@ -22,8 +22,11 @@ from coxlift.lift import (
     verify_lift,
 )
 from coxlift.mdstack import (
+    DivisorRootInfo,
+    RootStep,
     canonical_stack,
     effective_generators,
+    extend,
     graded_factorial_spotcheck,
     root_divisor,
     root_line_bundle,
@@ -157,7 +160,7 @@ def test_criterion_5_unique_factorization_property_suite():
     xy = ring.mono({"x": 1, "y": 1})
     with pytest.raises(InputDataError):
         root_divisor(stack, xy, 2)
-    forced = root_divisor(stack, xy, 2, "z", check_irreducible=False)
+    forced = extend(stack, RootStep(kind="divisor", roots=(DivisorRootInfo(xy, 2, "z"),)))
     ok, ce = graded_factorial_spotcheck(forced, 4)
     assert not ok
     key, first, second = ce

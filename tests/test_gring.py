@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy
@@ -623,4 +624,74 @@ def test_h_factorize_matches_sympy_over_q(case):
             coeffs[m.total_degree()] = c.rational_value()
         got.append((tuple(coeffs), mult))
     assert fact.unit == unit
+    assert sorted(got) == sorted(want)
+
+
+# -- factoring over Q(zeta_3) against sympy ----------------------------------------
+
+
+@st.composite
+def eisenstein_products(draw):
+    """(unit, k, roots with multiplicities): the polynomial
+    unit * t^k * prod (t - c)^m over Q(zeta_3), of degree at most 7, with
+    each c = a + b*zeta_3 in Z[zeta_3] and the unit a rational times a
+    power of zeta_3."""
+    unit = (draw(st.fractions(-5, 5, max_denominator=3).filter(bool)),
+            draw(st.integers(0, 2)))
+    k = draw(st.integers(0, 2))
+    budget = 7 - k
+    roots = []
+    for c, m in draw(st.lists(st.tuples(
+            st.tuples(st.integers(-3, 3), st.sampled_from([0, 0, 1, -1, 2])),
+            st.integers(1, 3)), max_size=4)):
+        if m <= budget:
+            roots.append((c, m))
+            budget -= m
+    return unit, k, roots
+
+
+@lru_cache(maxsize=None)
+def _q_sqrt_minus_3():
+    """sympy's field Q(sqrt -3) and zeta_3 = (sqrt(-3) - 1)/2 in it."""
+    K = sympy.QQ.algebraic_field(sympy.sqrt(-3))
+    return K, (K.from_sympy(sympy.sqrt(-3)) - K.one) * K.convert(sympy.Rational(1, 2))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(eisenstein_products())
+def test_h_factorize_matches_sympy_over_q_zeta3(case):
+    """h_factorize either agrees with sympy over Q(sqrt -3) = Q(zeta_3) in
+    unit, factors and multiplicities, or asks for a factorization oracle."""
+    (q, j), k, roots = case
+    cl0 = FgAbelianGroup(0, [])
+    R = GradedRing([("t", cl0.zero())], cl0, N3)
+    t = R.gen("t")
+    e = R.const(CycScalar.from_rational(N3, q) * CycScalar.zeta(N3, j)) * t ** k
+    for (a, b), m in roots:
+        e = e * (t - R.const(CycScalar(N3, [a, b]))) ** m
+    try:
+        fact = R.h_factorize(e)
+    except FactorizationOracleRequired:
+        return
+
+    K, w = _q_sqrt_minus_3()
+
+    def coeffs(f):  # highest power first, in K
+        out = [K.zero] * (max(m.total_degree() for _, m in f.terms) + 1)
+        for c, m in f.terms:
+            c0, c1 = c.coeffs
+            out[-1 - m.total_degree()] = K.convert(c0) + K.convert(c1) * w
+        return out
+
+    def key(cs):
+        return tuple(tuple(c.to_list()) for c in cs)
+
+    x = sympy.Symbol("t")
+    content, sym_factors = sympy.Poly.from_list(coeffs(e), x, domain=K).rep.factor_list()
+    want = []
+    for f, mult in sym_factors:
+        content *= f.LC() ** mult
+        want.append((key(f.monic().to_list()), mult))
+    got = [(key(coeffs(f)), mult) for f, mult in fact.factors]
+    assert key(coeffs(R.const(fact.unit))) == key([content])
     assert sorted(got) == sorted(want)

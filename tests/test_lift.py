@@ -782,6 +782,24 @@ def test_non_factoring_tower_gives_no_factor():
     assert "3-th root of 1*x0" in out.reason
 
 
+@pytest.mark.parametrize("name", ["a1_into_half11", "identity_half11", "mu3", "mu3_zero",
+                                  "mu4", "origin_into_half11"])
+def test_factoring_reads_the_result_tower_without_rebuilding_it(monkeypatch, name):
+    """Theta walks the result's own tower: at most one Smith form, the one
+    expressing rooted classes through the lift's group map."""
+    res = lift_of(name)
+    factored = []
+    real_snf = abgroup.smith_normal_form_full
+
+    def recording_snf(M):
+        factored.append(M.entries)
+        return real_snf(M)
+
+    monkeypatch.setattr(abgroup, "smith_normal_form_full", recording_snf)
+    assert isinstance(check_factors_through(res, res), Theta)
+    assert len(factored) <= 1
+
+
 def test_decompose_factors_each_subgroup_matrix_once(monkeypatch):
     """Every subgroup K the lift visits answers all its queries from one
     Smith form of [K generators; class group relations]."""

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from coxlift.abgroup import FgAbelianGroup
@@ -5,8 +7,11 @@ from coxlift.cyclo import CycOrder, CycScalar
 from coxlift.errors import InputDataError
 from coxlift.gring import Factorization, GradedRing, HomogeneousElement, Monomial, RewriteRule
 from coxlift.mdstack import (
+    DivisorRootInfo,
+    RootStep,
     canonical_stack,
     effective_generators,
+    extend,
     graded_factorial_spotcheck,
     replay_tower,
     root_divisor,
@@ -129,11 +134,23 @@ def test_spotcheck_passes_on_free_ring_and_prime_roots():
 def test_spotcheck_fails_after_forced_reducible_root():
     S = half11_stack()
     xy = S.cox_ring.mono({"x": 1, "y": 1})
-    forced = root_divisor(S, xy, 2, "z", check_irreducible=False)
+    forced = extend(S, RootStep(kind="divisor", roots=(DivisorRootInfo(xy, 2, "z"),)))
     ok, ce = graded_factorial_spotcheck(forced, 4)
     assert not ok
     key, first, second = ce
     assert {first, second} == {("x", "y"), ("z", "z")}
+
+
+def test_batch_relations_must_not_collapse_existing_degrees():
+    # on Pic Z/2 = <e1>, the row (1, 0, 0) kills the class of x
+    S = half11_stack()
+    x = S.cox_ring.gen("x")
+    step = RootStep(kind="divisor_batch", roots=(DivisorRootInfo(x, 2, "z"),),
+                    group_relations=((-1, 2, 0), (0, 0, 1), (1, 0, 0)))
+    with pytest.raises(InputDataError, match="collapse"):
+        replay_tower(S, (step,))
+    kept = replay_tower(S, (replace(step, group_relations=step.group_relations[:2]),))
+    assert not kept.cox_ring.gen_degrees["x"].is_zero()
 
 
 def test_tower_replay_reproduces_stack():
