@@ -71,6 +71,11 @@ class TargetData:
         """The Picard subgroup, where the lift starts."""
         return Subgroup(self.cl, self.pic_gens)
 
+    @cached_property
+    def pic_generators(self) -> Tuple[Monomial, ...]:
+        """``pic_level_generators`` of the Picard subgroup, enumerated once."""
+        return tuple(pic_level_generators(self, self.pic))
+
     def validate(self):
         if not self.ring.grading_group.same_presentation(self.cl):
             raise InputDataError("target ring must be graded by the target class group")
@@ -350,7 +355,7 @@ class _Engine:
         if len(self.base.group_images) != len(self.K.gens):
             raise InputDataError("base morphism needs one group image per Picard generator")
         self._set_lambda([self.stack.pic.element(i.coords) for i in self.base.group_images])
-        expected = pic_level_generators(self.T, self.K)
+        expected = self.T.pic_generators
         missing = [m.key() for m in expected if m not in self.table]
         if missing:
             raise InputDataError(f"base morphism misses images for {missing}")
@@ -1176,7 +1181,7 @@ def decompose_as_roots(stack: MdStackData,
     source = canonical_stack(coarse.ring, coarse.irrelevant)
     coarse_names = set(coarse.ring.gen_degrees)
     images: Dict[Monomial, HomogeneousElement] = {}
-    for mono in pic_level_generators(target, target.pic):
+    for mono in target.pic_generators:
         img = stack.cox_ring.normal_form(
             HomogeneousElement.monomial(stack.cox_ring.scalar_order, mono)
         )

@@ -1,19 +1,20 @@
 """Stack data: a graded Cox ring, its Picard-type grading group, the
 irrelevant-ideal generators, and a log of root constructions.
 
-A stack grows only through ``extend``, which applies one tower step:
-rooting a prime divisor (adjoin z with z^n = s and push the grading group
-out by an n-th root of the class of s), rooting several divisors over an
-explicitly presented group extension, or rooting a line bundle (grading
-group only).  ``root_divisor`` and ``root_line_bundle`` validate their
-input and build the step; ``replay_tower`` folds ``extend`` over a tower
-log, which records every step so a stack can be replayed from its base.
+A stack grows only through ``extend``, which applies a sequence of tower
+steps in one construction.  A step roots a prime divisor (adjoin z with
+z^n = s and push the grading group out by an n-th root of the class of
+s), several divisors over an explicitly presented group extension, or a
+line bundle (grading group only).  ``root_divisor`` and
+``root_line_bundle`` validate their input and pass one step;
+``replay_tower`` passes a whole tower log, which records every step so a
+stack can be replayed from its base with one Smith form and one ring
+build (and each batch step's collapse check).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence, Tuple
 
@@ -154,59 +155,132 @@ def fresh_root_name(used) -> str:
     return f"z{i}"
 
 
-def extend(S: MdStackData, step: RootStep) -> MdStackData:
-    """S grown by one tower step: the only constructor of a stack's tower.
+def extend(S: MdStackData, *steps: RootStep) -> MdStackData:
+    """S grown by a sequence of tower steps in one construction: the only
+    constructor of a stack's tower.
 
-    The grading group is pushed out by an n-th root of one class (the
+    A step pushes the grading group out by an n-th root of one class (the
     section's degree for "divisor", the given class for "line_bundle"), or
-    presented by the step's relation rows over pic's ambient generators,
-    one slot per root and the rooted class ("divisor_batch"); the batch
-    rows must not identify classes of pic.  Each root z is adjoined in its
-    new slot with the rule z^n -> section, its section normalized at this
-    stage, and declared factorizations that became expressible mature into
-    rules.  The step is logged and the coarse inclusion composed.
+    appends its relation rows over the ambient generators so far, one slot
+    per root and the rooted class ("divisor_batch"); batch rows must not
+    identify classes of the group before them.  Each root z gets a new slot
+    and the rule z^n -> section, its section normalized by its stage's
+    rules; declarations that became expressible mature into rules.  The
+    steps are logged and the coarse inclusion composed.
+
+    The steps do integer work, and one group and one ring are built at the
+    end.  That equals a fold of one-step extensions: steps only append rows
+    and slots, so the final rows present the last stepwise group; stage
+    maps are injective (pushouts are, batches are checked), so one check
+    per rule in the final ring decides the check at the rule's stage; and a
+    root rule z^n -> s never rewrites an earlier stage's monomial, which
+    lacks z.  A rule matured later can, and maturing reads its stage's
+    names, rules and grading, so a stage ring is built where a section is
+    not in normal form or a declaration may mature.
     """
-    ring = S.cox_ring
-    roots = []
-    for info in step.roots:
-        if info.order < 1:
-            raise InputDataError("root order must be positive")
-        section = ring.normal_form(info.section)
-        if section.is_zero():
-            raise InputDataError("cannot root the zero section")
-        roots.append(replace(info, section=section))
-    step = replace(step, roots=tuple(roots))
-    n_old = S.pic.ambient_rank
-    if step.kind == "divisor_batch":
-        width = n_old + len(roots) + 1
-        if any(len(row) != width for row in step.group_relations):
-            raise InputDataError("batch relation row has the wrong length")
-        rows = [list(r) + [0] * (width - n_old) for r in S.pic.relations.entries]
-        new_group = FgAbelianGroup(width, rows + list(map(list, step.group_relations)))
-        incl = coordinate_inclusion(S.pic, new_group)
-        if any(not S.pic.element(k).is_zero()
-               for k in Subgroup(new_group, incl.images).relations()):
-            raise InputDataError("batch relations collapse existing degrees")
-    elif step.kind == "divisor":
-        (info,) = roots
-        new_group, incl, _delta = pushout_root(S.pic, ring.degree_of(info.section), info.order)
-    elif step.kind == "line_bundle":
-        new_group, incl, _delta = pushout_root(S.pic, S.pic.element(step.bundle_class),
-                                               step.order)
-    else:
-        raise InputDataError(f"unknown tower step kind {step.kind!r}")
-    gens = [(name, incl(d)) for name, d in ring.generators]
-    rules = list(ring.rules)
-    for slot, info in enumerate(roots, n_old):
-        if info.name in dict(gens):
-            raise InputDataError(f"generator name {info.name!r} already in use")
-        gens.append((info.name, new_group.basis_element(slot)))
-        rules.append(RewriteRule(Monomial.gen(info.name, info.order), info.section))
-    new_ring = ring.with_data(generators=gens, grading_group=new_group, rules=rules)
-    if roots:
-        new_ring = _mature_declared_rules(new_ring)
-    coarse = S.coarse and replace(S.coarse, inclusion=incl.compose(S.coarse.inclusion))
-    return MdStackData(new_ring, S.irrelevant_gens, S.tower + (step,), coarse)
+    base = S.cox_ring
+    width = S.pic.ambient_rank
+    rows = [list(r) for r in S.pic.relations.entries]
+    degrees = {name: list(d.coords) for name, d in base.generators}
+    rules = list(base.rules)
+    # the stage's group and ring once built, and (group, class, n) while the
+    # stage adds one root to a built group
+    group, ring, pushout = S.pic, base, None
+
+    def stage_group() -> FgAbelianGroup:
+        nonlocal group
+        if group is None:
+            group = (pushout_root(*pushout)[0] if pushout else
+                     FgAbelianGroup(width, [r + [0] * (width - len(r)) for r in rows]))
+        return group
+
+    def stage_ring() -> GradedRing:
+        nonlocal ring
+        if ring is None:
+            G = stage_group()
+            gens = [(n, G.element(c + [0] * (width - len(c)))) for n, c in degrees.items()]
+            ring = base.with_data(generators=gens, grading_group=G, rules=rules)
+        return ring
+
+    logged = []
+    for step in steps:
+        roots = []
+        for info in step.roots:
+            if info.order < 1:
+                raise InputDataError("root order must be positive")
+            section = info.section
+            if any(r.lhs.divides(m) for r in rules for _c, m in section.terms):
+                section = stage_ring().normal_form(section)
+            if section.is_zero():
+                raise InputDataError("cannot root the zero section")
+            for _c, m in section.terms:
+                if unknown := sorted(set(m.names()) - degrees.keys()):
+                    raise InputDataError(f"unknown generator {unknown[0]!r} in monomial {m.key()}")
+            roots.append(replace(info, section=section))
+        step = replace(step, roots=tuple(roots))
+        n_old = width
+        if step.kind == "divisor_batch":
+            if any(len(row) != n_old + step.new_slots for row in step.group_relations):
+                raise InputDataError("batch relation row has the wrong length")
+            old = stage_group()
+            rows += map(list, step.group_relations)
+            width += step.new_slots
+            group = pushout = None
+            new = stage_group()
+            incl = coordinate_inclusion(old, new)
+            if any(not old.element(k).is_zero()
+                   for k in Subgroup(new, incl.images).relations()):
+                raise InputDataError("batch relations collapse existing degrees")
+        elif step.kind in ("divisor", "line_bundle"):
+            if step.kind == "divisor":
+                (info,) = roots
+                a, n = [0] * width, info.order  # the first term's degree, as degree_of reads it
+                for name, k in info.section.terms[0][1].pairs:
+                    for i, c in enumerate(degrees[name]):
+                        a[i] += k * c
+            else:
+                a, n = list(step.bundle_class), step.order
+                if len(a) != width:
+                    raise InputDataError(f"line bundle class {a} needs {width} coordinates")
+                if n < 1:
+                    raise InputDataError("root order must be positive")
+            pushout = (group, group.element(a), n) if group is not None else None
+            rows.append(a + [-n])
+            width += 1
+            group = None
+        else:
+            raise InputDataError(f"unknown tower step kind {step.kind!r}")
+        ring = None
+        for slot, info in enumerate(roots, n_old):
+            if info.name in degrees:
+                raise InputDataError(f"generator name {info.name!r} already in use")
+            degrees[info.name] = [0] * slot + [1]
+            rules.append(RewriteRule(Monomial.gen(info.name, info.order), info.section))
+        if roots and _may_mature(base, rules, degrees):
+            ring = _mature_declared_rules(stage_ring())
+            rules = list(ring.rules)
+        logged.append(step)
+    new_ring = stage_ring()
+    G = new_ring.grading_group
+    coarse = S.coarse and replace(S.coarse, inclusion=GroupHomomorphism(
+        S.coarse.group, G, [G.element(g.coords + (0,) * (width - len(g.coords)))
+                            for g in S.coarse.inclusion.images]))
+    return MdStackData(new_ring, S.irrelevant_gens, S.tower + tuple(logged), coarse)
+
+
+def _may_mature(base: GradedRing, rules, degrees) -> bool:
+    """Whether ``_mature_declared_rules`` may add a rule at a stage with these
+    rules and generator names: some name that no rule shows has a declared
+    factorization over existing names, in base's declarations or a root
+    rule's.  A superset of its own test, which reads the stage ring's."""
+    guarded = {n for r in rules for n in _rule_shape(r)}
+    sources = (base.declared_factorizations,
+               dict(filter(None, (r.root_factorization for r in rules))))
+    return any(
+        fact is not None and set().union(*(f.support() for f, _e in fact.factors)) <= degrees.keys()
+        for name in degrees if name not in guarded
+        for fact in (d.get(f"1*{name}") for d in sources)
+    )
 
 
 def root_divisor(S: MdStackData, s: HomogeneousElement, n: int,
@@ -249,8 +323,9 @@ def root_line_bundle(S: MdStackData, a: GroupElement, n: int) -> MdStackData:
 
 
 def replay_tower(base: MdStackData, tower: Sequence[RootStep]) -> MdStackData:
-    """Rebuild a stack by replaying a tower over its base stack."""
-    return reduce(extend, tower, base)
+    """Rebuild a stack by replaying a tower over its base stack, in one
+    ``extend``: one group and one ring, however many steps the tower has."""
+    return extend(base, *tower)
 
 
 def effective_generators(ring: GradedRing) -> list:

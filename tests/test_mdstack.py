@@ -1,11 +1,15 @@
 from dataclasses import replace
+from functools import reduce
 
 import pytest
+from helpers import PROBLEMS, lift_of
 
+from coxlift import abgroup
 from coxlift.abgroup import FgAbelianGroup
 from coxlift.cyclo import CycOrder, CycScalar
 from coxlift.errors import InputDataError
 from coxlift.gring import Factorization, GradedRing, HomogeneousElement, Monomial, RewriteRule
+from coxlift.lift import decompose_as_roots
 from coxlift.mdstack import (
     DivisorRootInfo,
     RootStep,
@@ -17,6 +21,7 @@ from coxlift.mdstack import (
     root_divisor,
     root_line_bundle,
 )
+from coxlift.serialize import parse_decompose
 
 N2 = CycOrder(2)
 N3 = CycOrder(3)
@@ -184,3 +189,176 @@ def test_maturing_guards_the_names_of_each_rule_it_adds():
                 "1*h": Factorization(one, ((tmp.gen("x"), 1),))}
     S = canonical_stack(tmp.with_data(declared_factorizations=declared))
     assert [r.key() for r in S.cox_ring.rules] == ["a -> 1*h"]
+
+
+# ---------------------------------------------------------------------------
+# one-shot replay against the step-at-a-time fold
+
+
+def fold_replay(base, tower):
+    """The stepwise oracle: one one-step replay per tower entry."""
+    return reduce(lambda S, step: replay_tower(S, (step,)), tower, base)
+
+
+def stack_view(S):
+    return (
+        S.pic.ambient_rank,
+        S.pic.relations.entries,
+        [(n, d.coords) for n, d in S.cox_ring.generators],
+        [r.key() for r in S.cox_ring.rules],
+        S.cox_ring.declared_factorizations,
+        S.tower,
+        S.coarse and [g.coords for g in S.coarse.inclusion.images],
+    )
+
+
+def matured_mid_tower():
+    """a rooted by 2 as z1 matures g = z1^2 into g -> a; after a line bundle
+    root, rooting g by 3 needs that rule, so its section is recorded as a."""
+    cl = FgAbelianGroup(0, [])
+    tmp = GradedRing([(n, cl.zero()) for n in "agt"], cl, N2)
+    z1 = HomogeneousElement.monomial(N2, Monomial.gen("z1"))
+    declared = {"1*g": Factorization(CycScalar.one(N2), ((z1, 2),))}
+    base = canonical_stack(tmp.with_data(declared_factorizations=declared))
+    return base, (
+        RootStep(kind="divisor", roots=(DivisorRootInfo(tmp.gen("a"), 2, "z1"),)),
+        RootStep(kind="line_bundle", bundle_class=(1,), order=2),
+        RootStep(kind="divisor", roots=(DivisorRootInfo(tmp.gen("g"), 3, "z2"),)),
+    )
+
+
+def chain_t_z1_line():
+    S0 = a1_stack(N6)
+    S = root_divisor(S0, S0.cox_ring.gen("t"), 2, "z1")
+    S = root_divisor(S, S.cox_ring.gen("z1"), 3, "z2")
+    return S0, root_line_bundle(S, S.pic.element([0, 1]), 2).tower
+
+
+def chain_mu3_double_root():
+    cl = FgAbelianGroup(0, [])
+    tmp = GradedRing([(n, cl.zero()) for n in ("u", "v", "w")], cl, N3)
+    S0 = canonical_stack(
+        tmp.with_data(rules=[RewriteRule(Monomial.gen("v", 3), tmp.mono({"u": 1, "w": 1}))]))
+    S = root_divisor(S0, S0.cox_ring.gen("u"), 3, "z1")
+    return S0, root_divisor(S, S.cox_ring.gen("w"), 3, "z2").tower
+
+
+def chain_batch_then_divisor():
+    S0 = half11_stack()
+    batch = RootStep(kind="divisor_batch", roots=(DivisorRootInfo(S0.cox_ring.gen("x"), 2, "z1"),),
+                     group_relations=((-1, 2, 0), (0, 0, 1)))
+    S = replay_tower(S0, (batch,))
+    return S0, root_divisor(S, S.cox_ring.gen("y"), 2, "z2").tower
+
+
+CHAINED = {"t_z1_line": chain_t_z1_line, "mu3_double_root": chain_mu3_double_root,
+           "batch_then_divisor": chain_batch_then_divisor, "maturing_mid_tower": matured_mid_tower}
+BUNDLED_LIFTS = ("a1_into_half11", "identity_half11", "mu3", "mu3_zero", "mu4",
+                 "origin_into_half11")
+
+
+def result_tower(name):
+    """(base, tower) of the engine's result on a bundled problem."""
+    if name in BUNDLED_LIFTS:
+        res = lift_of(name)
+    else:
+        spec = parse_decompose(str(PROBLEMS / f"{name}.json"))
+        res = decompose_as_roots(spec.stack, spec.options)
+    return res.source_stack, res.stack.tower
+
+
+@pytest.mark.parametrize("name", [*CHAINED, *BUNDLED_LIFTS, "decompose_half11_root"])
+def test_one_shot_replay_equals_the_stepwise_fold(name):
+    base, tower = CHAINED[name]() if name in CHAINED else result_tower(name)
+    assert stack_view(replay_tower(base, tower)) == stack_view(fold_replay(base, tower))
+
+
+def test_a_section_is_normalized_by_the_rule_that_matured_before_it():
+    base, tower = matured_mid_tower()
+    S = replay_tower(base, tower)
+    assert [r.key() for r in S.cox_ring.rules] == ["z1^2 -> 1*a", "g -> 1*a", "z2^3 -> 1*a"]
+    assert S.tower[2].roots[0].section.key() == "1*a"
+
+
+def test_a_section_is_normalized_at_its_stage():
+    S0 = a1_stack(N6)
+    z1sq = HomogeneousElement.monomial(N6, Monomial.gen("z1", 2))
+    tower = (RootStep(kind="divisor", roots=(DivisorRootInfo(S0.cox_ring.gen("t"), 2, "z1"),)),
+             RootStep(kind="divisor", roots=(DivisorRootInfo(z1sq, 3, "z2"),)))
+    for replay in (replay_tower, fold_replay):
+        S = replay(S0, tower)
+        assert S.tower[1].roots[0].section.key() == "1*t"
+        assert [r.key() for r in S.cox_ring.rules] == ["z1^2 -> 1*t", "z2^3 -> 1*t"]
+
+
+def _bad_towers():
+    t = a1_stack(N6).cox_ring.gen("t")
+    z1 = HomogeneousElement.monomial(N6, Monomial.gen("z1"))
+
+    def div(section, n, name):
+        return RootStep(kind="divisor", roots=(DivisorRootInfo(section, n, name),))
+
+    yield "unknown generator 'z1'", (div(z1, 2, "z2"), div(t, 2, "z1"))
+    yield "already in use", (div(t, 2, "z1"), div(z1, 3, "z1"))
+    yield "root order must be positive", (div(t, 2, "z1"), div(z1, 0, "z2"))
+    yield "root order must be positive", (div(t, 2, "z1"),
+                                          RootStep(kind="line_bundle", bundle_class=(0,), order=0))
+    yield "zero section", (div(t, 2, "z1"), div(HomogeneousElement.zero(), 2, "z2"))
+    yield "wrong length", (div(t, 2, "z1"),
+                           RootStep(kind="divisor_batch", roots=(DivisorRootInfo(z1, 2, "z2"),),
+                                    group_relations=((0, 2),)))
+
+
+@pytest.mark.parametrize("message,tower", list(_bad_towers()), ids=lambda v: v if isinstance(v, str) else "")
+@pytest.mark.parametrize("replay", [replay_tower, fold_replay], ids=["one_shot", "fold"])
+def test_replay_rejects_what_the_stepwise_fold_rejects(replay, message, tower):
+    with pytest.raises(InputDataError, match=message):
+        replay(a1_stack(N6), tower)
+
+
+@pytest.mark.parametrize("replay", [replay_tower, fold_replay], ids=["one_shot", "fold"])
+def test_a_batch_mid_tower_is_checked_against_its_own_stage_group(replay):
+    # after y is rooted by 2, the row (1, 0, 0, 0) kills the class of x
+    S = half11_stack()
+    x, y = S.cox_ring.gen("x"), S.cox_ring.gen("y")
+    first = RootStep(kind="divisor", roots=(DivisorRootInfo(y, 2, "z1"),))
+    batch = RootStep(kind="divisor_batch", roots=(DivisorRootInfo(x, 2, "z2"),),
+                     group_relations=((-1, 0, 2, 0), (0, 0, 0, 1), (1, 0, 0, 0)))
+    with pytest.raises(InputDataError, match="collapse"):
+        replay(S, (first, batch))
+    kept = replay(S, (first, replace(batch, group_relations=batch.group_relations[:2])))
+    assert not kept.cox_ring.gen_degrees["x"].is_zero()
+
+
+def _snf_calls(monkeypatch, fn):
+    calls = []
+    real = abgroup.smith_normal_form_full
+
+    def counting(M):
+        calls.append(M)
+        return real(M)
+
+    monkeypatch.setattr(abgroup, "smith_normal_form_full", counting)
+    try:
+        fn()
+    finally:
+        monkeypatch.undo()
+    return len(calls)
+
+
+def test_replay_takes_one_smith_form_however_long_the_tower(monkeypatch):
+    S0 = half11_stack()
+    S, counts = S0, []
+    for k in range(1, 7):
+        if k % 3:
+            S = root_divisor(S, S.cox_ring.gen(S.cox_ring.generators[-1][0]), 2, f"z{k}")
+        else:
+            S = root_line_bundle(S, S.pic.basis_element(S.pic.ambient_rank - 1), 2)
+        counts.append(_snf_calls(monkeypatch, lambda: replay_tower(S0, S.tower)))
+    assert counts == [1] * 6
+
+
+def test_one_root_takes_one_smith_form(monkeypatch):
+    S = half11_stack()
+    assert _snf_calls(monkeypatch, lambda: root_divisor(S, S.cox_ring.gen("x"), 2, "z")) == 1
+    assert _snf_calls(monkeypatch, lambda: root_line_bundle(S, S.pic.element([1]), 2)) == 1
