@@ -607,10 +607,6 @@ def solve_affine_mod_p(rows, rhs, ncols, p):
     return _solve_mod(rows, rhs, ncols, p)[0]
 
 
-def solution_count_mod_p(rows, ncols, p) -> int:
-    return _solve_mod(rows, [0] * len(rows), ncols, p)[1]
-
-
 def solve_affine_mod_n(rows, rhs, ncols, n):
     """Lex-min solution of M x = rhs over Z/n (n arbitrary >= 1), or None."""
     return _solve_mod(rows, rhs, ncols, n)[0]

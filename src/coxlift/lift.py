@@ -29,7 +29,6 @@ from .abgroup import (
     element_order,
     kernel_basis_mod_p,
     row_kernel,
-    solution_count_mod_p,
     solve_affine_mod_n,
     solve_affine_mod_p,
     solve_linear_over_group,
@@ -50,7 +49,7 @@ from .mdstack import (
     extend,
     fresh_root_name,
     graded_factorial_spotcheck,
-    root_divisor,
+    prime_section,
     root_line_bundle,
 )
 
@@ -617,7 +616,7 @@ class _Engine:
         new_ring = new_stack.cox_ring
 
         # constraint system for the root-of-unity exponents
-        kernel = kernel_basis_mod_p([coset[j][2] for j in Jp], p) if Jp else []
+        kernel = kernel_basis_mod_p([coset[j][2] for j in Jp], p)
         rows, rhs, kmonos = [], [], []
         for cvec in kernel:
             mono = Monomial.one()
@@ -668,7 +667,7 @@ class _Engine:
                 "root-of-unity constraint system is inconsistent; "
                 f"constraints {kmonos} cannot be satisfied"
             )
-        count = solution_count_mod_p(rows, len(Jp), p)
+        count = p ** (len(Jp) - len(rows))  # kernel vectors are independent
 
         # generator images
         new_images: Dict[Monomial, HomogeneousElement] = {}
@@ -728,12 +727,15 @@ class _Engine:
         """Extend ring and grading group for one divisor step; ``names``
         maps the index of each rooted factor in qlist to its generator.
 
-        First tries the plain iterated pushouts with a solved image for
-        the new class; when the degree equations have no solution there,
-        falls back to a single universal extension whose relations force
+        The factors are certified prime once, then one ``extend`` tries
+        the iterated pushouts ("divisor" steps) with a solved image for the
+        new class; when the degree equations have no solution there, one
+        "divisor_batch" step is a universal extension whose relations force
         the degree map to exist (recorded in the tower for exact replay).
         """
         ring = self.stack.cox_ring
+        infos = tuple(DivisorRootInfo(prime_section(ring, qlist[l]), p, name)
+                      for l, name in names.items())
         pic = self.stack.pic
         unrooted_deg: Dict[int, GroupElement] = {}
         for j in Jp:
@@ -746,9 +748,8 @@ class _Engine:
         lam_k = {j: self._lambda_of(coset[j][3]) for j in Jp}
 
         # --- pushout attempt
-        seq_stack = self.stack
-        for l, name in names.items():
-            seq_stack = root_divisor(seq_stack, qlist[l], p, name)
+        seq_stack = extend(self.stack, *(RootStep(kind="divisor", roots=(info,))
+                                         for info in infos))
         G_seq = seq_stack.pic
         # each pushout only appends a coordinate, so their composite is one inclusion
         incl = coordinate_inclusion(pic, G_seq)
@@ -766,10 +767,9 @@ class _Engine:
 
         # --- universal extension
         n_old = pic.ambient_rank
-        rooted = list(names)
-        R = len(rooted)
+        R = len(names)
         rows = []
-        for pos, l in enumerate(rooted):
+        for pos, l in enumerate(names):
             dq = ring.degree_of(qlist[l])
             row = [-c for c in dq.coords] + [0] * (R + 1)
             row[n_old + pos] = p
@@ -780,12 +780,11 @@ class _Engine:
         for j in Jp:
             base = lam_k[j] - unrooted_deg[j]
             row = list(base.coords) + [0] * (R + 1)
-            for pos, l in enumerate(rooted):
+            for pos, l in enumerate(names):
                 row[n_old + pos] = -a[l][j]
             row[n_old + R] = coset[j][2]
             rows.append(row)
-        infos = tuple(DivisorRootInfo(qlist[l], p, name) for l, name in names.items())
-        # irreducibility was certified during the pushout attempt above
+        # the sections were certified prime before the pushout attempt
         new_stack = extend(self.stack, RootStep(kind="divisor_batch", roots=infos,
                                                 group_relations=tuple(map(tuple, rows))))
         G_new = new_stack.pic

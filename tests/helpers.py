@@ -14,9 +14,52 @@ PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 _cache = {}
 
 
+def cyclic_problem(n, roots):
+    """A^1 -> C / mu_n with x^n -> prod(t - r) over ``roots``, as a problem
+    document: every prime step of n roots each factor t - r in one step."""
+    coeffs = [1]  # coeffs[i] is the coefficient of t^i
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    terms = [{"c": str(c), "m": {"t": i} if i else {}}
+             for i, c in reversed(list(enumerate(coeffs))) if c]
+    return {
+        "schema": "coxlift/1",
+        "name": f"cyclic{n}",
+        "cyclotomic_order": n,
+        "target": {
+            "class_group": {"ambient_rank": 1, "relations": [[n]]},
+            "pic_subgroup": [],
+            "generators": [{"name": "x", "degree": [1]}],
+            "relations": [],
+            "irrelevant": [],
+        },
+        "source": {
+            "class_group": {"ambient_rank": 0, "relations": []},
+            "generators": [{"name": "t", "degree": []}],
+            "relations": [],
+            "irreducibles": ["t"],
+            "declared_factorizations": [],
+            "irrelevant": [],
+            "assertions": {"units_of_complement_trivial": True,
+                           "pic_of_complement_trivial": True},
+        },
+        "base_morphism": {
+            "group_map": [],
+            "images": [{"monomial": {"x": n}, "image": {"terms": terms}}],
+        },
+        "options": {"step_cap": 10000, "spotcheck_bound": 4},
+    }
+
+
+# generated problems, loaded by name like the bundled ones: three pushout
+# steps (p = 2, 2, 3) of three roots each
+GENERATED = {"cyclic12": lambda: cyclic_problem(12, (1, -2, 3))}
+
+
 def load_spec(name):
     if name not in _cache:
-        _cache[name] = parse_problem(str(PROBLEMS / f"{name}.json"))
+        _cache[name] = parse_problem(
+            GENERATED[name]() if name in GENERATED else str(PROBLEMS / f"{name}.json"))
     return _cache[name]
 
 

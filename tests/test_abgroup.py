@@ -19,7 +19,6 @@ from coxlift.abgroup import (
     pushout_root,
     quotient_group,
     smith_normal_form_full,
-    solution_count_mod_p,
     solve_affine_mod_n,
     solve_affine_mod_p,
     solve_linear_over_group,
@@ -287,7 +286,7 @@ def test_kernel_basis_rejects_all_zero():
 
 def test_solve_affine_examples():
     assert solve_affine_mod_p([[1, 1]], [0], 2, 3) == (0, 0)
-    assert solution_count_mod_p([[1, 1]], 2, 3) == 3
+    assert _solve_mod([[1, 1]], [0], 2, 3)[1] == 3
     assert solve_affine_mod_p([], [], 2, 2) == (0, 0)
     assert solve_affine_mod_p([[1], [1]], [0, 1], 1, 2) is None
 
@@ -321,7 +320,7 @@ def test_solve_affine_lex_minimality_by_enumeration(data, p):
         assert got is None
     else:
         assert got == min(sols)
-        assert len(sols) == solution_count_mod_p(rows, 3, p)
+        assert len(sols) == _solve_mod(rows, [0] * len(rows), 3, p)[1]
 
 
 def test_solve_affine_mod_n_composite():
@@ -437,6 +436,16 @@ def test_kernel_basis_mod_p_spans_the_kernel(p, n, data):
     span = {tuple(sum(c * v[i] for c, v in zip(cs, basis)) % p for i in range(n))
             for cs in product(range(p), repeat=len(basis))}
     assert span == kernel
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 6), st.data())
+def test_kernel_rows_count_their_solutions_in_closed_form(p, n, data):
+    # the lift engine reads a divisor step's solution count off its rows
+    classes = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)
+                        .filter(lambda c: any(x % p for x in c)))
+    rows = kernel_basis_mod_p(classes, p)
+    assert p ** (n - len(rows)) == _solve_mod(rows, [0] * len(rows), n, p)[1]
 
 
 def _dense_canonical_coords(G, v):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from dataclasses import replace
 from functools import lru_cache
@@ -5,7 +6,8 @@ from itertools import combinations_with_replacement
 from itertools import product as iproduct
 
 import pytest
-from helpers import PROBLEMS, lift_of, load_raw, load_spec, stack_as_lift, tower_over
+from helpers import (PROBLEMS, cyclic_problem, lift_of, load_raw, load_spec, stack_as_lift,
+                     tower_over)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,8 @@ from coxlift.abgroup import (
     element_order,
     quotient_group,
 )
-from coxlift import abgroup
+from coxlift import abgroup, lift, mdstack
+from coxlift.cli import run_document
 from coxlift.cyclo import CycOrder, CycScalar
 from coxlift.errors import InputDataError, LiftInconsistencyError
 from coxlift.gring import Factorization, GradedRing, HomogeneousElement, Monomial
@@ -36,7 +39,7 @@ from coxlift.lift import (
 )
 from coxlift.lift import _Engine, LiftOptions
 from coxlift.mdstack import canonical_stack, root_divisor, root_line_bundle
-from coxlift.serialize import parse_decompose, parse_problem
+from coxlift.serialize import parse_decompose, parse_problem, result_json
 
 
 def target_of(name):
@@ -551,6 +554,44 @@ def test_cyclic_quotient_lift_a34():
     assert not unit.is_zero() and len(w.pairs) == 1 and w.pairs[0][1] == 1
     out = res.stack.cox_ring
     assert out.elements_equal(out.gen(w.names()[0]) ** 4, out.gen("t"))
+
+
+def test_a_multi_root_pushout_step_keeps_its_result_document():
+    """x^12 -> (t - 1)(t + 2)(t - 3): each of the steps p = 2, 2, 3 roots
+    three factors by iterated pushouts."""
+    res = lift_of("cyclic12")
+    assert res.verification.passed
+    assert [(s.p, s.group_mode, len(s.roots)) for s in res.steps] == [
+        (2, "pushout", 3), (2, "pushout", 3), (3, "pushout", 3)]
+    text = result_json(run_document(cyclic_problem(12, (1, -2, 3))))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "de74b200c803997432dbecf64d23f586ae95cd67a69723d92e501c95fead6df5")
+
+
+@pytest.mark.parametrize("name", ["cyclic12", "mu3", "mu4", "a1_into_half11", "mu3_zero"])
+def test_each_lift_step_grows_the_stack_in_one_construction(monkeypatch, name):
+    """One ``extend`` per lift step, however many roots it takes, and one
+    more for the discarded pushout attempt of a universal step; the engine
+    does not go through ``root_divisor``."""
+    spec = load_spec(name)
+    engine = _Engine(spec.target, spec.source_stack, spec.base, spec.options)
+    at_step = []
+    real_extend = mdstack.extend
+
+    def counting_extend(S, *steps):
+        at_step.append(len(engine.steps))
+        return real_extend(S, *steps)
+
+    def no_root_divisor(*args):
+        raise AssertionError("root_divisor called")
+
+    monkeypatch.setattr(mdstack, "extend", counting_extend)
+    monkeypatch.setattr(lift, "extend", counting_extend)
+    monkeypatch.setattr(mdstack, "root_divisor", no_root_divisor)
+    engine.run()
+    assert engine.steps
+    assert at_step == [i for i, s in enumerate(engine.steps)
+                       for _ in range(2 if s.group_mode == "universal" else 1)]
 
 
 def test_mutated_declared_unit_rejected_at_load():

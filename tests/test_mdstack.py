@@ -253,24 +253,33 @@ def chain_batch_then_divisor():
 
 CHAINED = {"t_z1_line": chain_t_z1_line, "mu3_double_root": chain_mu3_double_root,
            "batch_then_divisor": chain_batch_then_divisor, "maturing_mid_tower": matured_mid_tower}
-BUNDLED_LIFTS = ("a1_into_half11", "identity_half11", "mu3", "mu3_zero", "mu4",
-                 "origin_into_half11")
+ENGINE_LIFTS = ("a1_into_half11", "identity_half11", "mu3", "mu3_zero", "mu4",
+                "origin_into_half11", "cyclic12")
 
 
-def result_tower(name):
-    """(base, tower) of the engine's result on a bundled problem."""
-    if name in BUNDLED_LIFTS:
+def built_stack(name):
+    """(base, stack) of the engine's result on a bundled or generated
+    problem, or of a bundled decomposition."""
+    if name in ENGINE_LIFTS:
         res = lift_of(name)
     else:
         spec = parse_decompose(str(PROBLEMS / f"{name}.json"))
         res = decompose_as_roots(spec.stack, spec.options)
-    return res.source_stack, res.stack.tower
+    return res.source_stack, res.stack
 
 
-@pytest.mark.parametrize("name", [*CHAINED, *BUNDLED_LIFTS, "decompose_half11_root"])
+@pytest.mark.parametrize("name", [*CHAINED, *ENGINE_LIFTS, "decompose_half11_root"])
 def test_one_shot_replay_equals_the_stepwise_fold(name):
-    base, tower = CHAINED[name]() if name in CHAINED else result_tower(name)
-    assert stack_view(replay_tower(base, tower)) == stack_view(fold_replay(base, tower))
+    """One-shot replay, the stepwise fold and, for a built stack, the stack
+    that the engine grew step by step agree."""
+    if name in CHAINED:
+        base, tower = CHAINED[name]()
+        built = ()
+    else:
+        base, S = built_stack(name)
+        tower, built = S.tower, (S,)
+    views = [stack_view(T) for T in (replay_tower(base, tower), fold_replay(base, tower), *built)]
+    assert views[1:] == views[:-1]
 
 
 def test_a_section_is_normalized_by_the_rule_that_matured_before_it():
