@@ -19,9 +19,11 @@ three ``check_factors_through`` outcomes (``Theta``, ``NoFactor``,
 
 A stack is read as a lift by ``tests/helpers.stack_as_lift``: identity
 images and the identity on Pic.
-The summary gives the status counts, the slowest tower that finishes,
-the count of each factoring outcome over the towers that finish, the
-slowest factoring call, and one SHA-256 over the rows in sweep order, each
+The summary gives the status counts, how many input rings and result
+rings are confluent (``GradedRing.confluent``, not part of the rows), the
+slowest tower that finishes, the count of each factoring outcome over the
+towers that finish, the slowest factoring call, and one SHA-256 over the
+rows in sweep order, each
 row ``name status digest-or-"-" parsed=... to_nat=... from_nat=...``
 without the seconds, joined by newlines; two checkouts sweep alike iff
 their rows digests agree.  The checkout's own ``src`` is imported, so the
@@ -63,9 +65,11 @@ def sweep_one(ngens, nsteps, seed):
     spec = parse_decompose(tower_document(name, ngens, steps))
     status, result, secs = run_limited(
         lambda: decompose_as_roots(spec.stack, spec.options), LIMIT)
-    row = {"name": name, "status": status, "seconds": secs}
+    row = {"name": name, "status": status, "seconds": secs,
+           "confluent": [spec.stack.cox_ring.confluent]}
     if status != "ok":
         return row
+    row["confluent"].append(result.stack.cox_ring.confluent)
     doc = emit_result(spec.name, result, spec.order)
     failed = [c["name"] for c in doc["verification"]["checks"] if not c["passed"]]
     row["status"] = "failed:" + ",".join(failed) if failed else "ok"
@@ -101,6 +105,9 @@ def main() -> int:
     finished = [r for r in rows if "checks" in r]
     print()
     print("statuses:", dict(sorted(Counter(r["status"] for r in rows).items())))
+    results = [r["confluent"][1] for r in rows if len(r["confluent"]) > 1]
+    print(f"confluent rings: input {sum(r['confluent'][0] for r in rows)}/{len(rows)}, "
+          f"result {sum(results)}/{len(results)}")
     if finished:
         slowest = max(finished, key=lambda r: r["seconds"])
         print(f"slowest finishing tower: {slowest['name']} {slowest['status']} "

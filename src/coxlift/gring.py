@@ -6,10 +6,18 @@ and factorization data: generator names marked irreducible and declared
 factorizations for elements no backend can split.  Elements are term
 lists over exact cyclotomic scalars; monomials are keyed by generator
 name so they survive ring extensions unchanged.
+
+The rules terminate under a weight order (``_derive_weights``) in which
+every left side is the leading term.  A ring checks once, on first use,
+whether its critical pairs join (``GradedRing.confluent``).  If they do,
+the rules are a Groebner basis of the ideal they generate, so normal
+forms are unique, equality is decided by normalizing a difference, and
+``normal_form`` may rewrite a whole power of a left side in one step.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -208,6 +216,17 @@ class RewriteRule:
     def key(self) -> str:
         return f"{self.lhs.key()} -> {self.rhs.key()}"
 
+    def power(self, k: int) -> Tuple[Monomial, HomogeneousElement]:
+        """(lhs^k, rhs^k), kept per rule for whole-power rewriting."""
+        got = self._powers.get(k)
+        if got is None:
+            got = self._powers[k] = (self.lhs ** k, self.rhs ** k)
+        return got
+
+    @cached_property
+    def _powers(self) -> dict:
+        return {}
+
     @cached_property
     def root_factorization(self) -> Optional[Tuple[str, "Factorization"]]:
         """(key of s, s = c^-1 * z^n) for a root rule z^n -> c*s with n > 1."""
@@ -401,8 +420,9 @@ class GradedRing:
 
     # -- rewriting ------------------------------------------------------------
 
-    def _first_rule(self, m: Monomial) -> Optional[RewriteRule]:
-        """The first rule in ``self.rules`` order whose lhs divides m, or None."""
+    def _first_rule(self, m: Monomial) -> Optional[Tuple[RewriteRule, int]]:
+        """The first rule in ``self.rules`` order whose lhs divides m, with
+        the largest k such that lhs^k divides m (1 for lhs 1); None if none."""
         exps = dict(m.pairs)
         best, best_i = None, len(self.rules)
         for head in (*exps, None):
@@ -412,17 +432,26 @@ class GradedRing:
                 if all(exps.get(n, 0) >= k for n, k in r.lhs.pairs):
                     best, best_i = r, i
                     break
-        return best
+        if best is None:
+            return None
+        pairs = best.lhs.pairs
+        if len(pairs) == 1:  # a root rule z^n -> s, the common case
+            return best, exps[pairs[0][0]] // pairs[0][1]
+        return best, min((exps[n] // k for n, k in pairs), default=1)
 
     def normal_form(self, e: HomogeneousElement) -> HomogeneousElement:
         """Apply rewrite rules to a fixpoint.
 
-        Each step rewrites the reducible term that comes first in
-        ``Monomial.sort_key`` order with the first rule, in ``self.rules``
-        order, whose lhs divides it.  That strategy fixes the result: rules
-        need not be confluent, so another order could reach another
-        fixpoint.  For the same reason two normal forms that differ prove
-        the elements unequal only when the rules are confluent.  Raises
+        Each step rewrites the reducible term m that comes first in
+        ``Monomial.sort_key`` order with the first rule l -> r, in
+        ``self.rules`` order, whose lhs divides it.  On a confluent ring
+        (see ``confluent``) the step replaces m by r^k * m / l^k, with l^k
+        the largest power of l that divides m; every rewriting order reaches
+        the same normal form there, so elements are equal exactly when
+        their difference normalizes to zero.  On a ring that is not
+        confluent each step takes k = 1; that fixed strategy fixes the
+        result, but another order could reach another fixpoint, and two
+        normal forms that differ do not prove the elements unequal.  Raises
         ``RewriteDivergedError`` after ``step_cap`` steps, with the last ten
         steps as its trace.
         """
@@ -434,16 +463,16 @@ class GradedRing:
         # that sort_key tie before the unordered Monomials are compared
         seq = count()
         for m in terms:
-            r = self._first_rule(m)
-            if r is not None:
-                heap.append((m.sort_key(), next(seq), m, r))
+            hit = self._first_rule(m)
+            if hit is not None:
+                heap.append((m.sort_key(), next(seq), m, hit))
         if not heap:
             return e
         heapify(heap)
         steps = 0
         trace = deque(maxlen=10)
         while heap:
-            _, _, m, r = heappop(heap)
+            _, _, m, (r, k) = heappop(heap)
             c = terms.pop(m, None)
             if c is None:
                 continue  # cancelled since it was queued
@@ -454,16 +483,20 @@ class GradedRing:
                     [f"{tm.key()} by {tr.key()}" for tm, tr in trace],
                 )
             trace.append((m, r))
-            cof = m.div(r.lhs)
-            for a, mr in r.rhs.terms:
+            if k == 1 or not self.confluent:
+                cof, rhs = m.div(r.lhs), r.rhs
+            else:
+                lhs, rhs = r.power(k)
+                cof = m.div(lhs)
+            for a, mr in rhs.terms:
                 nm = mr * cof
                 ca = c * a
                 old = terms.get(nm)
                 if old is None:
                     terms[nm] = ca
-                    nr = self._first_rule(nm)
-                    if nr is not None:
-                        heappush(heap, (nm.sort_key(), next(seq), nm, nr))
+                    hit = self._first_rule(nm)
+                    if hit is not None:
+                        heappush(heap, (nm.sort_key(), next(seq), nm, hit))
                 else:
                     ca = old + ca
                     if ca.is_zero():
@@ -471,6 +504,53 @@ class GradedRing:
                     else:
                         terms[nm] = ca
         return HomogeneousElement((c, m) for m, c in terms.items())
+
+    @cached_property
+    def confluent(self) -> bool:
+        """Whether every critical pair of the rules joins, so that the rules
+        are a Groebner basis (see ``nonjoinable_pair``); computed once, or
+        set by a builder that knows it from the ring it grew."""
+        return self.nonjoinable_pair() is None
+
+    def nonjoinable_pair(self) -> Optional[Tuple[RewriteRule, RewriteRule, HomogeneousElement]]:
+        """The first critical pair (r1, r2, rest) that does not join, or None.
+
+        For rules l1 -> r1 and l2 -> r2 whose left sides share a generator,
+        with L = lcm(l1, l2), the pair joins when r1 * L/l1 - r2 * L/l2
+        normalizes to zero; ``rest`` is what it normalizes to.  Pairs with
+        coprime left sides join by Buchberger's product criterion.  Every
+        left side leads under any admissible refinement of the termination
+        weights, so by Buchberger's criterion (equivalently, Newman's lemma)
+        the rules are confluent exactly when every pair joins.
+
+        The pairs are normalized with k = 1 steps under ``DEFAULT_STEP_CAP``,
+        whatever this ring's own cap; a pair that exceeds that budget counts
+        as not joining, and ``rest`` is then its unnormalized difference.
+        """
+        sharing = set()
+        by_name: Dict[str, list] = {}
+        for j, r in enumerate(self.rules):
+            for n, _ in r.lhs.pairs:
+                sharing.update((i, j) for i in by_name.get(n, ()))
+                by_name.setdefault(n, []).append(j)
+        if not sharing:
+            return None
+        fixed = copy.copy(self)
+        fixed.step_cap = DEFAULT_STEP_CAP
+        fixed.confluent = False
+        for i, j in sorted(sharing):
+            r1, r2 = self.rules[i], self.rules[j]
+            l1 = dict(r1.lhs.pairs)
+            lcm = Monomial({**l1, **{n: max(k, l1.get(n, 0)) for n, k in r2.lhs.pairs}})
+            rest = (r1.rhs * HomogeneousElement.monomial(self.scalar_order, lcm.div(r1.lhs))
+                    - r2.rhs * HomogeneousElement.monomial(self.scalar_order, lcm.div(r2.lhs)))
+            try:
+                rest = fixed.normal_form(rest)
+            except RewriteDivergedError:
+                return r1, r2, rest
+            if not rest.is_zero():
+                return r1, r2, rest
+        return None
 
     def elements_equal(self, a: HomogeneousElement, b: HomogeneousElement) -> bool:
         return self.normal_form(a - b).is_zero()

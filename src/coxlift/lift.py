@@ -601,13 +601,19 @@ class _Engine:
                 )
             base_roots[j] = c0
 
-        # names for the new root generators, by factor index
+        # names for the new root generators, by factor index: every available
+        # pin first, so a fresh name cannot take a later factor's pin
         pins = self.opts.pins()
-        names: Dict[int, str] = {}
+        pinned: Dict[int, str] = {}
         used = set(ring.gen_degrees)
         for l in rooted:
             pin = pins.get((qlist[l].key(), p))
-            names[l] = pin if pin and pin not in used else fresh_root_name(used)
+            if pin and pin not in used:
+                pinned[l] = pin
+                used.add(pin)
+        names: Dict[int, str] = {}
+        for l in rooted:
+            names[l] = pinned.get(l) or fresh_root_name(used)
             used.add(names[l])
 
         new_stack, incl, delta, mode = self._extend_group_and_ring(

@@ -27,7 +27,7 @@ from .abgroup import (
     pushout_root,
 )
 from .cyclo import CycScalar
-from .errors import FactorizationOracleRequired, InputDataError
+from .errors import FactorizationOracleRequired, InputDataError, InternalInvariantError
 from .gring import GradedRing, HomogeneousElement, Monomial, RewriteRule
 
 
@@ -111,6 +111,18 @@ def _mature_declared_rules(ring: GradedRing) -> GradedRing:
     rule (appearing as a whole rule side) are left alone.  One pass in name
     order suffices: the rule added for g guards the names it shows, and a
     name passed over stays so as rules are added.
+
+    These are the only rules the engine adds that can make a critical pair
+    (see ``GradedRing.confluent``).  Document rings are checked confluent
+    when parsed, and a root rule z^n -> s has a fresh head z, so its left
+    side is coprime to every other one and, by Buchberger's product
+    criterion, makes no pair that fails to join.  A matured rule g -> rhs
+    may share g with other left sides.  A declaration that holds in the ring
+    puts g - rhs in its ideal, and adding an element of the ideal to a
+    Groebner basis keeps it one.  So a confluent ring that a matured rule
+    makes non-confluent holds a declaration that is false there, which the
+    checks on declarations and root names are meant to exclude: an
+    ``InternalInvariantError``.
     """
     gen_names = set(ring.gen_degrees)
     guarded = {n for r in ring.rules for n in _rule_shape(r) if n is not None}
@@ -122,11 +134,17 @@ def _mature_declared_rules(ring: GradedRing) -> GradedRing:
             continue
         rule = RewriteRule(Monomial.gen(name), ring.normal_form(fact.expand()))
         try:
-            ring = ring.with_data(rules=ring.rules + (rule,))
+            grown = ring.with_data(rules=ring.rules + (rule,))
         except InputDataError:
             # not orientable under the current grading or term order;
             # the declaration stays available as factorization data
             continue
+        if ring.confluent and not grown.confluent:
+            r1, r2, rest = grown.nonjoinable_pair()
+            raise InternalInvariantError(
+                f"matured rule {rule.key()} breaks confluence: the critical pair "
+                f"{r1.key()}, {r2.key()} leaves {rest.key()}")
+        ring = grown
         guarded.update(n for n in _rule_shape(rule) if n is not None)
     return ring
 
@@ -183,6 +201,9 @@ def extend(S: MdStackData, *steps: RootStep) -> MdStackData:
     rows = [list(r) for r in S.pic.relations.entries]
     degrees = {name: list(d.coords) for name, d in base.generators}
     rules = list(base.rules)
+    # what _may_mature reads, grown with the rules
+    guarded = {n for r in rules for n in _rule_shape(r)}
+    root_facts = dict(filter(None, (r.root_factorization for r in rules)))
     # the stage's group and ring once built, and (group, class, n) while the
     # stage adds one root to a built group
     group, ring, pushout = S.pic, base, None
@@ -200,6 +221,10 @@ def extend(S: MdStackData, *steps: RootStep) -> MdStackData:
             G = stage_group()
             gens = [(n, G.element(c + [0] * (width - len(c)))) for n, c in degrees.items()]
             ring = base.with_data(generators=gens, grading_group=G, rules=rules)
+            if base.confluent:
+                # root rules have fresh heads, and matured rules were checked
+                # (see _mature_declared_rules)
+                ring.confluent = True
         return ring
 
     logged = []
@@ -255,9 +280,15 @@ def extend(S: MdStackData, *steps: RootStep) -> MdStackData:
             if info.name in degrees:
                 raise InputDataError(f"generator name {info.name!r} already in use")
             degrees[info.name] = [0] * slot + [1]
-            rules.append(RewriteRule(Monomial.gen(info.name, info.order), info.section))
-        if roots and _may_mature(base, rules, degrees):
+            rule = RewriteRule(Monomial.gen(info.name, info.order), info.section)
+            rules.append(rule)
+            guarded.update(_rule_shape(rule))
+            if fact := rule.root_factorization:
+                root_facts[fact[0]] = fact[1]
+        if roots and _may_mature(base.declared_factorizations, root_facts, guarded, degrees):
             ring = _mature_declared_rules(stage_ring())
+            # matured rules are appended, and their lhs g has no root factorization
+            guarded.update(n for r in ring.rules[len(rules):] for n in _rule_shape(r))
             rules = list(ring.rules)
         logged.append(step)
     new_ring = stage_ring()
@@ -268,14 +299,13 @@ def extend(S: MdStackData, *steps: RootStep) -> MdStackData:
     return MdStackData(new_ring, S.irrelevant_gens, S.tower + tuple(logged), coarse)
 
 
-def _may_mature(base: GradedRing, rules, degrees) -> bool:
+def _may_mature(declared, root_facts, guarded, degrees) -> bool:
     """Whether ``_mature_declared_rules`` may add a rule at a stage with these
-    rules and generator names: some name that no rule shows has a declared
-    factorization over existing names, in base's declarations or a root
-    rule's.  A superset of its own test, which reads the stage ring's."""
-    guarded = {n for r in rules for n in _rule_shape(r)}
-    sources = (base.declared_factorizations,
-               dict(filter(None, (r.root_factorization for r in rules))))
+    generator names, where the stage's rules show the ``guarded`` names and
+    give ``root_facts``: some name no rule shows has a factorization over
+    existing names, in ``declared`` (the base ring's) or a root rule's.  A
+    superset of its own test, which reads the stage ring's."""
+    sources = (declared, root_facts)
     return any(
         fact is not None and set().union(*(f.support() for f, _e in fact.factors)) <= degrees.keys()
         for name in degrees if name not in guarded

@@ -303,7 +303,12 @@ def _ring(block, group: FgAbelianGroup, order: CycOrder, step_cap: int) -> Grade
     for rule in rules:
         if not rule.rhs.support():
             raise InputDataError(f"rewrite rule {rule.key()} makes a generator zero or a unit")
-    return GradedRing(gens, group, order, rules, block["irreducibles"], step_cap=step_cap)
+    ring = GradedRing(gens, group, order, rules, block["irreducibles"], step_cap=step_cap)
+    if not ring.confluent:
+        r1, r2, rest = ring.nonjoinable_pair()
+        raise InputDataError(f"rewrite rules {r1.key()} and {r2.key()} are not confluent: "
+                             f"their critical pair leaves {rest.key()}")
+    return ring
 
 
 def _global_order(doc, target_cl, pic_gens) -> CycOrder:

@@ -96,6 +96,29 @@ def test_bad_declared_factorization_rejected(tmp_path, capsys):
     assert "verification" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, problem, block, rule, pair", [
+    # v^3*w rewrites to u*w^2 by one rule and to u^2*v by the other
+    ("lift", "mu3", ("source",), {"lhs": {"v": 2, "w": 1}, "rhs": {"u": 2}},
+     "v^3 -> 1*u*w and v^2*w -> 1*u^2 are not confluent: "
+     "their critical pair leaves 1*u*w^2 + -1*u^2*v"),
+    ("decompose", "decompose_half11_root", ("decompose", "stack"),
+     {"lhs": {"t": 1, "z": 2}, "rhs": {"z": 2}},
+     "z^2 -> 1*t and t*z^2 -> 1*z^2 are not confluent: "
+     "their critical pair leaves -1*t + 1*t^2"),
+], ids=["source", "decompose-stack"])
+def test_non_confluent_rules_rejected(tmp_path, capsys, command, problem, block, rule, pair):
+    raw = load_raw(problem)
+    ring = raw
+    for key in block:
+        ring = ring[key]
+    ring["relations"].append({"lhs": rule["lhs"],
+                              "rhs": {"terms": [{"c": "1", "m": rule["rhs"]}]}})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli(command, str(bad)) == 2
+    assert pair in capsys.readouterr().err
+
+
 def test_verify_command_roundtrip(tmp_path, capsys):
     out = tmp_path / "res.json"
     assert run_cli("lift", str(PROBLEMS / "mu4.json"), "--out", str(out), "--log", "json") == 0

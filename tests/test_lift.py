@@ -594,6 +594,64 @@ def test_each_lift_step_grows_the_stack_in_one_construction(monkeypatch, name):
                        for _ in range(2 if s.group_mode == "universal" else 1)]
 
 
+def _pinned_after_a_fresh_factor_problem():
+    """Source a, b, c with c^2 -> ab, declared c = z1*z2 over z1^2 = a and
+    z2^2 = b, and abc + ab = a*b*(c + 1); target C/mu_2 with x^2 -> abc + ab.
+    The factor c + 1, unpinned, comes first in factor order."""
+    def el(*terms):
+        return {"terms": [{"c": "1", "m": m} for m in terms]}
+
+    return {
+        "schema": "coxlift/1",
+        "name": "pinned_after_fresh",
+        "cyclotomic_order": 2,
+        "target": {
+            "class_group": {"ambient_rank": 1, "relations": [[2]]},
+            "pic_subgroup": [],
+            "generators": [{"name": "x", "degree": [1]}],
+            "relations": [],
+            "irrelevant": [],
+        },
+        "source": {
+            "class_group": {"ambient_rank": 0, "relations": []},
+            "generators": [{"name": n, "degree": []} for n in "abc"],
+            "relations": [{"lhs": {"c": 2}, "rhs": el({"a": 1, "b": 1})}],
+            "irreducibles": ["a", "b"],
+            "declared_factorizations": [
+                {"element": el({"c": 1}), "unit": {"zeta": 0},
+                 "factors": [["z1", 1], ["z2", 1]],
+                 "roots": [{"name": "z1", "section": el({"a": 1}), "order": 2},
+                           {"name": "z2", "section": el({"b": 1}), "order": 2}]},
+                {"element": el({"a": 1, "b": 1, "c": 1}, {"a": 1, "b": 1}), "unit": {"zeta": 0},
+                 "factors": [[el({"a": 1}), 1], [el({"b": 1}), 1], [el({"c": 1}, {}), 1]],
+                 "roots": []},
+            ],
+            "irrelevant": [],
+            "assertions": {"units_of_complement_trivial": True,
+                           "pic_of_complement_trivial": True},
+        },
+        "base_morphism": {
+            "group_map": [],
+            "images": [{"monomial": {"x": 2},
+                        "image": el({"a": 1, "b": 1, "c": 1}, {"a": 1, "b": 1})}],
+        },
+        "options": {"step_cap": 10000, "spotcheck_bound": 4},
+    }
+
+
+def test_pinned_root_names_are_given_before_fresh_ones():
+    """a and b are pinned to z1 and z2 by the declaration's roots context;
+    c + 1 comes first but must not take z1."""
+    spec = parse_problem(_pinned_after_a_fresh_factor_problem())
+    res = run_cox_lift(spec.target, spec.source_stack, spec.base, spec.options)
+    assert res.verification.passed
+    (step,) = res.steps
+    assert step.roots == (("1*1 + 1*c", 2, "z3"), ("1*a", 2, "z1"), ("1*b", 2, "z2"))
+    ring = res.stack.cox_ring
+    assert ring.elements_equal(ring.gen("z1") ** 2, ring.gen("a"))
+    assert ring.elements_equal(ring.gen("z2") ** 2, ring.gen("b"))
+
+
 def test_mutated_declared_unit_rejected_at_load():
     raw = load_raw("mu3")
     raw["source"]["declared_factorizations"][0]["unit"] = "2"

@@ -7,7 +7,7 @@ from helpers import PROBLEMS, lift_of
 from coxlift import abgroup
 from coxlift.abgroup import FgAbelianGroup
 from coxlift.cyclo import CycOrder, CycScalar
-from coxlift.errors import InputDataError
+from coxlift.errors import InputDataError, InternalInvariantError
 from coxlift.gring import Factorization, GradedRing, HomogeneousElement, Monomial, RewriteRule
 from coxlift.lift import decompose_as_roots
 from coxlift.mdstack import (
@@ -189,6 +189,22 @@ def test_maturing_guards_the_names_of_each_rule_it_adds():
                 "1*h": Factorization(one, ((tmp.gen("x"), 1),))}
     S = canonical_stack(tmp.with_data(declared_factorizations=declared))
     assert [r.key() for r in S.cox_ring.rules] == ["a -> 1*h"]
+
+
+def test_a_matured_rule_that_breaks_confluence_is_an_internal_error():
+    # c = z1 + z2 is false where c^2 = ab, z1^2 = a, z2^2 = b: the pair
+    # c^2 -> ab, c -> z1 + z2 leaves ab - (z1 + z2)^2
+    cl = FgAbelianGroup(0, [])
+    tmp = GradedRing([(n, cl.zero()) for n in ("a", "b", "c", "z1", "z2")], cl, N2)
+    ring = tmp.with_data(rules=[
+        RewriteRule(Monomial.gen("z1", 2), tmp.gen("a")),
+        RewriteRule(Monomial.gen("z2", 2), tmp.gen("b")),
+        RewriteRule(Monomial.gen("c", 2), tmp.mono({"a": 1, "b": 1})),
+    ], declared_factorizations={
+        "1*c": Factorization(CycScalar.one(N2), ((tmp.gen("z1") + tmp.gen("z2"), 1),))})
+    assert ring.confluent
+    with pytest.raises(InternalInvariantError, match="breaks confluence"):
+        canonical_stack(ring)
 
 
 # ---------------------------------------------------------------------------
