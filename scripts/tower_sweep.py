@@ -20,10 +20,10 @@ three ``check_factors_through`` outcomes (``Theta``, ``NoFactor``,
 A stack is read as a lift by ``tests/helpers.stack_as_lift``: identity
 images and the identity on Pic.
 The summary gives the status counts, how many input rings and result
-rings are confluent (``GradedRing.confluent``, not part of the rows), the
-slowest tower that finishes, the count of each factoring outcome over the
-towers that finish, the slowest factoring call, and one SHA-256 over the
-rows in sweep order, each
+rings are confluent (``GradedRing.nonjoinable_pair()`` is None, not part
+of the rows), the slowest tower that finishes, the count of each
+factoring outcome over the towers that finish, the slowest factoring
+call, and one SHA-256 over the rows in sweep order, each
 row ``name status digest-or-"-" parsed=... to_nat=... from_nat=...``
 without the seconds, joined by newlines; two checkouts sweep alike iff
 their rows digests agree.  The checkout's own ``src`` is imported, so the
@@ -66,10 +66,10 @@ def sweep_one(ngens, nsteps, seed):
     status, result, secs = run_limited(
         lambda: decompose_as_roots(spec.stack, spec.options), LIMIT)
     row = {"name": name, "status": status, "seconds": secs,
-           "confluent": [spec.stack.cox_ring.confluent]}
+           "confluent": [spec.stack.cox_ring.nonjoinable_pair() is None]}
     if status != "ok":
         return row
-    row["confluent"].append(result.stack.cox_ring.confluent)
+    row["confluent"].append(result.stack.cox_ring.nonjoinable_pair() is None)
     doc = emit_result(spec.name, result, spec.order)
     failed = [c["name"] for c in doc["verification"]["checks"] if not c["passed"]]
     row["status"] = "failed:" + ",".join(failed) if failed else "ok"

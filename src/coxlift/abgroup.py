@@ -392,12 +392,6 @@ class GroupHomomorphism:
                 acc = acc + c * img
         return acc
 
-    def compose(self, inner: "GroupHomomorphism") -> "GroupHomomorphism":
-        """self o inner."""
-        return GroupHomomorphism(
-            inner.domain, self.codomain, [self(img) for img in inner.images]
-        )
-
     @classmethod
     def identity(cls, G: FgAbelianGroup) -> "GroupHomomorphism":
         return coordinate_inclusion(G, G)

@@ -8,16 +8,17 @@ lists over exact cyclotomic scalars; monomials are keyed by generator
 name so they survive ring extensions unchanged.
 
 The rules terminate under a weight order (``_derive_weights``) in which
-every left side is the leading term.  A ring checks once, on first use,
-whether its critical pairs join (``GradedRing.confluent``).  If they do,
-the rules are a Groebner basis of the ideal they generate, so normal
-forms are unique, equality is decided by normalizing a difference, and
-``normal_form`` may rewrite a whole power of a left side in one step.
+every left side is the leading term.  ``normal_form`` has one strategy:
+the first reducible term in ``Monomial.sort_key`` order is rewritten by
+the first rule that divides it, a whole power of its left side at once.
+The rings the engine builds are confluent, which is checked where rules
+enter (``GradedRing.nonjoinable_pair``): the rules are then a Groebner
+basis of the ideal they generate, so normal forms are unique and two
+elements are equal exactly when their normal forms are.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -444,17 +445,18 @@ class GradedRing:
 
         Each step rewrites the reducible term m that comes first in
         ``Monomial.sort_key`` order with the first rule l -> r, in
-        ``self.rules`` order, whose lhs divides it.  On a confluent ring
-        (see ``confluent``) the step replaces m by r^k * m / l^k, with l^k
-        the largest power of l that divides m; every rewriting order reaches
-        the same normal form there, so elements are equal exactly when
-        their difference normalizes to zero.  On a ring that is not
-        confluent each step takes k = 1; that fixed strategy fixes the
-        result, but another order could reach another fixpoint, and two
-        normal forms that differ do not prove the elements unequal.  Raises
-        ``RewriteDivergedError`` after ``step_cap`` steps, with the last ten
-        steps as its trace.
+        ``self.rules`` order, whose lhs divides it, and replaces m by
+        r^k * m / l^k, with l^k the largest power of l that divides m.  A
+        step is k one-step rewrites, so the result is a normal form in the
+        usual sense; on a confluent ring (see ``nonjoinable_pair``) it is
+        the unique one, and elements are equal exactly when their normal
+        forms are.  Raises ``RewriteDivergedError`` after ``step_cap``
+        steps, with the last ten steps as its trace.
         """
+        return self._rewrite(e, self.step_cap)
+
+    def _rewrite(self, e: HomogeneousElement, step_cap: int) -> HomogeneousElement:
+        """``normal_form`` under the given step budget."""
         if not self.rules:
             return e
         terms = {m: c for c, m in e.terms}
@@ -477,17 +479,14 @@ class GradedRing:
             if c is None:
                 continue  # cancelled since it was queued
             steps += 1
-            if steps > self.step_cap:
+            if steps > step_cap:
                 raise RewriteDivergedError(
-                    f"rewriting diverged after {self.step_cap} steps",
+                    f"rewriting diverged after {step_cap} steps",
                     [f"{tm.key()} by {tr.key()}" for tm, tr in trace],
                 )
             trace.append((m, r))
-            if k == 1 or not self.confluent:
-                cof, rhs = m.div(r.lhs), r.rhs
-            else:
-                lhs, rhs = r.power(k)
-                cof = m.div(lhs)
+            lhs, rhs = r.power(k) if k > 1 else (r.lhs, r.rhs)
+            cof = m.div(lhs)
             for a, mr in rhs.terms:
                 nm = mr * cof
                 ca = c * a
@@ -505,13 +504,6 @@ class GradedRing:
                         terms[nm] = ca
         return HomogeneousElement((c, m) for m, c in terms.items())
 
-    @cached_property
-    def confluent(self) -> bool:
-        """Whether every critical pair of the rules joins, so that the rules
-        are a Groebner basis (see ``nonjoinable_pair``); computed once, or
-        set by a builder that knows it from the ring it grew."""
-        return self.nonjoinable_pair() is None
-
     def nonjoinable_pair(self) -> Optional[Tuple[RewriteRule, RewriteRule, HomogeneousElement]]:
         """The first critical pair (r1, r2, rest) that does not join, or None.
 
@@ -521,11 +513,13 @@ class GradedRing:
         coprime left sides join by Buchberger's product criterion.  Every
         left side leads under any admissible refinement of the termination
         weights, so by Buchberger's criterion (equivalently, Newman's lemma)
-        the rules are confluent exactly when every pair joins.
+        the rules are confluent exactly when every pair joins.  The
+        criterion holds for any fixed reduction strategy, so the pairs are
+        normalized by ``normal_form``'s whole-power steps.
 
-        The pairs are normalized with k = 1 steps under ``DEFAULT_STEP_CAP``,
-        whatever this ring's own cap; a pair that exceeds that budget counts
-        as not joining, and ``rest`` is then its unnormalized difference.
+        The pairs are normalized under ``DEFAULT_STEP_CAP`` steps, whatever
+        this ring's own cap; a pair that exceeds that budget counts as not
+        joining, and ``rest`` is then its unnormalized difference.
         """
         sharing = set()
         by_name: Dict[str, list] = {}
@@ -533,11 +527,6 @@ class GradedRing:
             for n, _ in r.lhs.pairs:
                 sharing.update((i, j) for i in by_name.get(n, ()))
                 by_name.setdefault(n, []).append(j)
-        if not sharing:
-            return None
-        fixed = copy.copy(self)
-        fixed.step_cap = DEFAULT_STEP_CAP
-        fixed.confluent = False
         for i, j in sorted(sharing):
             r1, r2 = self.rules[i], self.rules[j]
             l1 = dict(r1.lhs.pairs)
@@ -545,7 +534,7 @@ class GradedRing:
             rest = (r1.rhs * HomogeneousElement.monomial(self.scalar_order, lcm.div(r1.lhs))
                     - r2.rhs * HomogeneousElement.monomial(self.scalar_order, lcm.div(r2.lhs)))
             try:
-                rest = fixed.normal_form(rest)
+                rest = self._rewrite(rest, DEFAULT_STEP_CAP)
             except RewriteDivergedError:
                 return r1, r2, rest
             if not rest.is_zero():
@@ -741,12 +730,16 @@ class GradedRing:
     def verify_factorization(self, e: HomogeneousElement, fact: Factorization):
         """Check that fact multiplies out to e, possibly only after p-th powers.
 
+        The two sides match directly when their normal forms are equal.
+        Otherwise the candidate powers p are 2 to 8 and the total degree of
+        every rule's left side above 1, in increasing order; the first p
+        at which the p-th powers agree modulo the rules is a match.
         Returns (ok, power, diagnostic); power records the exponent at which
         the two sides became comparable (1 for a direct match).
         """
         lhs = self.normal_form(e)
         rhs = self.normal_form(fact.expand())
-        if self.normal_form(lhs - rhs).is_zero():
+        if lhs == rhs:
             return True, 1, "direct match"
         candidates = sorted(
             {r.lhs.total_degree() for r in self.rules if r.lhs.total_degree() > 1}

@@ -429,7 +429,7 @@ class _Engine:
         def compare(vec, prod):
             img = ring.normal_form(prod)
             ref = seen.setdefault(vec, img)
-            if ref.terms != img.terms and not ring.elements_equal(ref, img):
+            if ref != img:
                 raise inconsistent(Monomial(zip(names, vec)))
 
         pairs = {}
@@ -500,7 +500,7 @@ class _Engine:
             for k in dec:
                 img = img * self.table[k]
             values.append(ring.normal_form(img))
-        if len(values) == 2 and not ring.elements_equal(values[0], values[1]):
+        if len(values) == 2 and values[0] != values[1]:
             raise LiftInconsistencyError(
                 f"inconsistent image table: two decompositions of {mono.key()} disagree"
             )
@@ -868,7 +868,12 @@ def map_element(images: Dict[str, HomogeneousElement], ring: GradedRing,
 def verify_lift(target: TargetData, source_stack: MdStackData, base: BaseMorphism,
                 result: CoxLiftResult, spotcheck_bound: int = 0) -> VerificationReport:
     """The four lift checks: homogeneity, relation preservation, restriction
-    to the base morphism, and well-definedness of the group map."""
+    to the base morphism, and well-definedness of the group map.
+
+    A fifth, the factorial spot-check (``graded_factorial_spotcheck`` up to
+    ``spotcheck_bound``), runs only when the bound is nonzero and the result
+    ring has at most 6 generators; on a larger ring it is skipped and the
+    report has no entry for it."""
     ring = result.stack.cox_ring
     checks: List[VerificationCheck] = []
 
@@ -1161,7 +1166,7 @@ def _unit_ratio(ring: GradedRing, a: HomogeneousElement,
     if ma != mb:
         return None
     ratio = cb * ca.inverse()
-    if ring.elements_equal(a.scale(ratio), b):
+    if a.scale(ratio) == b:
         return ratio
     return None
 

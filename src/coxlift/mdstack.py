@@ -113,16 +113,18 @@ def _mature_declared_rules(ring: GradedRing) -> GradedRing:
     name passed over stays so as rules are added.
 
     These are the only rules the engine adds that can make a critical pair
-    (see ``GradedRing.confluent``).  Document rings are checked confluent
-    when parsed, and a root rule z^n -> s has a fresh head z, so its left
-    side is coprime to every other one and, by Buchberger's product
-    criterion, makes no pair that fails to join.  A matured rule g -> rhs
-    may share g with other left sides.  A declaration that holds in the ring
-    puts g - rhs in its ideal, and adding an element of the ideal to a
-    Groebner basis keeps it one.  So a confluent ring that a matured rule
-    makes non-confluent holds a declaration that is false there, which the
-    checks on declarations and root names are meant to exclude: an
-    ``InternalInvariantError``.
+    (see ``GradedRing.nonjoinable_pair``).  Document rings are checked
+    confluent when parsed, and a root rule z^n -> s has a fresh head z, so
+    its left side is coprime to every other one and, by Buchberger's
+    product criterion, makes no pair that fails to join.  A matured rule
+    g -> rhs may share g with other left sides, so the grown ring's pairs
+    are checked.  A declaration that holds in the ring puts g - rhs in its
+    ideal, and adding an element of the ideal to a Groebner basis keeps it
+    one.  So a matured rule that leaves a pair unjoined holds a declaration
+    that is false there, which the checks on declarations and root names
+    are meant to exclude: an ``InternalInvariantError``.  Every ring the
+    engine builds is thus confluent, and ``normal_form``'s one strategy
+    gives its unique normal forms.
     """
     gen_names = set(ring.gen_degrees)
     guarded = {n for r in ring.rules for n in _rule_shape(r) if n is not None}
@@ -139,8 +141,8 @@ def _mature_declared_rules(ring: GradedRing) -> GradedRing:
             # not orientable under the current grading or term order;
             # the declaration stays available as factorization data
             continue
-        if ring.confluent and not grown.confluent:
-            r1, r2, rest = grown.nonjoinable_pair()
+        if pair := grown.nonjoinable_pair():
+            r1, r2, rest = pair
             raise InternalInvariantError(
                 f"matured rule {rule.key()} breaks confluence: the critical pair "
                 f"{r1.key()}, {r2.key()} leaves {rest.key()}")
@@ -194,7 +196,11 @@ def extend(S: MdStackData, *steps: RootStep) -> MdStackData:
     root rule z^n -> s never rewrites an earlier stage's monomial, which
     lacks z.  A rule matured later can, and maturing reads its stage's
     names, rules and grading, so a stage ring is built where a section is
-    not in normal form or a declaration may mature.
+    not in normal form or a declaration may mature.  Stage rings are not
+    checked for confluence: root rules have fresh heads and matured rules
+    are checked (see ``_mature_declared_rules``), so a stage ring grown
+    from a confluent base is confluent, and ``normal_form``'s whole-power
+    steps give its unique normal forms.
     """
     base = S.cox_ring
     width = S.pic.ambient_rank
@@ -221,10 +227,6 @@ def extend(S: MdStackData, *steps: RootStep) -> MdStackData:
             G = stage_group()
             gens = [(n, G.element(c + [0] * (width - len(c)))) for n, c in degrees.items()]
             ring = base.with_data(generators=gens, grading_group=G, rules=rules)
-            if base.confluent:
-                # root rules have fresh heads, and matured rules were checked
-                # (see _mature_declared_rules)
-                ring.confluent = True
         return ring
 
     logged = []

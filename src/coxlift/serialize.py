@@ -288,10 +288,6 @@ def _element(terms, order: CycOrder) -> HomogeneousElement:
     return HomogeneousElement([(t["c"](order), Monomial(t["m"])) for t in terms])
 
 
-def parse_scalar(data, order: CycOrder, what: str = "scalar") -> CycScalar:
-    return _scalar(data, what)(order)
-
-
 def parse_element(data, order: CycOrder) -> HomogeneousElement:
     return _element(_terms(data, "element"), order)
 
@@ -304,8 +300,8 @@ def _ring(block, group: FgAbelianGroup, order: CycOrder, step_cap: int) -> Grade
         if not rule.rhs.support():
             raise InputDataError(f"rewrite rule {rule.key()} makes a generator zero or a unit")
     ring = GradedRing(gens, group, order, rules, block["irreducibles"], step_cap=step_cap)
-    if not ring.confluent:
-        r1, r2, rest = ring.nonjoinable_pair()
+    if pair := ring.nonjoinable_pair():
+        r1, r2, rest = pair
         raise InputDataError(f"rewrite rules {r1.key()} and {r2.key()} are not confluent: "
                              f"their critical pair leaves {rest.key()}")
     return ring
@@ -500,10 +496,6 @@ def _tower(steps, order: CycOrder) -> tuple:
             relations = tuple(map(tuple, s.get("group_relations", ())))
             out.append(RootStep(kind=kind, roots=roots, group_relations=relations))
     return tuple(out)
-
-
-def parse_tower(data, order: CycOrder):
-    return _tower(_walk(data, TOWER, "tower"), order)
 
 
 def emit_step_record(s: StepRecord) -> dict:

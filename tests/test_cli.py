@@ -14,9 +14,8 @@ from coxlift.cli import main
 from coxlift.cyclo import CycOrder, CycScalar
 from coxlift.errors import InputDataError
 from coxlift.serialize import (
+    parse_element,
     parse_problem,
-    parse_scalar,
-    parse_tower,
     replay_result,
 )
 from coxlift.mdstack import replay_tower
@@ -358,11 +357,16 @@ def test_malformed_problem_field_gives_exit_2(tmp_path, capsys, path, value, mes
 def test_scalars_are_exact_or_rejected():
     """JSON floats and bools carry no exact rational, so they are rejected."""
     order = CycOrder(3)
-    assert parse_scalar("1/3", order) == CycScalar.from_rational(order, Fraction(1, 3))
-    assert parse_scalar(-2, order) == CycScalar.from_rational(order, Fraction(-2))
+
+    def parse_scalar(c):
+        (got, _m), = parse_element({"terms": [{"c": c, "m": {}}]}, order).terms
+        return got
+
+    assert parse_scalar("1/3") == CycScalar.from_rational(order, Fraction(1, 3))
+    assert parse_scalar(-2) == CycScalar.from_rational(order, Fraction(-2))
     for bad in (0.1, 1.0, True, False, {"coeffs": [0.5, "0"]}, {"coeffs": [True, 0]}):
         with pytest.raises(InputDataError, match="must be an integer or a"):
-            parse_scalar(bad, order)
+            parse_scalar(bad)
 
 
 def test_snf_rejects_a_negative_ambient_rank(capsys):

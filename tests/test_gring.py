@@ -1,4 +1,3 @@
-import copy
 import time
 from fractions import Fraction
 from functools import lru_cache
@@ -320,8 +319,8 @@ def test_h_factorize_square_free_split_over_q_zeta3(mult):
 
 
 def test_step_cap_reached_at_run_time_reports_last_steps():
-    # x^6 needs 15 steps under these rules; y^2*z leaves the term dict
-    # and comes back, so a monomial is rewritten more than once
+    # x^7 needs 11 steps under these rules; y*z leaves the term dict and
+    # comes back, so a monomial is rewritten more than once
     cl = FgAbelianGroup(0, [])
     gens = [(n, cl.zero()) for n in "xyz"]
     tmp = GradedRing(gens, cl, N2)
@@ -330,34 +329,36 @@ def test_step_cap_reached_at_run_time_reports_last_steps():
         RewriteRule(Monomial({"y": 1, "z": 1}), tmp.gen("x")),
         RewriteRule(Monomial.gen("y", 2), tmp.gen("z")),
     ]
-    x6 = tmp.mono({"x": 6})
-    assert GradedRing(gens, cl, N2, rules=rules, step_cap=15).normal_form(x6) == (
-        tmp.gen("x")
-        + tmp.mono({"x": 1, "y": 1}, CycScalar.from_rational(N2, 3))
-        + tmp.mono({"x": 1, "z": 1}, CycScalar.from_rational(N2, 3))
-        + tmp.mono({"z": 3})
+    x7 = tmp.mono({"x": 7})
+    assert GradedRing(gens, cl, N2, rules=rules, step_cap=11).normal_form(x7) == (
+        tmp.gen("x").scale(CycScalar.from_rational(N2, 6))
+        + tmp.gen("y")
+        + tmp.gen("z").scale(CycScalar.from_rational(N2, 4))
+        + tmp.mono({"z": 2}, CycScalar.from_rational(N2, 3))
+        + tmp.mono({"x": 1, "z": 3})
     )
-    R = GradedRing(gens, cl, N2, rules=rules, step_cap=14)
+    R = GradedRing(gens, cl, N2, rules=rules, step_cap=10)
     with pytest.raises(RewriteDivergedError) as info:
-        R.normal_form(x6)
+        R.normal_form(x7)
     assert info.value.trace == (
-        "y^2*z by y*z -> 1*x",
-        "x^2*y^2 by x^2 -> 1*y + 1*z",
-        "y^2*z by y*z -> 1*x",
-        "y^3 by y^2 -> 1*z",
+        "x^7 by x^2 -> 1*y + 1*z",
+        "x*y*z^2 by y*z -> 1*x",
+        "x^2*z by x^2 -> 1*y + 1*z",
         "y*z by y*z -> 1*x",
-        "x^4*z by x^2 -> 1*y + 1*z",
-        "x^2*y*z by x^2 -> 1*y + 1*z",
-        "y*z^2 by y*z -> 1*x",
-        "y^2*z by y*z -> 1*x",
-        "x^2*z^2 by x^2 -> 1*y + 1*z",
+        "x*y^2*z by y*z -> 1*x",
+        "x^2*y by x^2 -> 1*y + 1*z",
+        "y*z by y*z -> 1*x",
+        "y^2 by y^2 -> 1*z",
+        "x*y^3 by y^2 -> 1*z",
+        "x*y*z by y*z -> 1*x",
     )
 
 
-def rescanning_normal_form(R, e):
+def rescanning_normal_form(R, e, whole_powers=True):
     """Oracle: rescan every term against every rule and rebuild the element
     after each step; the first reducible term in sort order is rewritten by
-    the first rule that divides it."""
+    the first rule that divides it, a whole power of its lhs at once (one
+    lhs at a time when ``whole_powers`` is false)."""
     steps = 0
     trace = []
     cur = e
@@ -379,8 +380,11 @@ def rescanning_normal_form(R, e):
                 f"rewriting diverged after {R.step_cap} steps", trace[-10:]
             )
         trace.append(f"{m.key()} by {r.key()}")
-        cof = m.div(r.lhs)
-        replacement = r.rhs.scale(c) * HomogeneousElement.monomial(R.scalar_order, cof)
+        k = 1
+        while whole_powers and r.lhs.pairs and (r.lhs ** (k + 1)).divides(m):
+            k += 1
+        cof = m.div(r.lhs ** k)
+        replacement = (r.rhs ** k).scale(c) * HomogeneousElement.monomial(R.scalar_order, cof)
         cur = HomogeneousElement(
             tuple(t for t in cur.terms if t != (c, m)) + replacement.terms
         )
@@ -436,22 +440,15 @@ def _outcome(normal_form, e):
         N3, Monomial.gen("w", 2)), 1))
 @settings(max_examples=200, deadline=None)
 def test_normal_form_matches_rescanning_oracle(case):
-    """Off confluent rings, the same steps, trace and step-cap outcome as
-    the oracle.  On confluent rings a whole power of a left side is one
-    step, so a run that stays within its cap gives the oracle's uncapped
-    normal form (w -> 1 takes w^2 to 1 in one step, the oracle in two)."""
+    """The same steps, trace and step-cap outcome as the oracle, which
+    rewrites a whole power of a left side in one step too (w -> 1 takes w^2
+    to 1 in one step)."""
     names, rules, e, cap = case
     cl = FgAbelianGroup(0, [])
     gens = [(n, cl.zero()) for n in names]
-    uncapped = GradedRing(gens, cl, N3, rules=rules)
-    want_nf = _outcome(lambda el: rescanning_normal_form(uncapped, el), e)
     for step_cap in (10000, cap):
         R = GradedRing(gens, cl, N3, rules=rules, step_cap=step_cap)
-        got = _outcome(R.normal_form, e)
-        if R.confluent:
-            assert got == want_nf or (step_cap == cap and got[:1] == ("diverged",))
-        else:
-            assert got == _outcome(lambda el: rescanning_normal_form(R, el), e)
+        assert _outcome(R.normal_form, e) == _outcome(lambda el: rescanning_normal_form(R, el), e)
 
 
 def one_step_rewrites(R, e):
@@ -505,9 +502,9 @@ def small_rule_sets(draw):
 @given(small_rule_sets())
 @settings(max_examples=150, deadline=None)
 def test_confluent_matches_exhaustive_rewriting_oracle(case):
-    """``confluent`` holds exactly when, from every monomial of total
-    degree at most 4 (the largest lcm of two left sides), every sequence of
-    one-step rewrites ends in the same normal form."""
+    """Every critical pair joins exactly when, from every monomial of
+    total degree at most 4 (the largest lcm of two left sides), every
+    sequence of one-step rewrites ends in the same normal form."""
     names, rules = case
     cl = FgAbelianGroup(0, [])
     R = GradedRing([(n, cl.zero()) for n in names], cl, N3, rules=rules)
@@ -515,7 +512,6 @@ def test_confluent_matches_exhaustive_rewriting_oracle(case):
                  for v in iproduct(range(5), repeat=len(names)) if sum(v) <= 4]
     unique = all(len(reachable_normal_forms(R, HomogeneousElement.monomial(N3, m))) == 1
                  for m in monomials)
-    assert R.confluent == unique
     assert (R.nonjoinable_pair() is None) == unique
 
 
@@ -545,16 +541,13 @@ def root_tower_cases(draw):
 @given(root_tower_cases())
 @settings(max_examples=100, deadline=None)
 def test_whole_power_normal_form_equals_the_fixed_strategy(case):
-    """The fixed strategy is the ring's own k = 1 path, which
-    ``test_normal_form_matches_rescanning_oracle`` ties to the oracle step
-    by step; here it runs on a copy marked not confluent."""
+    """On a confluent ring, rewriting whole powers reaches the normal form
+    that the oracle reaches one left side at a time."""
     names, rules, e = case
     cl = FgAbelianGroup(0, [])
     R = GradedRing([(n, cl.zero()) for n in names], cl, N3, rules=rules, step_cap=10**6)
-    assert R.confluent
-    fixed = copy.copy(R)
-    fixed.confluent = False
-    assert R.normal_form(e) == fixed.normal_form(e)
+    assert R.nonjoinable_pair() is None
+    assert R.normal_form(e) == rescanning_normal_form(R, e, whole_powers=False)
 
 
 def test_confluent_rings_rewrite_whole_powers_in_one_step():
@@ -571,7 +564,7 @@ def test_confluent_rings_rewrite_whole_powers_in_one_step():
         RewriteRule(Monomial({"x": 1, "z": 1}), tmp.gen("x")),
     ])
     assert R.normal_form(R.one()) == R.one()
-    assert R.confluent
+    assert R.nonjoinable_pair() is None
     with pytest.raises(RewriteDivergedError):
         R.normal_form(tmp.mono({"x": 2}))
 
@@ -763,17 +756,17 @@ def test_h_factorize_matches_sympy_over_q(case):
     assert sorted(got) == sorted(want)
 
 
-# -- factoring over Q(zeta_3) against sympy ----------------------------------------
+# -- factoring over Q(zeta_3) and Q(zeta_4) against sympy --------------------------
 
 
 @st.composite
-def eisenstein_products(draw):
+def cyclotomic_products(draw):
     """(unit, k, roots with multiplicities): the polynomial
-    unit * t^k * prod (t - c)^m over Q(zeta_3), of degree at most 7, with
-    each c = a + b*zeta_3 in Z[zeta_3] and the unit a rational times a
-    power of zeta_3."""
+    unit * t^k * prod (t - c)^m over Q(zeta_N), N = 3 or 4, of degree at
+    most 7, with each c = a + b*zeta_N in Z[zeta_N] and the unit a rational
+    times zeta_N^j, 0 <= j <= 3."""
     unit = (draw(st.fractions(-5, 5, max_denominator=3).filter(bool)),
-            draw(st.integers(0, 2)))
+            draw(st.integers(0, 3)))
     k = draw(st.integers(0, 2))
     budget = 7 - k
     roots = []
@@ -786,31 +779,37 @@ def eisenstein_products(draw):
     return unit, k, roots
 
 
+# zeta_N as a sympy number: Q(zeta_3) = Q(sqrt -3) and Q(zeta_4) = Q(i)
+SYMPY_ZETA = {3: (sympy.sqrt(-3) - 1) / 2, 4: sympy.I}
+
+
 @lru_cache(maxsize=None)
-def _q_sqrt_minus_3():
-    """sympy's field Q(sqrt -3) and zeta_3 = (sqrt(-3) - 1)/2 in it."""
-    K = sympy.QQ.algebraic_field(sympy.sqrt(-3))
-    return K, (K.from_sympy(sympy.sqrt(-3)) - K.one) * K.convert(sympy.Rational(1, 2))
+def _sympy_cyclotomic_field(N):
+    """sympy's field Q(zeta_N) and zeta_N in it."""
+    K = sympy.QQ.algebraic_field(SYMPY_ZETA[N])
+    return K, K.from_sympy(SYMPY_ZETA[N])
 
 
+@pytest.mark.parametrize("N", [3, 4], ids=["zeta3", "zeta4"])
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(eisenstein_products())
-def test_h_factorize_matches_sympy_over_q_zeta3(case):
-    """h_factorize either agrees with sympy over Q(sqrt -3) = Q(zeta_3) in
-    unit, factors and multiplicities, or asks for a factorization oracle."""
+@given(case=cyclotomic_products())
+def test_h_factorize_matches_sympy_over_q_zeta(N, case):
+    """h_factorize either agrees with sympy over Q(zeta_N) in unit,
+    factors and multiplicities, or asks for a factorization oracle."""
     (q, j), k, roots = case
+    order = CycOrder(N)
     cl0 = FgAbelianGroup(0, [])
-    R = GradedRing([("t", cl0.zero())], cl0, N3)
+    R = GradedRing([("t", cl0.zero())], cl0, order)
     t = R.gen("t")
-    e = R.const(CycScalar.from_rational(N3, q) * CycScalar.zeta(N3, j)) * t ** k
+    e = R.const(CycScalar.from_rational(order, q) * CycScalar.zeta(order, j)) * t ** k
     for (a, b), m in roots:
-        e = e * (t - R.const(CycScalar(N3, [a, b]))) ** m
+        e = e * (t - R.const(CycScalar(order, [a, b]))) ** m
     try:
         fact = R.h_factorize(e)
     except FactorizationOracleRequired:
         return
 
-    K, w = _q_sqrt_minus_3()
+    K, w = _sympy_cyclotomic_field(N)
 
     def coeffs(f):  # highest power first, in K
         out = [K.zero] * (max(m.total_degree() for _, m in f.terms) + 1)

@@ -747,7 +747,8 @@ def test_factors_through_extra_root_candidate():
         target=res.target, base=res.base, source_stack=res.source_stack,
         stack=extra_stack,
         images=res.images,
-        group_map=incl.compose(res.group_map),
+        group_map=GroupHomomorphism(res.group_map.domain, extra_stack.pic,
+                                    [incl(img) for img in res.group_map.images]),
         table=res.table,
     )
     assert verify_lift(spec.target, spec.source_stack, spec.base, cand).passed
