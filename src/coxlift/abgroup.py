@@ -454,9 +454,9 @@ class Subgroup:
     """The subgroup K of G generated by ``gens``, with its Smith data.
 
     The Smith form of M = [gens; G.relations] is computed once, when the
-    first query needs it.  Membership, coefficients and the relation
-    lattice of the generators are then each one back-substitution through
-    it.  The quotient G/K is built on first use by ``quotient_group``,
+    first query needs it.  Coefficients (None for a non-member) and the
+    relation lattice of the generators are then each one back-substitution
+    through it.  The quotient G/K is built on first use by ``quotient_group``,
     which factors [G.relations; gens] itself (see the module docstring).
     """
 
@@ -476,9 +476,6 @@ class Subgroup:
         """Integer coefficients x with sum x_i * gens_i = target in G, or None."""
         sol = _back_substitute(*self._smith, target.coords)
         return None if sol is None else sol[: len(self.gens)]
-
-    def contains(self, target: GroupElement) -> bool:
-        return self.express(target) is not None
 
     def relations(self) -> list:
         """Rows generating { c : sum c_i * gens_i = 0 in G }."""

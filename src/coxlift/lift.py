@@ -197,51 +197,61 @@ class NoFactor:
 def pic_level_generators(T: TargetData, K: Subgroup) -> List[Monomial]:
     """Monomials generating the subring of degrees inside the subgroup.
 
-    Exponents are bounded, per generator, by the order of its degree class
-    in Cl/K (a power beyond that order splits off a factor with degree in
-    K, so nothing larger can be a minimal generator).  Classes are carried
-    as canonical coordinates of Cl/K and the last exponent is read off a
-    residue table, so only the class-zero vectors of that box are visited.
-    In `Monomial.sort_key` order, a vector is kept unless some kept vector
-    k is <= it componentwise.  This drops exactly the monomials divisible
-    by a product of two kept ones: m/k is a nonzero class-zero vector of
-    the box of smaller total degree, so it is kept or divisible by one.
+    These are the minimal nonzero exponent vectors whose class in Cl/K is
+    zero, in `Monomial.sort_key` order.  Exponents are bounded, per
+    generator, by the order of its degree class in Cl/K (a power beyond
+    that order splits off a factor with degree in K, so nothing larger can
+    be minimal).  A generator of class zero is a key on its own, and it
+    divides every other class-zero vector that uses it, so only the
+    generators of nonzero class enter the box.  Their classes are carried
+    as canonical coordinates of Cl/K, with the generator of largest order
+    last, whose exponent is read off a residue table; so only class-zero
+    vectors of the box are visited.  Taken in total-degree order, a
+    vector is kept unless some kept vector k is <= it componentwise.
+    This keeps exactly the minimal ones: a class-zero k <= v with k != v
+    has smaller total degree, so it is kept or lies above a kept one.
+    The full key then sorts the kept list once.
     """
     Q, proj = K.quotient()
     if not Q.is_finite():
         raise InputDataError("not Q-factorial data: Cl/K is infinite")
-    names = [n for n, _ in T.ring.generators]
-    if not names:
-        return []
-    classes = [proj(d) for _, d in T.ring.generators]
-    ys = [c.canonical() for c in classes]
-    bounds = [element_order(Q, c) for c in classes]
+    keys, live = [], []
+    for name, d in T.ring.generators:
+        c = proj(d)
+        order = element_order(Q, c)
+        if order == 1:
+            keys.append(Monomial.gen(name))
+        else:
+            live.append((order, name, c.canonical()))
+    if live:
+        live.sort()  # largest order last
+        bounds, names, ys = zip(*live)
 
-    def shift(acc, y, e):
-        return tuple((a + e * c) % m for a, c, m in zip(acc, y, Q.moduli))
+        def shift(acc, y, e):
+            return tuple((a + e * c) % m for a, c, m in zip(acc, y, Q.moduli))
 
-    zero = (0,) * len(Q.moduli)
-    # residue r -> last exponents e with r + e * class(last) = 0
-    reach: Dict[tuple, List[int]] = {}
-    for e in range(bounds[-1] + 1):
-        reach.setdefault(shift(zero, ys[-1], -e), []).append(e)
-    found: List[tuple] = []
+        zero = (0,) * len(Q.moduli)
+        # residue r -> last exponents e with r + e * class(last) = 0
+        reach: Dict[tuple, List[int]] = {}
+        for e in range(bounds[-1] + 1):
+            reach.setdefault(shift(zero, ys[-1], -e), []).append(e)
+        found: List[tuple] = []
 
-    def walk(i, exps, acc):
-        if i == len(names) - 1:
-            found.extend(exps + (e,) for e in reach.get(acc, ()))
-            return
-        for e in range(bounds[i] + 1):
-            walk(i + 1, exps + (e,), shift(acc, ys[i], e))
+        def walk(i, exps, acc):
+            if i == len(names) - 1:
+                found.extend(exps + (e,) for e in reach.get(acc, ()))
+                return
+            for e in range(bounds[i] + 1):
+                walk(i + 1, exps + (e,), shift(acc, ys[i], e))
 
-    walk(0, (), zero)
-    by_name = sorted(range(len(names)), key=names.__getitem__)
-    found.sort(key=lambda v: (sum(v), tuple((names[i], v[i]) for i in by_name if v[i])))
-    kept: List[tuple] = []
-    for v in found:  # the zero vector sorts first and is skipped
-        if any(v) and not any(all(map(le, k, v)) for k in kept):
-            kept.append(v)
-    return [Monomial(zip(names, v)) for v in kept]
+        walk(0, (), zero)
+        found.sort(key=sum)
+        kept: List[tuple] = []
+        for v in found[1:]:  # found[0] is the zero vector
+            if not any(all(map(le, k, v)) for k in kept):
+                kept.append(v)
+        keys += [Monomial(zip(names, v)) for v in kept]
+    return sorted(keys, key=Monomial.sort_key)
 
 
 def choose_extension_class(T: TargetData, K: Subgroup):
@@ -265,24 +275,23 @@ def coset_generators(T: TargetData, K: Subgroup, D: GroupElement, p: int):
 
     Returns (K1, gens): gens lists (monomial, F, m, k) where F is the
     degree, m in 1..p-1 its class in K1/K relative to D, and k = F - m*D
-    in K.
+    in K.  Classes are read in Cl/K coordinates: F's class is looked up
+    among those of 0, D, ..., (p-1)*D, and F is skipped at 0 (F in K).
     """
     K1 = Subgroup(T.cl, K.gens + (D,))
+    _, proj = K.quotient()
+    # class of c*D in Cl/K -> c, the least c where two classes agree
+    multiple = {proj(c * D).canonical(): c for c in reversed(range(p))}
     out = []
     for mono in pic_level_generators(T, K1):
         F = T.ring.monomial_degree(mono)
-        if K.contains(F):
-            continue
-        mj = None
-        for c in range(1, p):
-            if K.contains(F - c * D):
-                mj = c
-                break
+        mj = multiple.get(proj(F).canonical())
         if mj is None:
             raise InternalInvariantError(
                 f"generator {mono.key()} has no coset class relative to the chosen divisor"
             )
-        out.append((mono, F, mj, F - mj * D))
+        if mj:
+            out.append((mono, F, mj, F - mj * D))
     return K1, out
 
 

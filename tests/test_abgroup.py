@@ -117,7 +117,7 @@ def test_quotient_projection_kills_exactly_the_subgroup():
     for a, b in product(range(2), repeat=2):
         subgroup.add((a * 2 % 4, b * 2 % 4))
     for g in G.elements():
-        in_sub = K.contains(g)
+        in_sub = K.express(g) is not None
         assert in_sub == proj(g).is_zero()
         assert in_sub == (tuple(c % 4 for c in g.canonical()) in subgroup)
 
@@ -169,7 +169,7 @@ def test_subgroup_matches_span_enumeration(data):
         frontier = nxt
     for t in G.elements():
         x = K.express(t)
-        assert (x is not None) == K.contains(t) == (t in span)
+        assert (x is not None) == (t in span)
         assert x == _express_per_call(G, gens, t)
         if x is not None:
             acc = G.zero()
@@ -205,7 +205,7 @@ def test_subgroup_over_a_free_part(data):
     inside = G.zero()
     for c, g in zip(combo, gens):
         inside = inside + c * g
-    assert K.contains(inside)
+    assert K.express(inside) is not None
     for t in [inside] + [G.element(r) for r in targets]:
         x = K.express(t)
         if x is not None:

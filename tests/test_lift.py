@@ -212,6 +212,60 @@ def test_pic_level_generators_matches_box_oracle(data):
     assert pic_level_generators(T, Subgroup(T.cl, K)) == _pic_level_generators_oracle(T, K)
 
 
+def _diagonal_target(moduli, gens):
+    """A target with Cl = sum Z/d over ``moduli`` and generators (name, coords)."""
+    rank = len(moduli)
+    G = FgAbelianGroup(rank, [[d * (i == j) for j in range(rank)] for i, d in enumerate(moduli)])
+    ring = GradedRing([(n, G.element(c)) for n, c in gens], G, CycOrder(1))
+    return TargetData(cl=G, pic_gens=(), ring=ring)
+
+
+@pytest.mark.parametrize("moduli, gens, K, keys", [
+    # class-zero generators u, v between generators of nonzero class
+    ((2,), [("x", (1,)), ("u", (0,)), ("y", (1,)), ("v", (0,))], [],
+     ["u", "v", "x*y", "x^2", "y^2"]),
+    # names listed against their order
+    ((4,), [("z", (1,)), ("y", (2,)), ("x", (3,))], [],
+     ["x*z", "y^2", "x^2*y", "y*z^2", "x^4", "z^4"]),
+    # the generator of largest order (y, order 6) is not the last
+    ((6,), [("x", (3,)), ("y", (1,)), ("z", (2,))], [],
+     ["x^2", "x*y*z", "z^3", "x*y^3", "y^2*z^2", "y^4*z", "y^6"]),
+    # all three at once, with w of class zero only modulo K
+    ((2, 4), [("w", (0, 2)), ("b", (1, 1)), ("a", (0, 0)), ("c", (1, 3))], [(0, 2)],
+     ["a", "w", "b*c", "b^2", "c^2"]),
+])
+def test_pic_level_generators_examples_match_oracle(moduli, gens, K, keys):
+    T = _diagonal_target(moduli, gens)
+    K = [T.cl.element(k) for k in K]
+    got = pic_level_generators(T, Subgroup(T.cl, K))
+    assert got == _pic_level_generators_oracle(T, K)
+    assert [m.key() for m in got] == keys
+
+
+def _coset_generators_oracle(T, K_gens, D, p):
+    """Brute force: the box oracle's keys for K + <D>, each classified by
+    membership queries, skipping F in K and taking the least c in 1..p-1
+    with F - c*D in K."""
+    K = Subgroup(T.cl, K_gens)
+    out = []
+    for mono in _pic_level_generators_oracle(T, [*K_gens, D]):
+        F = T.ring.monomial_degree(mono)
+        if K.express(F) is not None:
+            continue
+        c = next(c for c in range(1, p) if K.express(F - c * D) is not None)
+        out.append((mono, F, c, F - c * D))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_gradings(related=True))
+def test_coset_generators_matches_membership_oracle(data):
+    T, K = data
+    D, p = choose_extension_class(T, Subgroup(T.cl, K))
+    _, out = coset_generators(T, Subgroup(T.cl, K), D, p)
+    assert out == _coset_generators_oracle(T, K, D, p)
+
+
 def test_choose_extension_class_examples():
     t = target_of("a1_into_half11")
     D, p = choose_extension_class(t, t.pic)
