@@ -100,6 +100,14 @@ def _scan(drawn, candidates, ok):
     return next(c for c in candidates[i:] + candidates[:i] if ok(c))
 
 
+def _diagonal_target(moduli, gens):
+    """A target with Cl = sum Z/d over ``moduli`` and generators (name, coords)."""
+    rank = len(moduli)
+    G = FgAbelianGroup(rank, [[d * (i == j) for j in range(rank)] for i, d in enumerate(moduli)])
+    ring = GradedRing([(n, G.element(c)) for n, c in gens], G, CycOrder(1))
+    return TargetData(cl=G, pic_gens=(), ring=ring)
+
+
 class _Finite:
     """A finite group G, as canonical coordinates modulo its moduli, with the
     classes in G of integer vectors through the images of the unit vectors."""
@@ -133,10 +141,7 @@ class _Finite:
         minimal class-zero monomials, which depend on the classes only."""
         cs = tuple(sorted(cs))
         if cs not in self.keys:
-            G = FgAbelianGroup(len(self.moduli), [[d * (i == j) for j in range(len(self.moduli))]
-                                                  for i, d in enumerate(self.moduli)])
-            ring = GradedRing([(f"g{i}", G.element(c)) for i, c in enumerate(cs)], G, CycOrder(1))
-            T = TargetData(cl=G, pic_gens=(), ring=ring)
+            T = _diagonal_target(self.moduli, [(f"g{i}", c) for i, c in enumerate(cs)])
             self.keys[cs] = len(pic_level_generators(T, T.pic))
         return self.keys[cs]
 
@@ -212,19 +217,11 @@ def test_pic_level_generators_matches_box_oracle(data):
     assert pic_level_generators(T, Subgroup(T.cl, K)) == _pic_level_generators_oracle(T, K)
 
 
-def _diagonal_target(moduli, gens):
-    """A target with Cl = sum Z/d over ``moduli`` and generators (name, coords)."""
-    rank = len(moduli)
-    G = FgAbelianGroup(rank, [[d * (i == j) for j in range(rank)] for i, d in enumerate(moduli)])
-    ring = GradedRing([(n, G.element(c)) for n, c in gens], G, CycOrder(1))
-    return TargetData(cl=G, pic_gens=(), ring=ring)
-
-
 @pytest.mark.parametrize("moduli, gens, K, keys", [
     # class-zero generators u, v between generators of nonzero class
     ((2,), [("x", (1,)), ("u", (0,)), ("y", (1,)), ("v", (0,))], [],
      ["u", "v", "x*y", "x^2", "y^2"]),
-    # names listed against their order
+    # names listed out of alphabetical order
     ((4,), [("z", (1,)), ("y", (2,)), ("x", (3,))], [],
      ["x*z", "y^2", "x^2*y", "y*z^2", "x^4", "z^4"]),
     # the generator of largest order (y, order 6) is not the last
