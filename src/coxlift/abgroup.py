@@ -59,6 +59,15 @@ class IntMatrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
 
+    @classmethod
+    def _computed(cls, rows, cols: int) -> "IntMatrix":
+        """A matrix of int rows that this module computed: no re-validation."""
+        M = object.__new__(cls)
+        object.__setattr__(M, "entries", tuple(map(tuple, rows)))
+        object.__setattr__(M, "rows", len(rows))
+        object.__setattr__(M, "cols", cols)
+        return M
+
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("IntMatrix is immutable")
 
@@ -79,52 +88,61 @@ class IntMatrix:
         """Row vector times this matrix."""
         if len(vec) != self.rows:
             raise InputDataError("vector length mismatch")
-        return tuple(
-            sum(vec[i] * self.entries[i][j] for i in range(self.rows))
-            for j in range(self.cols)
-        )
+        if not self.rows:
+            return (0,) * self.cols
+        return tuple(sum(map(operator.mul, vec, col)) for col in zip(*self.entries))
 
     def diagonal(self) -> tuple:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
 
-def smith_normal_form_full(M: IntMatrix):
+def smith_normal_form_full(M: IntMatrix, track=("U", "V", "Vinv")):
     """Return (S, U, V, Vinv) with U*M*V = S in Smith normal form.
 
     S is diagonal with a divisibility chain d1 | d2 | ... ; U and V are
-    unimodular, and the exact inverse of V is tracked alongside.
+    unimodular, and the exact inverse of V is tracked alongside.  Only the
+    transforms named in ``track`` are computed; an untracked one comes
+    back as a matrix with no rows.  The elimination never reads a
+    transform, so S and every tracked transform are the same whatever is
+    tracked.  ``FgAbelianGroup`` reads V and Vinv, ``Subgroup`` reads U
+    and V, and ``row_kernel`` reads U.
     """
     m, n = M.rows, M.cols
     A = [list(r) for r in M.entries]
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-    Vi = [[int(i == j) for j in range(n)] for i in range(n)]
+    U = [[int(i == j) for j in range(m)] for i in range(m)] if "U" in track else []
+    V = [[int(i == j) for j in range(n)] for i in range(n)] if "V" in track else []
+    Vi = [[int(i == j) for j in range(n)] for i in range(n)] if "Vinv" in track else []
 
     def row_add(i, j, c):  # row i += c * row j
         A[i] = [a + c * b for a, b in zip(A[i], A[j])]
-        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+        if U:
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
 
     def row_swap(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
+        if U:
+            U[i], U[j] = U[j], U[i]
 
     def row_neg(i):
         A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
+        if U:
+            U[i] = [-a for a in U[i]]
 
     def col_add(j, i, c):  # col j += c * col i
-        for r in range(m):
-            A[r][j] += c * A[r][i]
-        for r in range(n):
-            V[r][j] += c * V[r][i]
-        Vi[i] = [a - c * b for a, b in zip(Vi[i], Vi[j])]
+        for r in A:
+            r[j] += c * r[i]
+        for r in V:
+            r[j] += c * r[i]
+        if Vi:
+            Vi[i] = [a - c * b for a, b in zip(Vi[i], Vi[j])]
 
     def col_swap(i, j):
-        for r in range(m):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(n):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
+        for r in A:
+            r[i], r[j] = r[j], r[i]
+        for r in V:
+            r[i], r[j] = r[j], r[i]
+        if Vi:
+            Vi[i], Vi[j] = Vi[j], Vi[i]
 
     t = 0
     while t < min(m, n):
@@ -175,10 +193,10 @@ def smith_normal_form_full(M: IntMatrix):
         t += 1
 
     return (
-        IntMatrix(A, cols=n),
-        IntMatrix(U, cols=m),
-        IntMatrix(V, cols=n),
-        IntMatrix(Vi, cols=n),
+        IntMatrix._computed(A, n),
+        IntMatrix._computed(U, m),
+        IntMatrix._computed(V, n),
+        IntMatrix._computed(Vi, n),
     )
 
 
@@ -190,7 +208,7 @@ class FgAbelianGroup:
             raise InputDataError(f"ambient rank must be nonnegative, got {ambient_rank}")
         self.ambient_rank = int(ambient_rank)
         self.relations = IntMatrix(relations, cols=self.ambient_rank)
-        S, _, V, Vi = smith_normal_form_full(self.relations)
+        S, _, V, Vi = smith_normal_form_full(self.relations, track=("V", "Vinv"))
         self._Vinv = Vi
         diag = S.diagonal()
         self.moduli = tuple(
@@ -221,7 +239,7 @@ class FgAbelianGroup:
         return hash(self.canonical_form)
 
     def same_presentation(self, other: "FgAbelianGroup") -> bool:
-        return (
+        return self is other or (
             self.ambient_rank == other.ambient_rank
             and self.relations == other.relations
         )
@@ -264,7 +282,7 @@ class FgAbelianGroup:
         return tuple(y)
 
     def from_canonical(self, ycoords: Sequence[int]) -> "GroupElement":
-        return self.element(self._Vinv.vec_mul(ycoords))
+        return GroupElement(self, self._Vinv.vec_mul(ycoords))
 
     def canonical_generator(self, slot: int) -> "GroupElement":
         y = [0] * self.ambient_rank
@@ -358,6 +376,8 @@ def element_order(G: FgAbelianGroup, g: GroupElement) -> Optional[int]:
 class GroupHomomorphism:
     """Homomorphism given by images of the domain's ambient generators.
 
+    The images are kept as the columns of an integer matrix as well, so
+    applying the map to ambient coordinates is one matrix-vector product.
     Construction fails unless every domain relation maps to zero, so a
     successfully built instance is well defined on the quotient.
     """
@@ -370,12 +390,11 @@ class GroupHomomorphism:
         for img in images:
             if not img.group.same_presentation(codomain):
                 raise InputDataError("homomorphism image lies in the wrong group")
+        # column j: the j-th ambient coordinate of every image
+        self._columns = tuple(tuple(img.coords[j] for img in images)
+                              for j in range(codomain.ambient_rank))
         for row in domain.relations.entries:
-            acc = codomain.zero()
-            for c, img in zip(row, images):
-                if c:
-                    acc = acc + c * img
-            if not acc.is_zero():
+            if any(codomain.canonical_coords(self._apply(row))):
                 raise InputDataError(
                     f"relation {list(row)} does not map to zero; not a homomorphism"
                 )
@@ -383,14 +402,14 @@ class GroupHomomorphism:
         self.codomain = codomain
         self.images = images
 
+    def _apply(self, coords: Sequence[int]) -> tuple:
+        """Ambient coordinates of the image of the given domain coordinates."""
+        return tuple(sum(map(operator.mul, coords, col)) for col in self._columns)
+
     def __call__(self, g: GroupElement) -> GroupElement:
         if not g.group.same_presentation(self.domain):
             raise InputDataError("element not in the homomorphism's domain")
-        acc = self.codomain.zero()
-        for c, img in zip(g.coords, self.images):
-            if c:
-                acc = acc + c * img
-        return acc
+        return GroupElement(self.codomain, self._apply(g.coords))
 
     @classmethod
     def identity(cls, G: FgAbelianGroup) -> "GroupHomomorphism":
@@ -439,7 +458,7 @@ def _kernel_rows(diag: Sequence[int], U: IntMatrix) -> list:
 
 def row_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list:
     """Basis rows of { v : v * M = 0 } for the matrix M with the given rows."""
-    S, U, _, _ = smith_normal_form_full(IntMatrix(rows, cols=ncols))
+    S, U, _, _ = smith_normal_form_full(IntMatrix(rows, cols=ncols), track=("U",))
     return _kernel_rows(S.diagonal(), U)
 
 
@@ -469,7 +488,8 @@ class Subgroup:
     def _smith(self):
         """(diagonal of S, U, V) with U * M * V = S."""
         rows = [g.coords for g in self.gens] + list(self.group.relations.entries)
-        S, U, V, _ = smith_normal_form_full(IntMatrix(rows, cols=self.group.ambient_rank))
+        S, U, V, _ = smith_normal_form_full(IntMatrix(rows, cols=self.group.ambient_rank),
+                                            track=("U", "V"))
         return S.diagonal(), U, V
 
     def express(self, target: GroupElement) -> Optional[list]:

@@ -395,10 +395,9 @@ class GradedRing:
 
     def monomial_degree(self, m: Monomial) -> GroupElement:
         self._check_names(m)
-        acc = self.grading_group.zero()
-        for n, e in m.pairs:
-            acc = acc + e * self.gen_degrees[n]
-        return acc
+        degs = [(e, self.gen_degrees[n].coords) for n, e in m.pairs]
+        return GroupElement(self.grading_group, tuple(
+            sum(e * c[j] for e, c in degs) for j in range(self.grading_group.ambient_rank)))
 
     def degree_of(self, e: HomogeneousElement) -> GroupElement:
         """Common degree of all terms; raises on mixed-degree term lists."""

@@ -634,9 +634,11 @@ class _Engine:
         kernel = kernel_basis_mod_p([coset[j][2] for j in Jp], p)
         rows, rhs, kmonos = [], [], []
         for cvec in kernel:
+            # (index into coset, entry) for the at most two nonzero entries
+            support = [(Jp[pos], c) for pos, c in enumerate(cvec) if c]
             mono = Monomial.one()
-            for pos, j in enumerate(Jp):
-                mono = mono * (coset[j][0] ** cvec[pos])
+            for j, c in support:
+                mono = mono * (coset[j][0] ** c)
             E = self.evaluate(mono)
             if E.is_zero():
                 raise LiftInconsistencyError(
@@ -645,7 +647,7 @@ class _Engine:
             kfact = new_ring.h_factorize(E)
             expected: Dict[str, int] = {}
             for l in range(len(qlist)):
-                s = sum(cvec[pos] * a[l][j] for pos, j in enumerate(Jp))
+                s = sum(c * a[l][j] for j, c in support)
                 if l in names:
                     if s:
                         expected[new_ring.gen(names[l]).key()] = s
@@ -664,8 +666,8 @@ class _Engine:
                     f"expected {expected}, found {got}"
                 )
             denom = CycScalar.one(self.order)
-            for pos, j in enumerate(Jp):
-                denom = denom * (base_roots[j] ** cvec[pos])
+            for j, c in support:
+                denom = denom * (base_roots[j] ** c)
             rho = kfact.unit * denom.inverse()
             er = rho.as_root_of_unity()
             if er is None or er % (self.N // p):

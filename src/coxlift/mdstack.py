@@ -380,6 +380,13 @@ def graded_factorial_spotcheck(S: MdStackData, degree_bound: int):
     rewrite rules, and reports two essentially different factorizations
     of the same element if any exist.
     Returns (True, None) on a clean pass, else (False, (element key, A, B)).
+
+    The check needs unique normal forms, which every ring the engine
+    builds or reads has (its rules are confluent; see ``gring``): then
+    nf(a * x) = nf(nf(a) * x), so each multiset's normal form is that of
+    its prefix's normal form times its last generator, and a multiset
+    whose prefix is zero is zero.  Each such product is one
+    ``normal_form`` call with its own step budget.
     """
     ring = S.cox_ring
     candidates = []
@@ -391,19 +398,23 @@ def graded_factorial_spotcheck(S: MdStackData, degree_bound: int):
             continue
         candidates.append((name, el))
     seen = {}
+    # nonzero normal forms of the previous size's multisets, by index tuple
+    prefixes = {(): ring.one()}
     for size in range(1, degree_bound + 1):
-        for combo in combinations_with_replacement(candidates, size):
-            prod = ring.one()
-            for _, el in combo:
-                prod = prod * el
-            nf = ring.normal_form(prod)
+        products = {}
+        for combo in combinations_with_replacement(range(len(candidates)), size):
+            prefix = prefixes.get(combo[:-1])
+            if prefix is None:
+                continue
+            nf = ring.normal_form(prefix * candidates[combo[-1]][1])
             if nf.is_zero():
                 continue
+            products[combo] = nf
             lead_c, _ = nf.leading()
-            nf = nf.scale(lead_c.inverse())
-            key = nf.key()
-            names = tuple(sorted(n for n, _ in combo))
+            key = nf.scale(lead_c.inverse()).key()
+            names = tuple(sorted(candidates[i][0] for i in combo))
             if key in seen and seen[key] != names:
                 return False, (key, seen[key], names)
             seen.setdefault(key, names)
+        prefixes = products
     return True, None

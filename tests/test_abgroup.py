@@ -1,7 +1,7 @@
 import math
 import signal
 import time
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 import sympy
@@ -261,6 +261,55 @@ def test_homomorphism_rejects_bad_images():
         GroupHomomorphism(Z2, Z, [Z.element([1])])  # 2*1 != 0 in Z
     h = GroupHomomorphism(Z2, Z2, [Z2.element([1])])
     assert h(Z2.element([1])) == Z2.element([1])
+
+
+def _image_sum(H, coeffs, images):
+    """Oracle: sum c_i * images_i with GroupElement arithmetic."""
+    acc = H.zero()
+    for c, img in zip(coeffs, images):
+        acc = acc + c * img
+    return acc
+
+
+@settings(max_examples=120, deadline=None)
+@given(finite_groups_with_gens(), st.data())
+def test_homomorphism_matches_group_element_arithmetic(codomain, data):
+    """Built exactly when every domain relation's image sum is zero; then
+    applying it gives the image sum, coordinate for coordinate."""
+    H, _ = codomain
+    n = data.draw(st.integers(0, 4))
+    vec = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+    images = [H.element(data.draw(st.lists(st.integers(-6, 6), min_size=H.ambient_rank,
+                                            max_size=H.ambient_rank))) for _ in range(n)]
+    # a row scaled by H's exponent always maps to zero
+    rows = [[data.draw(st.sampled_from([1, H.exponent()])) * c for c in data.draw(vec)]
+            for _ in range(data.draw(st.integers(0, 3)))]
+    G = FgAbelianGroup(n, rows)
+    if any(not _image_sum(H, r, images).is_zero() for r in rows):
+        with pytest.raises(InputDataError, match="does not map to zero"):
+            GroupHomomorphism(G, H, images)
+        return
+    h = GroupHomomorphism(G, H, images)
+    for v in [[0] * n] + [data.draw(vec) for _ in range(3)]:
+        got = h(G.element(v))
+        assert got.group is H
+        assert got.coords == _image_sum(H, v, images).coords
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices)
+def test_partial_smith_forms_match_the_full_form(rows):
+    """Tracking fewer transforms changes neither S nor a tracked transform;
+    an untracked one has no rows."""
+    M = IntMatrix(rows)
+    full = smith_normal_form_full(M)
+    names = ("U", "V", "Vinv")
+    for k in range(len(names) + 1):
+        for track in combinations(names, k):
+            S, *transforms = smith_normal_form_full(M, track=track)
+            assert S == full[0]
+            for name, T, F in zip(names, transforms, full[1:]):
+                assert T == (F if name in track else IntMatrix([], cols=F.cols))
 
 
 def test_kernel_basis_examples():

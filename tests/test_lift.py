@@ -942,9 +942,9 @@ def test_factoring_reads_the_result_tower_without_rebuilding_it(monkeypatch, nam
     factored = []
     real_snf = abgroup.smith_normal_form_full
 
-    def recording_snf(M):
+    def recording_snf(M, *args, **kwargs):
         factored.append(M.entries)
-        return real_snf(M)
+        return real_snf(M, *args, **kwargs)
 
     monkeypatch.setattr(abgroup, "smith_normal_form_full", recording_snf)
     assert isinstance(check_factors_through(res, res), Theta)
@@ -958,9 +958,9 @@ def test_decompose_factors_each_subgroup_matrix_once(monkeypatch):
     factored = []
     real_snf = abgroup.smith_normal_form_full
 
-    def recording_snf(M):
+    def recording_snf(M, *args, **kwargs):
         factored.append(M.entries)
-        return real_snf(M)
+        return real_snf(M, *args, **kwargs)
 
     monkeypatch.setattr(abgroup, "smith_normal_form_full", recording_snf)
     result = decompose_as_roots(stack)

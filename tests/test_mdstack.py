@@ -1,8 +1,12 @@
 from dataclasses import replace
+from fractions import Fraction
 from functools import reduce
+from itertools import combinations_with_replacement
 
 import pytest
 from helpers import PROBLEMS, lift_of
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxlift import abgroup
 from coxlift.abgroup import FgAbelianGroup
@@ -12,6 +16,7 @@ from coxlift.gring import Factorization, GradedRing, HomogeneousElement, Monomia
 from coxlift.lift import decompose_as_roots
 from coxlift.mdstack import (
     DivisorRootInfo,
+    MdStackData,
     RootStep,
     canonical_stack,
     effective_generators,
@@ -144,6 +149,63 @@ def test_spotcheck_fails_after_forced_reducible_root():
     assert not ok
     key, first, second = ce
     assert {first, second} == {("x", "y"), ("z", "z")}
+    assert (ok, ce) == _spotcheck_from_scratch(forced.cox_ring, 4)
+
+
+def _spotcheck_from_scratch(ring, degree_bound):
+    """Oracle: the spot-check with every multiset multiplied out from 1 and
+    normalized as a whole."""
+    candidates = [(n, ring.gen(n)) for n, _ in ring.generators
+                  if ring.gen(n).key() not in ring.declared_factorizations
+                  and ring.normal_form(ring.gen(n)) == ring.gen(n)]
+    seen = {}
+    for size in range(1, degree_bound + 1):
+        for combo in combinations_with_replacement(candidates, size):
+            prod = ring.one()
+            for _, el in combo:
+                prod = prod * el
+            nf = ring.normal_form(prod)
+            if nf.is_zero():
+                continue
+            lead_c, _ = nf.leading()
+            key = nf.scale(lead_c.inverse()).key()
+            names = tuple(sorted(n for n, _ in combo))
+            if key in seen and seen[key] != names:
+                return False, (key, seen[key], names)
+            seen.setdefault(key, names)
+    return True, None
+
+
+@st.composite
+def confluent_rings(draw):
+    """Rules g^n -> rhs with distinct heads g, each rhs over the generators
+    before its head (as ``test_gring.root_tower_cases`` draws them), so the
+    left sides are coprime and the ring is confluent.  A right side may be
+    zero, which makes products vanish."""
+    names = ["a", "b", "c", "d", "e"][: draw(st.integers(2, 5))]
+    scalars = st.sampled_from([CycScalar.from_rational(N3, q) for q in (1, -1, 2, Fraction(1, 2))]
+                              + [CycScalar.zeta(N3)])
+    rules = []
+    for i, head in enumerate(names[1:], 1):
+        if not draw(st.booleans()):
+            continue
+        rhs = [(draw(scalars), Monomial(dict(zip(names[:i], v))))
+               for v in draw(st.lists(st.lists(st.integers(0, 1), min_size=i, max_size=i),
+                                      max_size=2))]
+        rules.append(RewriteRule(Monomial.gen(head, draw(st.integers(1, 3))),
+                                 HomogeneousElement(rhs)))
+    cl = FgAbelianGroup(0, [])
+    return GradedRing([(n, cl.zero()) for n in names], cl, N3, rules=rules, step_cap=10**6)
+
+
+@given(confluent_rings(), st.integers(1, 4))
+@settings(max_examples=150, deadline=None)
+def test_spotcheck_matches_products_from_scratch(ring, degree_bound):
+    """Normal forms built from the previous size's give the same verdict,
+    clash and order as multiplying every multiset out from scratch."""
+    assert ring.nonjoinable_pair() is None
+    S = MdStackData(ring, (), ())
+    assert graded_factorial_spotcheck(S, degree_bound) == _spotcheck_from_scratch(ring, degree_bound)
 
 
 def test_batch_relations_must_not_collapse_existing_degrees():
@@ -359,9 +421,9 @@ def _snf_calls(monkeypatch, fn):
     calls = []
     real = abgroup.smith_normal_form_full
 
-    def counting(M):
+    def counting(M, *args, **kwargs):
         calls.append(M)
-        return real(M)
+        return real(M, *args, **kwargs)
 
     monkeypatch.setattr(abgroup, "smith_normal_form_full", counting)
     try:
