@@ -7,7 +7,7 @@ Generates the workload's cases with ``bench/workloads.py`` and solves every
 case without a known defect once, untraced, so imports and lazy set-up are
 done.  It then solves them again under ``cProfile``; with ``--verify`` each
 lift document is also re-verified, through ``bench/run.py``'s ``reverify``,
-inside the profiled pass.  It prints the functions with the most self time
+inside the profiled pass.  It prints the 25 functions with the most self time
 and the share of self time in each ``coxlift`` module.  The bench files
 are imported, not changed, and the checkout's own ``src`` is imported, so
 the script measures the commit it sits in.
@@ -28,6 +28,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import run  # noqa: E402
 import workloads  # noqa: E402
 
+TOP = 25  # functions listed by self time
+
 
 def one_pass(cx, cases, verify):
     for case in cases:
@@ -42,7 +44,6 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--verify", action="store_true",
                     help="re-verify each lift document inside the profiled pass")
-    ap.add_argument("--top", type=int, default=25, help="functions to list (default 25)")
     args = ap.parse_args(argv)
 
     cx = run.import_coxlift()
@@ -56,7 +57,7 @@ def main(argv=None) -> int:
     rows = sorted(stats.stats.items(), key=lambda kv: kv[1][2], reverse=True)
     print(f"{len(cases)} cases, {total:.3f} s self time under cProfile")
     print(f"{'self_s':>8} {'share':>6} {'calls':>9}  function")
-    for (path, line, name), (_, calls, tt, _, _) in rows[:args.top]:
+    for (path, line, name), (_, calls, tt, _, _) in rows[:TOP]:
         print(f"{tt:8.3f} {tt / total:6.1%} {calls:9d}  {Path(path).name}:{line}({name})")
 
     modules = defaultdict(float)
