@@ -30,7 +30,6 @@ from .abgroup import (
     kernel_basis_mod_p,
     row_kernel,
     solve_affine_mod_n,
-    solve_affine_mod_p,
     solve_linear_over_group,
 )
 from .cyclo import CycScalar, root_of_unity_pth_root
@@ -295,24 +294,26 @@ def coset_generators(T: TargetData, K: Subgroup, D: GroupElement, p: int):
     return K1, out
 
 
-def _exact_base_witness(keys: Sequence[Monomial],
+def _exact_base_witness(ring: GradedRing, keys: Sequence[Monomial],
                         imgs: Sequence[HomogeneousElement]) -> Optional[Monomial]:
-    """The monomial of a key relation that the one-term images break, or None.
+    """The monomial of a key relation that the images break, or None.
 
-    ``_Engine._spotcheck_base_relations`` states when this is exact and
-    why.  (a) For the first zero key whose support lies in the nonzero
-    keys' supports, the witness is the smallest power of the nonzero keys'
+    ``_Engine._spotcheck_base_relations`` states why this is exact.  Keys
+    are told apart as zero or nonzero by the normal forms of their images.
+    (a) For the first zero key whose support lies in the nonzero keys'
+    supports, the witness is the smallest power of the nonzero keys'
     product that the zero key divides.  (b) Otherwise it is
-    sum_{a_i > 0} a_i v_i for the first relation row a of the nonzero keys'
-    exponent vectors v_i whose images c_i*m_i break
-    prod_{a_i > 0} (c_i m_i)^a_i = prod_{a_i < 0} (c_i m_i)^-a_i.
+    sum_{a_i > 0} a_i v_i for the first ``row_kernel`` row a of the nonzero
+    keys' exponent vectors v_i whose images g_i break
+    nf(prod_{a_i > 0} g_i^a_i) = nf(prod_{a_i < 0} g_i^-a_i).
     """
-    nonzero = [(k, img.terms[0]) for k, img in zip(keys, imgs) if not img.is_zero()]
+    nfs = [(k, ring.normal_form(img)) for k, img in zip(keys, imgs)]
+    nonzero = [(k, img) for k, img in nfs if not img.is_zero()]
     total: Dict[str, int] = {}
     for k, _ in nonzero:
         for n, e in k.pairs:
             total[n] = total.get(n, 0) + e
-    for k, img in zip(keys, imgs):
+    for k, img in nfs:
         if img.is_zero() and all(n in total for n in k.names()):
             t = max(-(-e // total[n]) for n, e in k.pairs)
             return Monomial({n: t * e for n, e in total.items()})
@@ -320,16 +321,12 @@ def _exact_base_witness(keys: Sequence[Monomial],
         return None
     names = sorted(total)
     rows = [[k.exp(n) for n in names] for k, _ in nonzero]
-    one = CycScalar.one(nonzero[0][1][0].order)
     for a in row_kernel(rows, len(names)):
-        sides = [one, one]
-        exps: Dict[str, int] = {}
-        for ai, (_, (c, m)) in zip(a, nonzero):
+        sides = [ring.one(), ring.one()]
+        for ai, (_, img) in zip(a, nonzero):
             if ai:
-                sides[ai < 0] = sides[ai < 0] * c ** abs(ai)
-                for n, e in m.pairs:
-                    exps[n] = exps.get(n, 0) + ai * e
-        if any(exps.values()) or sides[0] != sides[1]:
+                sides[ai < 0] = sides[ai < 0] * img ** abs(ai)
+        if ring.normal_form(sides[0]) != ring.normal_form(sides[1]):
             return Monomial({n: sum(ai * r[j] for ai, r in zip(a, rows) if ai > 0)
                              for j, n in enumerate(names)})
     return None
@@ -367,6 +364,10 @@ class _Engine:
         missing = [m.key() for m in expected if m not in self.table]
         if missing:
             raise InputDataError(f"base morphism misses images for {missing}")
+        generators = set(expected)  # these lie in the subring by construction
+        for mono in self.table:
+            if mono not in generators and self.K.express(self.T.ring.monomial_degree(mono)) is None:
+                raise InputDataError(f"base key {mono.key()} is not in the Picard-level subring")
         for mono, img in self.table.items():
             img_nf = ring0.normal_form(img)
             if img_nf.is_zero():
@@ -378,55 +379,52 @@ class _Engine:
                     f"base image of {mono.key()} has degree {list(got.coords)}, "
                     f"expected the group-map image of its class"
                 )
-        self._spotcheck_base_relations(expected)
+        self._spotcheck_base_relations()
 
-    def _spotcheck_base_relations(self, generators: Sequence[Monomial]):
+    def _spotcheck_base_relations(self):
         """Well-definedness of the base images: products of keys that give
         the same monomial must receive the same image.
 
-        Exact path.  It applies when the source Cox ring has no rewrite
-        rules, the keys are exactly the Picard-level ``generators``, and
-        every nonzero image is one term c*m.  The source is then a
-        polynomial ring over Q(zeta_N), an integral domain, and the keys
-        generate the saturated monoid of class-zero monomials.  Relations
-        among the keys are spanned by binomials y^u - y^w of equal
-        monomials, and the check is exact (see ``_exact_base_witness``):
+        The check is exact (see ``_exact_base_witness``) when
+        - the source Cox ring is an integral domain, as Cox rings of Mori
+          dream spaces are (Arzhantsev-Derenthal-Hausen-Laface, Cox Rings,
+          2015, ch. 1).  This is taken on trust;
+        - its rules are confluent, so normal forms are unique (checked at
+          parse);
+        - the keys contain the Picard-level generators and lie in the
+          Picard-level subring (``_validate_inputs``), so they generate the
+          saturated monoid of class-zero monomials.
+        Relations among the keys are then spanned by binomials y^u - y^w of
+        equal monomials, and the images respect them iff
 
-        (a) a binomial with a zero key on one side only maps to 0 against a
-            nonzero product.  One exists iff the zero key's support lies in
-            the union S of the nonzero keys' supports: it then divides a
-            power of their product, with a class-zero cofactor.  The faces of
-            the saturated monoid are coordinate faces (Miller-Sturmfels,
-            ch. 7); binomials with zero keys on both sides map to 0 = 0.
-        (b) on the nonzero keys, y^u maps to c^u m^u, so every binomial
-            vanishes iff a -> (prod c_i^a_i, sum a_i exp(m_i)) is trivial on
-            the lattice of integer relations a among the key exponents, that
-            is on a basis of it (``row_kernel``): the lattice ideal is the
-            saturation of the basis binomials in a domain (Sturmfels,
-            Groebner Bases and Convex Polytopes, 1996).
+        (a) no binomial has a zero key on one side only; it would map to 0
+            against a nonzero product.  One exists iff some zero key's
+            support lies in the union S of the nonzero keys' supports: it
+            then divides a power of their product, with a class-zero
+            cofactor.  The faces of the saturated monoid are coordinate faces
+            (Miller-Sturmfels, ch. 7); binomials with zero keys on both sides
+            map to 0 = 0.
+        (b) the binomial of each basis row a (``row_kernel``) of the lattice
+            of integer relations among the nonzero keys' exponents maps to 0.
+            The lattice ideal is the saturation of the basis binomials by the
+            keys' product (Sturmfels, Groebner Bases and Convex Polytopes,
+            1996), and the kernel into a domain is prime without any nonzero
+            key.  The basis entries bound the powers taken.
 
-        Fallback: any other input, and any input the exact path rejects,
-        goes through the bounded scan, which compares only products of two
-        and three keys.  All pairs come first, then all triples, each in
+        Only after an exact rejection, a bounded scan names a witness of at
+        most three keys: all pairs, then all triples, each in
         `combinations_with_replacement` order of the keys sorted by
         `Monomial.sort_key`; later products of a monomial are compared with
         its first, and a triple reuses the unnormalised product of its first
-        two keys.  The first mismatch names its monomial.  An exact failure
-        with no witness of at most three keys names the exact path's
-        monomial; on the fallback alone a relation that needs four or more
-        keys goes unchecked.
+        two keys.  The first mismatch names its monomial; without one, the
+        exact witness is named.
         """
         ring = self.stack.cox_ring
         keys = sorted(self.table, key=lambda m: m.sort_key())
         imgs = [self.table[k] for k in keys]
-        witness = None
-        # every generator is a key (checked before), so equal counts mean
-        # the keys are exactly the generators
-        if (not ring.rules and len(keys) == len(generators)
-                and all(len(img.terms) <= 1 for img in imgs)):
-            witness = _exact_base_witness(keys, imgs)
-            if witness is None:
-                return
+        witness = _exact_base_witness(ring, keys, imgs)
+        if witness is None:
+            return
 
         def inconsistent(mono: Monomial):
             return InputDataError(f"base images are inconsistent on the monomial {mono.key()}")
@@ -448,8 +446,7 @@ class _Engine:
         for i, j, k in combinations_with_replacement(range(len(keys)), 3):
             vec, prod = pairs[i, j]
             compare(tuple(map(add, vec, vecs[k])), prod * imgs[k])
-        if witness is not None:
-            raise inconsistent(witness)
+        raise inconsistent(witness)
 
     # -- degree map -------------------------------------------------------
 
@@ -678,13 +675,12 @@ class _Engine:
             rows.append(tuple(cvec))
             rhs.append((er // (self.N // p)) % p)
             kmonos.append(mono.key())
-        alpha = solve_affine_mod_p(rows, rhs, len(Jp), p)
-        if alpha is None:
-            raise LiftInconsistencyError(
-                "root-of-unity constraint system is inconsistent; "
-                f"constraints {kmonos} cannot be satisfied"
-            )
-        count = p ** (len(Jp) - len(rows))  # kernel vectors are independent
+        # the coset classes lie in 1..p-1, so each kernel row f is
+        # e_0 + t_f*e_f with t_f != 0: the system is consistent, x_0 is free,
+        # and the lex-min solution is x_0 = 0, x_f = r_f / t_f (one of p)
+        alpha = (0,) + tuple(r * pow(row[f], -1, p) % p
+                             for f, (row, r) in enumerate(zip(rows, rhs), 1))
+        count = p
 
         # generator images
         new_images: Dict[Monomial, HomogeneousElement] = {}

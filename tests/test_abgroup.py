@@ -495,6 +495,16 @@ def test_kernel_rows_count_their_solutions_in_closed_form(p, n, data):
                         .filter(lambda c: any(x % p for x in c)))
     rows = kernel_basis_mod_p(classes, p)
     assert p ** (n - len(rows)) == _solve_mod(rows, [0] * len(rows), n, p)[1]
+    # the engine's coset classes lie in 1..p-1: each row f is e_0 + t_f*e_f,
+    # and the lex-min solution of rows * x = r is x_0 = 0, x_f = r_f / t_f
+    cosets = data.draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
+    rows = kernel_basis_mod_p(cosets, p)
+    for f, row in enumerate(rows, 1):
+        assert row[0] == 1 and row[f] and not any(row[1:f] + row[f + 1:])
+    rhs = data.draw(st.lists(st.integers(0, p - 1), min_size=n - 1, max_size=n - 1))
+    closed = (0,) + tuple(r * pow(row[f], -1, p) % p
+                          for f, (row, r) in enumerate(zip(rows, rhs), 1))
+    assert _solve_mod(rows, rhs, n, p) == (closed, p)
 
 
 def _dense_canonical_coords(G, v):

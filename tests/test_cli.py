@@ -261,6 +261,18 @@ def test_rule_making_a_generator_zero_or_a_unit_is_rejected(tmp_path, capsys, rh
     assert "makes a generator zero or a unit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("image", [{"terms": []}, {"terms": [{"c": "1", "m": {"u": 1}}]}])
+def test_base_key_outside_the_picard_level_subring_is_rejected(tmp_path, capsys, image):
+    """x has class 1 in Z/3, outside the trivial Picard subgroup, whether
+    its image is zero or not."""
+    raw = load_raw("mu3")
+    raw["base_morphism"]["images"].append({"monomial": {"x": 1}, "image": image})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("lift", str(bad)) == 2
+    assert "base key x is not in the Picard-level subring" in capsys.readouterr().err
+
+
 def test_negative_spotcheck_bound_is_rejected(tmp_path, capsys):
     """A negative bound would report a spot-check that compared nothing."""
     raw = load_raw("mu3")

@@ -4,6 +4,7 @@ from dataclasses import replace
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from itertools import product as iproduct
+from operator import add, le, sub
 
 import pytest
 from helpers import (PROBLEMS, cyclic_problem, lift_of, load_raw, load_spec, stack_as_lift,
@@ -22,7 +23,7 @@ from coxlift import abgroup, lift, mdstack
 from coxlift.cli import run_document
 from coxlift.cyclo import CycOrder, CycScalar
 from coxlift.errors import InputDataError, LiftInconsistencyError
-from coxlift.gring import Factorization, GradedRing, HomogeneousElement, Monomial
+from coxlift.gring import Factorization, GradedRing, HomogeneousElement, Monomial, RewriteRule
 from coxlift.lift import (
     BaseMorphism,
     CoxLiftResult,
@@ -482,6 +483,24 @@ def test_base_check_rejects_zero_key_inside_the_nonzero_support():
         run_cox_lift(target, source, base)
 
 
+def test_base_check_rejects_four_key_inconsistency_of_multi_term_images():
+    # x^4, y^4, z^4 -> (t+1)^4 and x*y*z -> 2(t+1)^3: (x*y*z)^4 gives
+    # 16(t+1)^12 against (t+1)^12, and no product of at most three keys shows it
+    target, source, base = _z4_squared_problem([(1, 4)] * 4)
+    ring = source.cox_ring
+    s = ring.gen("t") + ring.one()
+    xyz = Monomial({n: 1 for n in "xyz"})
+    for coeff, consistent in ((2, False), (-1, True)):
+        images = {k: s ** 4 for k in base.images}
+        images[xyz] = (s ** 3).scale(CycScalar.from_rational(ring.scalar_order, coeff))
+        multi = replace(base, images=images)
+        if consistent:  # x, y, z -> t+1, -(t+1), t+1 induces it
+            assert run_cox_lift(target, source, multi).verification.passed
+            continue
+        with pytest.raises(InputDataError, match=r"inconsistent on the monomial x\^4\*y\^4\*z\^4$"):
+            run_cox_lift(target, source, multi)
+
+
 def _pair_triple_scan(ring, table):
     """The bounded check the engine ran before its exact path, as an oracle:
     products of two keys, then of three, in `combinations_with_replacement`
@@ -564,7 +583,7 @@ def test_exact_base_check_matches_pair_triple_scan(data):
     engine.stack, engine.table = canonical_stack(ring), table
     want = _pair_triple_scan(ring, table)
     try:
-        engine._spotcheck_base_relations(keys)
+        engine._spotcheck_base_relations()
         got = None
     except InputDataError as exc:
         got = str(exc)
@@ -579,6 +598,125 @@ def test_exact_base_check_matches_pair_triple_scan(data):
                              for p in got.rsplit(" ", 1)[1].split("*")))
         images = {img.terms for img in _key_products(keys, table, mono)}
         assert len(images) > 1
+
+
+# A point of Spec C[t, u, v, w]/(v^3 - u*w) over F_Q, for the prime Q = 1
+# mod 12, with zeta_N sent to a primitive N-th root of unity mod Q.
+# Evaluation there is a ring map, so products whose values differ have
+# different images; distinct images share a value with chance about deg/Q.
+_Q = 1_000_000_009
+_ZETA12 = next(z for z in (pow(r, (_Q - 1) // 12, _Q) for r in range(2, 99))
+               if pow(z, 4, _Q) != 1 and pow(z, 6, _Q) != 1)
+_POINT = {"t": 271828183, "u": 314159265, "v": 141421356}
+_POINT["w"] = _POINT["v"] ** 3 * pow(_POINT["u"], -1, _Q) % _Q
+
+
+def _value(img, N):
+    """The value of img at _POINT, in F_Q."""
+    zeta = pow(_ZETA12, 12 // N, _Q)
+    return sum(sum(a * pow(zeta, i, _Q) for i, a in enumerate(c.num)) * pow(c.den, -1, _Q)
+               * math.prod(pow(_POINT[n], e, _Q) for n, e in m.pairs)
+               for c, m in img.terms) % _Q
+
+
+@st.composite
+def product_base_maps(draw):
+    """Images that are products of linear forms t - r, of the keys of a
+    related grading as in ``monomial_base_maps``, over a domain source:
+    C[t], or C[t, u, v, w]/(v^3 - u*w) with its one confluent rule, over
+    Q(zeta_N).  Each target generator goes to 0 or to c*(t - r)^e (times v
+    in the ring with the rule), pushed to the keys; then 0-2 key images are
+    replaced, rescaled, multiplied by a linear form, or set to v^3 - u*w,
+    which is zero in normal form."""
+    T, K = draw(finite_gradings(related=True))
+    keys = pic_level_generators(T, Subgroup(T.cl, K))
+    order = CycOrder(draw(st.sampled_from([1, 3, 4])))
+    trivial = FgAbelianGroup(0, [])
+    with_rule = draw(st.booleans())
+    names = ["t", "u", "v", "w"] if with_rule else ["t"]
+    rules = [RewriteRule(Monomial({"v": 3}), HomogeneousElement.monomial(
+        order, Monomial({"u": 1, "w": 1})))] if with_rule else []
+    ring = GradedRing([(n, trivial.element(())) for n in names], trivial, order, rules)
+    assert ring.nonjoinable_pair() is None
+    t = ring.gen("t")
+
+    def scalar():
+        q = CycScalar.from_rational(order, draw(st.sampled_from([1, 1, -1, 2, "1/2"])))
+        return q * CycScalar.zeta(order, draw(st.integers(0, order.N - 1)))
+
+    def linear():
+        return t - ring.const(CycScalar.from_rational(order, draw(st.sampled_from([0, 1, -1, 2]))))
+
+    def image():
+        if draw(st.integers(0, 4)) == 0:
+            return HomogeneousElement.zero()
+        img = ring.const(scalar())
+        if draw(st.booleans()):
+            img = img * linear()
+        if with_rule and draw(st.booleans()):
+            img = img * ring.gen("v")
+        return img
+
+    on_gens = {n: image() for n, _ in T.ring.generators}
+    table = {}
+    for k in keys:
+        img = ring.one()
+        for n, e in k.pairs:
+            img = img * on_gens[n] ** e
+        table[k] = img
+    changed = draw(st.lists(st.sampled_from(keys), max_size=2, unique=True))
+    for k in changed:
+        how = draw(st.sampled_from(["replace", "rescale", "shift", "zero"]))
+        if how == "replace":
+            table[k] = image()
+        elif how == "rescale":
+            table[k] = table[k].scale(scalar())
+        elif how == "shift":
+            table[k] = table[k] * linear()
+        else:
+            table[k] = ring.gen("v") ** 3 - ring.mono({"u": 1, "w": 1}) if with_rule else image()
+    return ring, keys, table, bool(changed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_base_maps())
+def test_exact_base_check_matches_key_products_on_multi_term_images(data):
+    """The verdict against the brute-force oracle, with values at _POINT
+    standing in for the images of key products: an accepted map has one
+    value on every product of at most four keys, and a rejected one has two
+    on the named monomial."""
+    ring, keys, table, changed = data
+    engine = object.__new__(_Engine)
+    engine.stack, engine.table = canonical_stack(ring), table
+    try:
+        engine._spotcheck_base_relations()
+        got = None
+    except InputDataError as exc:
+        got = str(exc)
+    names = sorted({n for k in keys for n in k.names()})
+    values = {tuple(k.exp(n) for n in names): _value(table[k], ring.scalar_order.N)
+              for k in keys}
+
+    @lru_cache(maxsize=None)
+    def products(vec):
+        """The values of _key_products on the monomial with exponents vec,
+        mod Q and memoized on what is left to factor."""
+        if not any(vec):
+            return {1}
+        return {v * rest % _Q for k, v in values.items() if all(map(le, k, vec))
+                for rest in products(tuple(map(sub, vec, k)))}
+
+    if not changed:
+        assert got is None
+    if got is None:
+        level = set(values)
+        for _ in range(3):  # products of two, three and four keys
+            level = {tuple(map(add, v, k)) for v in level for k in values}
+            assert all(len(products(v)) == 1 for v in level)
+    else:
+        named = dict(p.split("^") if "^" in p else (p, 1)
+                     for p in got.rsplit(" ", 1)[1].split("*"))
+        assert len(products(tuple(int(named.get(n, 0)) for n in names))) > 1
 
 
 def test_cyclic_quotient_lift_a34():
