@@ -7,8 +7,10 @@ Generates the workload's cases with ``bench/workloads.py`` and solves every
 case without a known defect once, untraced, so imports and lazy set-up are
 done.  It then solves them again under ``cProfile``; with ``--verify`` each
 lift document is also re-verified, through ``bench/run.py``'s ``reverify``,
-inside the profiled pass.  It prints the 25 functions with the most self time
-and the share of self time in each ``coxlift`` module.  The bench files
+inside the profiled pass.  It prints the 25 functions with the most self time,
+the 25 ``coxlift`` functions with the most cumulative time (a cost spread
+thinly over many callees shows only there), and the share of self time in
+each ``coxlift`` module.  The bench files
 are imported, not changed, and the checkout's own ``src`` is imported, so
 the script measures the commit it sits in.
 """
@@ -28,7 +30,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 import run  # noqa: E402
 import workloads  # noqa: E402
 
-TOP = 25  # functions listed by self time
+TOP = 25  # functions listed by self time, and by cumulative time
+
+
+def _in_coxlift(path) -> bool:
+    parts = Path(path).parts
+    return len(parts) >= 2 and parts[-2] == "coxlift"
 
 
 def one_pass(cx, cases, verify):
@@ -60,10 +67,16 @@ def main(argv=None) -> int:
     for (path, line, name), (_, calls, tt, _, _) in rows[:TOP]:
         print(f"{tt:8.3f} {tt / total:6.1%} {calls:9d}  {Path(path).name}:{line}({name})")
 
+    cumulative = sorted(((key, v) for key, v in stats.stats.items() if _in_coxlift(key[0])),
+                        key=lambda kv: kv[1][3], reverse=True)
+    print("\ncumulative time, coxlift functions")
+    print(f"{'cum_s':>8} {'share':>6} {'calls':>9}  function")
+    for (path, line, name), (_, calls, _, ct, _) in cumulative[:TOP]:
+        print(f"{ct:8.3f} {ct / total:6.1%} {calls:9d}  {Path(path).name}:{line}({name})")
+
     modules = defaultdict(float)
     for (path, _, _), (_, _, tt, _, _) in stats.stats.items():
-        parts = Path(path).parts
-        inside = len(parts) >= 2 and parts[-2] == "coxlift"
+        inside = _in_coxlift(path)
         modules[f"coxlift.{Path(path).stem}" if inside else "(outside coxlift)"] += tt
     print("\nself time per module")
     for name, tt in sorted(modules.items(), key=lambda kv: kv[1], reverse=True):

@@ -355,9 +355,14 @@ class GradedRing:
         # rules in order, keyed by the first generator of their lhs (None
         # for lhs 1): a rule can divide m only if its key occurs in m
         self._rules_by_head: Dict[Optional[str], list] = {}
+        # generator -> least e of a rule z^e -> ... on that generator alone
+        self._single_heads: Dict[str, int] = {}
         for i, r in enumerate(self.rules):
             head = r.lhs.pairs[0][0] if r.lhs.pairs else None
             self._rules_by_head.setdefault(head, []).append((i, r))
+            if len(r.lhs.pairs) == 1:
+                e = r.lhs.pairs[0][1]
+                self._single_heads[head] = min(e, self._single_heads.get(head, e))
 
     # -- constructors -----------------------------------------------------
 
@@ -541,7 +546,49 @@ class GradedRing:
         return None
 
     def elements_equal(self, a: HomogeneousElement, b: HomogeneousElement) -> bool:
-        return self.normal_form(a - b).is_zero()
+        """Whether a = b in the ring, by one ``normal_form`` of a - b after
+        its products are reduced power by power.
+
+        A term c*m of a - b whose monomial has two or more powers z^k that
+        a rule z^e -> ... on z alone reduces (k >= e) is replaced by acc,
+        built from acc = c * (the rest of m) as acc = nf(acc * nf(z^k)),
+        one power at a time; other terms are kept.  Normal forms of a whole
+        product rewrite a monomial again whenever a new contribution to it
+        arrives after it was taken, which grows about as 2^(number of
+        rooted factors) on a product of chained roots.
+
+        Hypothesis: the rules are confluent, as every ring the engine
+        builds is and as rings read from documents are checked to be at
+        parse.  Normal forms are then unique and respect products,
+        nf(a*b) = nf(nf(a)*nf(b)) (Baader-Nipkow, Term Rewriting and All
+        That, 1998, ch. 2 and 8), so the verdict is that of
+        ``normal_form(a - b).is_zero()``.  Each normal form taken runs
+        under ``step_cap`` on its own, so a comparison can succeed where
+        one normal form of the whole difference would exceed the cap.
+        """
+        return self.normal_form(self._reduce_powers(a - b)).is_zero()
+
+    def _reduce_powers(self, e: HomogeneousElement) -> HomogeneousElement:
+        """e with each term of two or more reducible generator powers
+        normalized power by power (see ``elements_equal``)."""
+        heads = self._single_heads
+        if not heads:
+            return e
+        terms, split = [], False
+        for c, m in e.terms:
+            if len(m.pairs) > 1:
+                powers = [(n, k) for n, k in m.pairs if k >= heads.get(n, k + 1)]
+                if len(powers) > 1:
+                    acc = HomogeneousElement([(c, Monomial(p for p in m.pairs
+                                                           if p not in powers))])
+                    for n, k in powers:
+                        z = HomogeneousElement.monomial(self.scalar_order, Monomial.gen(n, k))
+                        acc = self.normal_form(acc * self.normal_form(z))
+                    terms.extend(acc.terms)
+                    split = True
+                    continue
+            terms.append((c, m))
+        return HomogeneousElement(terms) if split else e
 
     # -- factorization ----------------------------------------------------------
 

@@ -305,7 +305,7 @@ def _exact_base_witness(ring: GradedRing, keys: Sequence[Monomial],
     product that the zero key divides.  (b) Otherwise it is
     sum_{a_i > 0} a_i v_i for the first ``row_kernel`` row a of the nonzero
     keys' exponent vectors v_i whose images g_i break
-    nf(prod_{a_i > 0} g_i^a_i) = nf(prod_{a_i < 0} g_i^-a_i).
+    prod_{a_i > 0} g_i^a_i = prod_{a_i < 0} g_i^-a_i (``elements_equal``).
     """
     nfs = [(k, ring.normal_form(img)) for k, img in zip(keys, imgs)]
     nonzero = [(k, img) for k, img in nfs if not img.is_zero()]
@@ -326,7 +326,7 @@ def _exact_base_witness(ring: GradedRing, keys: Sequence[Monomial],
         for ai, (_, img) in zip(a, nonzero):
             if ai:
                 sides[ai < 0] = sides[ai < 0] * img ** abs(ai)
-        if ring.normal_form(sides[0]) != ring.normal_form(sides[1]):
+        if not ring.elements_equal(sides[0], sides[1]):
             return Monomial({n: sum(ai * r[j] for ai, r in zip(a, rows) if ai > 0)
                              for j, n in enumerate(names)})
     return None
@@ -880,17 +880,26 @@ def verify_lift(target: TargetData, source_stack: MdStackData, base: BaseMorphis
     A fifth, the factorial spot-check (``graded_factorial_spotcheck`` up to
     ``spotcheck_bound``), runs only when the bound is nonzero and the result
     ring has at most 6 generators; on a larger ring it is skipped and the
-    report has no entry for it."""
+    report has no entry for it.
+
+    Relation preservation and restriction compare mapped products with
+    ``GradedRing.elements_equal``, which is exact because the result ring
+    is confluent (the engine's rings are, and a replayed tower over a
+    source checked confluent at parse is).  It normalizes a product one
+    generator power at a time, each normal form under the ring's
+    ``step_cap`` on its own, so a check can pass where one normal form of
+    the whole product would exceed the cap.  A target generator without
+    an image is an ``InputDataError``, not a failed check: the mapped
+    products that contain it cannot be formed."""
     ring = result.stack.cox_ring
     checks: List[VerificationCheck] = []
+    for name, _deg in target.ring.generators:
+        if name not in result.images:
+            raise InputDataError(f"generator {name} has no image")
 
     ok, detail = True, "all generator images are homogeneous of the mapped degree"
     for name, deg in target.ring.generators:
-        img = result.images.get(name)
-        if img is None:
-            ok, detail = False, f"generator {name} has no image"
-            break
-        img = ring.normal_form(img)
+        img = ring.normal_form(result.images[name])
         if img.is_zero():
             continue
         want = result.group_map(deg)

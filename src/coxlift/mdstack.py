@@ -122,7 +122,8 @@ def _mature_declared_rules(ring: GradedRing) -> GradedRing:
     ideal, and adding an element of the ideal to a Groebner basis keeps it
     one.  So a matured rule that leaves a pair unjoined holds a declaration
     that is false there, which the checks on declarations and root names
-    are meant to exclude: an ``InternalInvariantError``.  Every ring the
+    (a replayed result tower's included, in ``serialize``) are meant to
+    exclude: an ``InternalInvariantError``.  Every ring the
     engine builds is thus confluent, and ``normal_form``'s one strategy
     gives its unique normal forms.
     """

@@ -565,17 +565,35 @@ def result_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _replay(spec: ProblemSpec, steps) -> MdStackData:
+    """The stack of a result document's tower over spec's source.
+
+    A tower root named like a root the source declares (``root_name_pins``)
+    must be that root, section and order alike: the declaration matures
+    into a rule once its factor names exist, and holds of no other root.
+    """
+    tower = _tower(steps, spec.order)
+    declared = {name: pin for pin, name in spec.options.root_name_pins}
+    for step in tower:
+        for info in step.roots:
+            pin = declared.get(info.name)
+            if pin is not None and pin != (info.section.key(), info.order):
+                raise InputDataError(
+                    f"tower root {info.name} is declared as the order-{pin[1]} root of "
+                    f"{pin[0]}, not the order-{info.order} root of {info.section.key()}")
+    return replay_tower(spec.source_stack, tower)
+
+
 def replay_result(spec: ProblemSpec, doc: dict) -> MdStackData:
     """Rebuild the final stack of a result document over the problem's source."""
-    tower = _walk(doc, RESULT_TOWER, "result")["tower"]
-    return replay_tower(spec.source_stack, _tower(tower, spec.order))
+    return _replay(spec, _walk(doc, RESULT_TOWER, "result")["tower"])
 
 
 def read_result(spec: ProblemSpec, data):
     """(final stack, images, group map) of a result document of spec's
     problem, or of the result file it names."""
     doc = _walk(_read(data), RESULT, "result")
-    stack = replay_tower(spec.source_stack, _tower(doc["tower"], spec.order))
+    stack = _replay(spec, doc["tower"])
     unknown = sorted(set(doc["images"]) - set(spec.target.ring.gen_degrees))
     if unknown:
         raise InputDataError(f"images name unknown target generators {unknown}")

@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import PROBLEMS, load_raw
+from helpers import PROBLEMS, cyclic_problem, load_raw
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -466,3 +466,126 @@ def test_one_field_of_another_type_never_crashes_the_cli(bundled_documents, data
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = run_cli(*(str(bad) if a is None else a for a in argv))
     assert code in (0, 1, 2)
+
+
+def _scale_image(doc, raw):
+    doc["images"]["x"]["terms"][0]["c"] = "2"
+
+
+def _shift_group_map(doc, raw):
+    doc["group_map"][0][-1] += 1
+
+
+def _scale_section(step, root=0):
+    def change(doc, raw):
+        entry = doc["tower"][step]
+        entry.get("roots", [entry])[root]["section"]["terms"][0]["c"] = "2"
+    change.__name__ = f"scale_section_{step}_{root}"
+    return change
+
+
+def _add_target_relation(doc, raw):
+    """y^2 -> x^(2 deg y): one degree on both sides in every bundled target."""
+    (ydeg,), = (g["degree"] for g in raw["target"]["generators"] if g["name"] == "y")
+    raw["target"]["relations"].append(
+        {"lhs": {"y": 2}, "rhs": {"terms": [{"c": "1", "m": {"x": 2 * ydeg}}]}})
+
+
+def _drop_image(doc, raw):
+    del doc["images"]["x"]
+
+
+RESTRICTION, RELATION = ["restriction"], ["relation-preservation"]
+DEGREE = ["homogeneity"]
+
+
+def _tamper_id(value):
+    if callable(value):
+        return value.__name__.strip("_")
+    if isinstance(value, list):
+        return "+".join(value)
+    return "exit-2" if " " in value else value
+
+
+@pytest.mark.parametrize("name,change,expected", [
+    ("a1_into_half11", _scale_image, RESTRICTION),
+    ("a1_into_half11", _shift_group_map, DEGREE),
+    ("a1_into_half11", _scale_section(0), RESTRICTION),
+    ("a1_into_half11", _add_target_relation, RELATION),
+    ("a1_into_half11", _drop_image, "generator x has no image"),
+    ("identity_half11", _scale_image, RESTRICTION),
+    ("identity_half11", _shift_group_map, [*DEGREE, "group-map"]),
+    ("identity_half11", _add_target_relation, RELATION),
+    ("mu3", _scale_image, RESTRICTION),
+    ("mu3", _shift_group_map, DEGREE),
+    ("mu3", _scale_section(0, 0),
+     "tower root z1 is declared as the order-3 root of 1*u, not the order-3 root of 2*u"),
+    ("mu3", _add_target_relation, RELATION),
+    ("mu4", _scale_image, RESTRICTION),
+    ("mu4", _shift_group_map, DEGREE),
+    ("mu4", _scale_section(0, 1),
+     "tower root z2 is declared as the order-2 root of 1*u, not the order-2 root of 2*u"),
+    ("mu4", _scale_section(1), RESTRICTION),
+    ("mu4", _add_target_relation, RELATION),
+], ids=_tamper_id)
+def test_one_change_to_a_bundled_lift_is_rejected(tmp_path, capsys, name, change, expected):
+    """Changing one thing of a bundled lift fails exactly the expected checks
+    (exit 1), or is an input error when the replayed stack contradicts the
+    source's declared roots or an image is missing (exit 2).  The lifts of
+    mu3_zero and origin_into_half11 map every generator to 0, so they have
+    no scalar or section to change."""
+    raw = load_raw(name)
+    _problem, result, doc = _lifted(tmp_path, name)
+    change(doc, raw)
+    result.write_text(json.dumps(doc))
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(raw))
+    capsys.readouterr()
+    code = run_cli("verify", str(problem), str(result), "--log", "json")
+    out = capsys.readouterr()
+    if isinstance(expected, str):
+        assert code == 2
+        assert expected in out.err
+    else:
+        assert code == 1
+        checks = json.loads(out.out)["verification"]["checks"]
+        assert [c["name"] for c in checks if not c["passed"]] == expected
+
+
+def test_deep_root_chain_verifies_under_a_small_step_cap(tmp_path, capsys):
+    """x^12 -> prod_{i=1..8} (t - r_i) over A^1 with Cl = Z/12 lifts to
+    x -> c * z_1 ... z_8, each z_i atop a chain of root rules.  One normal
+    form of the restriction's product takes 765 steps; power by power, no
+    normal form takes more than 3, so a cap of 100 suffices."""
+    raw = cyclic_problem(12, (1, -2, 3, -4, 5, -6, 7, -8))
+    raw["options"]["step_cap"] = 100
+    problem = tmp_path / "f12m8.json"
+    problem.write_text(json.dumps(raw))
+    result = tmp_path / "res.json"
+    assert run_cli("lift", str(problem), "--out", str(result), "--log", "json") == 0
+    doc = json.loads(result.read_text())
+    # the factorial spot-check is skipped on a ring of more than 6 generators
+    assert [(c["name"], c["passed"]) for c in doc["verification"]["checks"]] == [
+        ("homogeneity", True), ("relation-preservation", True), ("restriction", True),
+        ("group-map", True)]
+    capsys.readouterr()
+    assert run_cli("verify", str(problem), str(result), "--log", "json") == 0
+
+
+def test_base_morphism_lacking_a_picard_level_image_is_rejected(tmp_path, capsys):
+    raw = load_raw("a1_into_half11")
+    del raw["base_morphism"]["images"][2]  # y^2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("lift", str(bad)) == 2
+    assert "base morphism misses images for ['y^2']" in capsys.readouterr().err
+
+
+def test_base_image_of_the_wrong_degree_is_rejected(tmp_path, capsys):
+    raw = load_raw("identity_half11")
+    raw["base_morphism"]["images"][0]["image"]["terms"][0]["m"] = {"s": 2}  # x -> s^2
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("lift", str(bad)) == 2
+    assert ("base image of x has degree [2], expected the group-map image of its class"
+            in capsys.readouterr().err)

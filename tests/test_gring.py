@@ -550,6 +550,48 @@ def test_whole_power_normal_form_equals_the_fixed_strategy(case):
     assert R.normal_form(e) == rescanning_normal_form(R, e, whole_powers=False)
 
 
+@st.composite
+def chained_product_cases(draw):
+    """A confluent ring with a rule g^n -> rhs for each of b, c, d, each rhs
+    one or two terms over the generators before its head, so sections chain
+    through earlier roots; and an element one of whose terms is a product of
+    powers of at least two heads, each high enough to reduce, which
+    ``elements_equal`` normalizes power by power."""
+    names = ["a", "b", "c", "d"]
+    rules, orders = [], {}
+    for i, head in enumerate(names[1:], 1):
+        orders[head] = draw(st.integers(1, 3))
+        rhs = [(draw(_scalars(N3)), Monomial(dict(zip(names[:i], v))))
+               for v in draw(st.lists(st.lists(st.integers(0, 1), min_size=i, max_size=i),
+                                      min_size=1, max_size=2))]
+        rules.append(RewriteRule(Monomial.gen(head, orders[head]), HomogeneousElement(rhs)))
+    heads = draw(st.lists(st.sampled_from(names[1:]), min_size=2, max_size=3, unique=True))
+    product = {h: draw(st.integers(orders[h], 2 * orders[h] + 1)) for h in heads}
+    product["a"] = draw(st.integers(0, 2))
+    terms = [(draw(_scalars(N3)), Monomial(product))]
+    terms += [(draw(_scalars(N3)), Monomial(dict(zip(names, v))))
+              for v in draw(st.lists(st.lists(st.integers(0, 4), min_size=4, max_size=4),
+                                     max_size=2))]
+    return names, rules, HomogeneousElement(terms)
+
+
+@given(chained_product_cases(), st.booleans(), _scalars(N3), st.integers(0, 9))
+@settings(max_examples=100, deadline=None)
+def test_elements_equal_matches_one_normal_form_of_the_difference(case, extra, c, k):
+    """Normalizing a product power by power gives the verdict of one normal
+    form of the difference.  b is nf(a), equal to a, or nf(a) + c*a^k, which
+    is in normal form (a heads no rule) and so unequal to a."""
+    names, rules, a = case
+    cl = FgAbelianGroup(0, [])
+    R = GradedRing([(n, cl.zero()) for n in names], cl, N3, rules=rules, step_cap=10**6)
+    assert R.nonjoinable_pair() is None
+    b = R.normal_form(a)
+    if extra:
+        b = b + HomogeneousElement([(c, Monomial.gen("a", k))])
+    assert R.elements_equal(a, b) == R.normal_form(a - b).is_zero() == (not extra)
+    assert R.elements_equal(b, a) == (not extra)
+
+
 def test_confluent_rings_rewrite_whole_powers_in_one_step():
     cl = FgAbelianGroup(0, [])
     gens = [(n, cl.zero()) for n in "xz"]

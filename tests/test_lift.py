@@ -391,6 +391,50 @@ def test_verify_lift_flags_wrong_unit_choice():
     assert "restriction" in [c.name for c in report.checks if not c.passed]
 
 
+def test_verify_lift_flags_a_group_map_into_another_group():
+    """The group-map check rebuilds the map from the target's class group
+    into the result's Pic.  A result document cannot fail it: reading one
+    builds that same map, and rejects it first.  A result assembled from
+    parts can: here Z/3 is presented as Z/(3) instead of the Pic's Z/(-3).
+    The images are 0, so no other check reads the group map's images."""
+    spec = load_spec("mu3_zero")
+    res = lift_of("mu3_zero")
+    assert res.stack.pic.relations.entries == ((-3,),)
+    other = FgAbelianGroup(1, [[3]])
+    fake = replace(res, group_map=GroupHomomorphism(spec.target.cl, other,
+                                                    [other.element([1])]))
+    report = verify_lift(spec.target, spec.source_stack, spec.base, fake)
+    assert [(c.name, c.detail) for c in report.checks if not c.passed] == [
+        ("group-map", "homomorphism image lies in the wrong group")]
+
+
+def test_verify_lift_rejects_a_generator_without_an_image():
+    spec = load_spec("a1_into_half11")
+    res = lift_of("a1_into_half11")
+    fake = replace(res, images={"x": res.images["x"]})
+    with pytest.raises(InputDataError, match="generator y has no image"):
+        verify_lift(spec.target, spec.source_stack, spec.base, fake)
+
+
+def test_engine_rejects_rings_over_different_cyclotomic_orders():
+    """Documents give both rings one order, so only a library call reaches this."""
+    spec = load_spec("a1_into_half11")
+    T = spec.target
+    ring = GradedRing(T.ring.generators, T.ring.grading_group, CycOrder(4))
+    with pytest.raises(InputDataError, match="target and source rings use different"):
+        run_cox_lift(replace(T, ring=ring), spec.source_stack, spec.base, spec.options)
+
+
+def test_engine_rejects_a_group_image_count_off_the_picard_generators():
+    """Parsing checks the count against pic_subgroup first, so only a library
+    call reaches this."""
+    spec = load_spec("identity_half11")
+    for images in ((), spec.base.group_images * 2):
+        with pytest.raises(InputDataError, match="one group image per Picard generator"):
+            run_cox_lift(spec.target, spec.source_stack,
+                         replace(spec.base, group_images=images), spec.options)
+
+
 def test_mutated_base_unit_aborts_with_diagnostic():
     # a consistent-looking scaling still has no square root of unity
     raw = load_raw("a1_into_half11")
