@@ -104,8 +104,12 @@ def smith_normal_form_full(M: IntMatrix, track=("U", "V", "Vinv")):
     transforms named in ``track`` are computed; an untracked one comes
     back as a matrix with no rows.  The elimination never reads a
     transform, so S and every tracked transform are the same whatever is
-    tracked.  ``FgAbelianGroup`` reads V and Vinv, ``Subgroup`` reads U
-    and V, and ``row_kernel`` reads U.
+    tracked.  ``FgAbelianGroup`` reads V and Vinv, and ``Subgroup`` reads U
+    and V.
+
+    The pivot is the first entry of least absolute value in the trailing
+    block, so its search stops at the first entry of absolute value 1, and
+    a pivot 1 divides the whole block without a scan.
     """
     m, n = M.rows, M.cols
     A = [list(r) for r in M.entries]
@@ -153,6 +157,10 @@ def smith_normal_form_full(M: IntMatrix, track=("U", "V", "Vinv")):
                 v = abs(A[i][j])
                 if v and (best is None or v < best):
                     best, piv = v, (i, j)
+                    if v == 1:
+                        break
+            if best == 1:
+                break
         if piv is None:
             break
         if piv[0] != t:
@@ -181,6 +189,8 @@ def smith_normal_form_full(M: IntMatrix, track=("U", "V", "Vinv")):
                         moved = True
             if moved:
                 continue
+            if A[t][t] == 1:
+                break
             # pivot must divide the whole trailing block for the chain
             bad = None
             for i in range(t + 1, m):
@@ -456,10 +466,62 @@ def _kernel_rows(diag: Sequence[int], U: IntMatrix) -> list:
     return [list(U.entries[j]) for j in range(U.rows) if j >= len(diag) or not diag[j]]
 
 
-def row_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list:
-    """Basis rows of { v : v * M = 0 } for the matrix M with the given rows."""
-    S, U, _, _ = smith_normal_form_full(IntMatrix(rows, cols=ncols), track=("U",))
-    return _kernel_rows(S.diagonal(), U)
+def relation_basis(vectors: Sequence[Sequence[int]]) -> list:
+    """Sparse basis rows {i: a_i} of { a : sum_i a_i * vectors[i] = 0 }.
+
+    The vectors are walked in order.  An echelon form (positive pivots,
+    rising pivot columns) is kept of the set B of vectors that were not in
+    the span of those before them, each echelon row with its coefficients
+    over B.  A vector v is reduced by exact multiples of the echelon rows
+    while its pivot entries divide; then v = sum_b x_b * vectors[b], and it
+    gives the row e_v - x_v.  At the first entry that does not divide, v is
+    outside the span and joins B: an extended-gcd step replaces the echelon
+    row and v by two unimodular combinations of them, one leading with the
+    gcd, and the other, zero there, is reduced further.  If that leaves it
+    zero, its coefficients are a relation among B.
+
+    Every step is unimodular on the coefficient vectors, so the echelon
+    rows and the rows returned together form a basis of Z^len(vectors).
+    The echelon rows are independent, so the rows returned span the
+    relations: a relation a minus sum_v a_v (e_v - x_v) over the vectors
+    in the span is a relation on B, and those are spanned by B's rows.
+    Each row holds only nonzero entries, and the cost is one pass over the
+    echelon form per vector, which has at most as many rows as the columns.
+    """
+    echelon = []  # [pivot column, vector, coefficients], by pivot column
+    out = []
+    for k, v in enumerate(vectors):
+        vec, co, pos = list(v), {k: 1}, 0
+        while True:
+            lead = next((j for j, x in enumerate(vec) if x), None)
+            if lead is None:
+                out.append(co)
+                break
+            while pos < len(echelon) and echelon[pos][0] < lead:
+                pos += 1
+            if pos == len(echelon) or echelon[pos][0] > lead:
+                if vec[lead] < 0:
+                    vec, co = [-e for e in vec], {i: -c for i, c in co.items()}
+                echelon.insert(pos, [lead, vec, co])
+                break
+            _, rvec, rco = echelon[pos]
+            a, b = rvec[lead], vec[lead]
+            if b % a:
+                g, s, t = _xgcd(a, abs(b))
+                t = t if b > 0 else -t
+                echelon[pos][1:] = _combine(rvec, rco, s, vec, co, t)
+                vec, co = _combine(vec, co, a // g, rvec, rco, -(b // g))
+            else:
+                vec, co = _combine(vec, co, 1, rvec, rco, -(b // a))
+    return out
+
+
+def _combine(vec, co, x, vec2, co2, y):
+    """x * (vec, co) + y * (vec2, co2), without the coefficients that are 0."""
+    out = {i: x * c for i, c in co.items()}
+    for i, c in co2.items():
+        out[i] = out.get(i, 0) + y * c
+    return [x * e + y * f for e, f in zip(vec, vec2)], {i: c for i, c in out.items() if c}
 
 
 def quotient_group(G: FgAbelianGroup, subgroup_gens: Sequence[GroupElement]):

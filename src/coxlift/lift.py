@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import combinations_with_replacement
-from operator import add, le
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .abgroup import (
@@ -28,7 +28,7 @@ from .abgroup import (
     coordinate_inclusion,
     element_order,
     kernel_basis_mod_p,
-    row_kernel,
+    relation_basis,
     solve_affine_mod_n,
     solve_linear_over_group,
 )
@@ -205,11 +205,17 @@ def pic_level_generators(T: TargetData, K: Subgroup) -> List[Monomial]:
     generators of nonzero class enter the box.  Their classes are carried
     as canonical coordinates of Cl/K, with the generator of largest order
     last, whose exponent is read off a residue table; so only class-zero
-    vectors of the box are visited.  Taken in total-degree order, a
+    vectors of the box are visited.  The exponent prefixes grow one
+    generator at a time, grouped by their class, so each class is shifted
+    once per exponent.  Taken in total-degree order, a
     vector is kept unless some kept vector k is <= it componentwise.
     This keeps exactly the minimal ones: a class-zero k <= v with k != v
-    has smaller total degree, so it is kept or lies above a kept one.
-    The full key then sorts the kept list once.
+    has smaller total degree, so it is kept or lies above a kept one.  So
+    the kept set does not depend on the order within one total degree,
+    and the full key then sorts the kept list once.  The test reads
+    bitsets: per coordinate i and bound t, the kept vectors with exponent
+    <= t at i; v lies above a kept vector iff the bitsets at v's
+    exponents share a bit, so no candidate scans the kept list.
     """
     Q, proj = K.quotient()
     if not Q.is_finite():
@@ -234,21 +240,33 @@ def pic_level_generators(T: TargetData, K: Subgroup) -> List[Monomial]:
         reach: Dict[tuple, List[int]] = {}
         for e in range(bounds[-1] + 1):
             reach.setdefault(shift(zero, ys[-1], -e), []).append(e)
-        found: List[tuple] = []
-
-        def walk(i, exps, acc):
-            if i == len(names) - 1:
-                found.extend(exps + (e,) for e in reach.get(acc, ()))
-                return
-            for e in range(bounds[i] + 1):
-                walk(i + 1, exps + (e,), shift(acc, ys[i], e))
-
-        walk(0, (), zero)
+        # exponent prefixes grouped by their residue, one generator at a time
+        level: Dict[tuple, List[tuple]] = {zero: [()]}
+        for y, bound in zip(ys, bounds[:-1]):
+            grown: Dict[tuple, List[tuple]] = {}
+            for acc, prefixes in level.items():
+                for e in range(bound + 1):
+                    grown.setdefault(shift(acc, y, e), []).extend(p + (e,) for p in prefixes)
+            level = grown
+        found = [p + (e,) for acc, prefixes in level.items()
+                 for e in reach.get(acc, ()) for p in prefixes]
         found.sort(key=sum)
+        # below[i][t]: bit j set iff kept vector j has exponent <= t at i
+        below = [[0] * (b + 1) for b in bounds]
         kept: List[tuple] = []
         for v in found[1:]:  # found[0] is the zero vector
-            if not any(all(map(le, k, v)) for k in kept):
-                kept.append(v)
+            hit = -1
+            for row, e in zip(below, v):
+                hit &= row[e]
+                if not hit:
+                    break
+            if hit:
+                continue
+            bit = 1 << len(kept)
+            for row, e in zip(below, v):
+                for t in range(e, len(row)):
+                    row[t] |= bit
+            kept.append(v)
         keys += [Monomial(zip(names, v)) for v in kept]
     return sorted(keys, key=Monomial.sort_key)
 
@@ -303,9 +321,13 @@ def _exact_base_witness(ring: GradedRing, keys: Sequence[Monomial],
     (a) For the first zero key whose support lies in the nonzero keys'
     supports, the witness is the smallest power of the nonzero keys'
     product that the zero key divides.  (b) Otherwise it is
-    sum_{a_i > 0} a_i v_i for the first ``row_kernel`` row a of the nonzero
-    keys' exponent vectors v_i whose images g_i break
+    sum_{a_i > 0} a_i v_i for the first row a of ``relation_basis`` over the
+    nonzero keys' exponent vectors v_i whose images g_i break
     prod_{a_i > 0} g_i^a_i = prod_{a_i < 0} g_i^-a_i (``elements_equal``).
+    The basis is sparse: each row holds only its nonzero entries, one
+    e_v - x_v for each key v in the span of the keys before it, and one for
+    each relation found among the keys that were not.  The witness is the
+    same for a row and for its negative, since sum_i a_i v_i = 0.
     """
     nfs = [(k, ring.normal_form(img)) for k, img in zip(keys, imgs)]
     nonzero = [(k, img) for k, img in nfs if not img.is_zero()]
@@ -321,13 +343,12 @@ def _exact_base_witness(ring: GradedRing, keys: Sequence[Monomial],
         return None
     names = sorted(total)
     rows = [[k.exp(n) for n in names] for k, _ in nonzero]
-    for a in row_kernel(rows, len(names)):
+    for a in relation_basis(rows):
         sides = [ring.one(), ring.one()]
-        for ai, (_, img) in zip(a, nonzero):
-            if ai:
-                sides[ai < 0] = sides[ai < 0] * img ** abs(ai)
+        for i, ai in a.items():
+            sides[ai < 0] = sides[ai < 0] * nonzero[i][1] ** abs(ai)
         if not ring.elements_equal(sides[0], sides[1]):
-            return Monomial({n: sum(ai * r[j] for ai, r in zip(a, rows) if ai > 0)
+            return Monomial({n: sum(ai * rows[i][j] for i, ai in a.items() if ai > 0)
                              for j, n in enumerate(names)})
     return None
 
@@ -404,12 +425,14 @@ class _Engine:
             cofactor.  The faces of the saturated monoid are coordinate faces
             (Miller-Sturmfels, ch. 7); binomials with zero keys on both sides
             map to 0 = 0.
-        (b) the binomial of each basis row a (``row_kernel``) of the lattice
-            of integer relations among the nonzero keys' exponents maps to 0.
-            The lattice ideal is the saturation of the basis binomials by the
+        (b) the binomial of each row a of a basis of the lattice of integer
+            relations among the nonzero keys' exponents maps to 0.  The
+            lattice ideal is the saturation of the basis binomials by the
             keys' product (Sturmfels, Groebner Bases and Convex Polytopes,
             1996), and the kernel into a domain is prime without any nonzero
-            key.  The basis entries bound the powers taken.
+            key.  The basis is ``relation_basis``'s sparse one, read off an
+            echelon form kept while walking the keys; any basis serves, and
+            its entries bound the powers taken.
 
         Only after an exact rejection, a bounded scan names a witness of at
         most three keys: all pairs, then all triples, each in
@@ -852,13 +875,24 @@ def run_cox_lift(target: TargetData, source_stack: MdStackData, base: BaseMorphi
 
 def _map_monomial(images: Dict[str, HomogeneousElement], ring: GradedRing,
                   mono: Monomial) -> HomogeneousElement:
-    acc = ring.one()
+    """The product of the images of mono's generator powers.
+
+    It is 0, with no product built, when any image is 0.  A generator
+    without an image is an ``InputDataError``: ``verify_lift`` reaches it
+    through a base key that names a generator the target ring lacks, which
+    only a ``BaseMorphism`` built in code can hold (documents reject such
+    keys at parse).
+    """
+    factors = []
     for name, e in mono.pairs:
         img = images.get(name)
         if img is None:
             raise InputDataError(f"no image recorded for generator {name}")
-        if img.is_zero():
-            return HomogeneousElement.zero()
+        factors.append((img, e))
+    if any(img.is_zero() for img, _ in factors):
+        return HomogeneousElement.zero()
+    acc = ring.one()
+    for img, e in factors:
         acc = acc * (img ** e)
     return acc
 

@@ -5,8 +5,9 @@ from itertools import combinations, product
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.matrices.normalforms import hermite_normal_form
 
 from coxlift.abgroup import (
     FgAbelianGroup,
@@ -18,6 +19,7 @@ from coxlift.abgroup import (
     kernel_basis_mod_p,
     pushout_root,
     quotient_group,
+    relation_basis,
     smith_normal_form_full,
     solve_affine_mod_n,
     solve_affine_mod_p,
@@ -310,6 +312,149 @@ def test_partial_smith_forms_match_the_full_form(rows):
             assert S == full[0]
             for name, T, F in zip(names, transforms, full[1:]):
                 assert T == (F if name in track else IntMatrix([], cols=F.cols))
+
+
+def _reference_smith_form(M):
+    """``smith_normal_form_full`` before its pivot shortcuts, as an oracle:
+    (S, U, V, Vinv) as lists of rows, every transform tracked."""
+    m, n = M.rows, M.cols
+    A = [list(r) for r in M.entries]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+    Vi = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_add(i, j, c):
+        A[i] = [a + c * b for a, b in zip(A[i], A[j])]
+        U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+
+    def row_swap(i, j):
+        A[i], A[j] = A[j], A[i]
+        U[i], U[j] = U[j], U[i]
+
+    def row_neg(i):
+        A[i] = [-a for a in A[i]]
+        U[i] = [-a for a in U[i]]
+
+    def col_add(j, i, c):
+        for r in A + V:
+            r[j] += c * r[i]
+        Vi[i] = [a - c * b for a, b in zip(Vi[i], Vi[j])]
+
+    def col_swap(i, j):
+        for r in A + V:
+            r[i], r[j] = r[j], r[i]
+        Vi[i], Vi[j] = Vi[j], Vi[i]
+
+    t = 0
+    while t < min(m, n):
+        piv, best = None, None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = abs(A[i][j])
+                if v and (best is None or v < best):
+                    best, piv = v, (i, j)
+        if piv is None:
+            break
+        if piv[0] != t:
+            row_swap(t, piv[0])
+        if piv[1] != t:
+            col_swap(t, piv[1])
+        if A[t][t] < 0:
+            row_neg(t)
+        while True:
+            moved = False
+            for i in range(t + 1, m):
+                if A[i][t]:
+                    row_add(i, t, -(A[i][t] // A[t][t]))
+                    if A[i][t]:
+                        row_swap(t, i)
+                        if A[t][t] < 0:
+                            row_neg(t)
+                        moved = True
+            for j in range(t + 1, n):
+                if A[t][j]:
+                    col_add(j, t, -(A[t][j] // A[t][t]))
+                    if A[t][j]:
+                        col_swap(t, j)
+                        moved = True
+            if moved:
+                continue
+            bad = next((i for i in range(t + 1, m)
+                        if any(A[i][j] % A[t][t] for j in range(t + 1, n))), None)
+            if bad is None:
+                break
+            row_add(t, bad, 1)
+        t += 1
+    return A, U, V, Vi
+
+
+small_matrices = st.integers(1, 5).flatmap(
+    lambda m: st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.sampled_from([0, 0, 1, -1, 2, -2, 3, 4, -6, 9]), min_size=n, max_size=n),
+            min_size=m,
+            max_size=m,
+        )
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices, small_matrices))
+def test_smith_form_matches_the_loop_without_pivot_shortcuts(rows):
+    """Stopping the pivot search at an entry of absolute value 1, and the
+    divisibility scan under a pivot 1, leave S and every transform as they were."""
+    M = IntMatrix(rows)
+    got = [list(map(list, T.entries)) for T in smith_normal_form_full(M)]
+    assert got == list(_reference_smith_form(M))
+
+
+def _smith_relation_lattice(rows, ncols):
+    """The rows of U that U * M * V = S sends to zero: the relation lattice
+    as it was read off ``smith_normal_form_full`` before ``relation_basis``."""
+    S, U, _, _ = smith_normal_form_full(IntMatrix(rows, cols=ncols), track=("U",))
+    diag = S.diagonal()
+    return [list(U.entries[j]) for j in range(U.rows) if j >= len(diag) or not diag[j]]
+
+
+key_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(0, 5), min_size=n, max_size=n), min_size=1, max_size=8),
+        st.lists(st.integers(0, 7), max_size=3),  # rows to repeat
+        st.integers(0, 2),  # zero rows to add
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(key_matrices)
+@example((1, [[2], [3]], [], 0))
+@example((2, [[2, 0], [3, 0], [0, 4], [0, 6], [1, 1]], [1], 1))
+@example((3, [[1, 2, 3]], [0, 0], 2))
+def test_relation_basis_spans_the_smith_relation_lattice(data):
+    """The sparse basis and the kernel rows of the Smith form's U span one
+    lattice (equal Hermite forms); every row is a relation with only
+    nonzero entries.  Keys such as (2), (3) put more keys in the echelon
+    set than the rank."""
+    n, rows, repeat, zeros = data
+    rows = rows + [rows[i % len(rows)] for i in repeat] + [[0] * n] * zeros
+    basis = relation_basis(rows)
+    for a in basis:
+        assert a and all(a.values())
+        assert all(sum(c * rows[i][j] for i, c in a.items()) == 0 for j in range(n))
+    dense = [[a.get(i, 0) for i in range(len(rows))] for a in basis]
+    want = _smith_relation_lattice(rows, n)
+    assert len(dense) == len(want)
+    if want:
+        assert (hermite_normal_form(sympy.Matrix(dense).T)
+                == hermite_normal_form(sympy.Matrix(want).T))
+
+
+def test_relation_basis_examples():
+    assert relation_basis([[2], [3]]) == [{1: 2, 0: -3}]
+    assert relation_basis([[1, 1], [0, 0], [1, 1]]) == [{1: 1}, {2: 1, 0: -1}]
+    assert relation_basis([[1, 0], [0, 1]]) == []
 
 
 def test_kernel_basis_examples():

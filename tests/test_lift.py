@@ -416,6 +416,16 @@ def test_verify_lift_rejects_a_generator_without_an_image():
         verify_lift(spec.target, spec.source_stack, spec.base, fake)
 
 
+def test_verify_lift_rejects_a_base_key_outside_the_target_ring():
+    """Parsing rejects such a key, so only a library call reaches this."""
+    spec = load_spec("a1_into_half11")
+    res = lift_of("a1_into_half11")
+    img = next(iter(spec.base.images.values()))
+    base = replace(spec.base, images={**spec.base.images, Monomial({"w": 2}): img})
+    with pytest.raises(InputDataError, match="no image recorded for generator w"):
+        verify_lift(spec.target, spec.source_stack, base, res)
+
+
 def test_engine_rejects_rings_over_different_cyclotomic_orders():
     """Documents give both rings one order, so only a library call reaches this."""
     spec = load_spec("a1_into_half11")
