@@ -7,7 +7,6 @@ from .abgroup import (
     IntMatrix,
     Subgroup,
     element_order,
-    kernel_basis_mod_p,
     pushout_root,
     quotient_group,
     solve_affine_mod_p,

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import operator
 from functools import cached_property
-from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .errors import InputDataError, InternalInvariantError
@@ -314,14 +313,6 @@ class FgAbelianGroup:
             raise InputDataError("exponent of an infinite group")
         return math.lcm(*self.invariants) if self.invariants else 1
 
-    def elements(self):
-        """All elements of a finite group, via canonical coordinates."""
-        if not self.is_finite():
-            raise InputDataError("cannot enumerate an infinite group")
-        ranges = [range(d) if d else range(1) for d in self.moduli]
-        for y in product(*ranges):
-            yield self.from_canonical(y)
-
 
 class GroupElement:
     """Ambient coordinates interpreted modulo the group's relation lattice."""
@@ -420,10 +411,6 @@ class GroupHomomorphism:
         if not g.group.same_presentation(self.domain):
             raise InputDataError("element not in the homomorphism's domain")
         return GroupElement(self.codomain, self._apply(g.coords))
-
-    @classmethod
-    def identity(cls, G: FgAbelianGroup) -> "GroupHomomorphism":
-        return coordinate_inclusion(G, G)
 
 
 def coordinate_inclusion(A: FgAbelianGroup, B: FgAbelianGroup) -> GroupHomomorphism:
@@ -652,27 +639,6 @@ def _solve_mod(rows, rhs, ncols: int, n: int):
         r = -(row[ncols] + sum(row[k] * x[ncols - 1 - k] for k in range(j + 1, ncols)))
         x.append((r // lead) % (n // lead))
     return tuple(x), count
-
-
-def kernel_basis_mod_p(classes: Sequence[int], p: int):
-    """Basis of { c : sum c_j * classes_j = 0 mod p }, first nonzero entries 1.
-
-    With i the first nonzero class, the basis is e_f - (c_f/c_i)*e_i for
-    each f != i, in order of f.
-    """
-    m = [x % p for x in classes]
-    i = next((k for k, x in enumerate(m) if x), None)
-    if i is None:
-        raise InputDataError("degenerate degree data: all residues vanish mod p")
-    inv = pow(m[i], -1, p)
-    basis = []
-    for f in range(len(m)):
-        if f != i:
-            v = [0] * len(m)
-            v[f], v[i] = 1, -m[f] * inv % p
-            scale = pow(next(x for x in v if x), -1, p)
-            basis.append(tuple(x * scale % p for x in v))
-    return basis
 
 
 def solve_affine_mod_p(rows, rhs, ncols, p):

@@ -85,13 +85,27 @@ def cyclotomic_polynomial(N: int) -> tuple:
     return tuple(num)
 
 
+MAX_CYCLOTOMIC_ORDER = 2000
+
+
 class CycOrder:
-    """The field Q(zeta_N), carrying N and the degree of Phi_N."""
+    """The field Q(zeta_N), carrying N and the degree of Phi_N.
+
+    N above ``MAX_CYCLOTOMIC_ORDER`` (2000) is an ``InputDataError``, raised
+    before Phi_N is built: every scalar is a phi(N)-vector folded through an
+    N x phi(N) power table of about 8*N*phi(N) bytes, some 30 MB at the
+    prime 1999 and 800 MB at 10007.  The bound admits every order that the
+    bundled problems, the benchmark and ``scripts/tower_sweep.py`` use
+    (1500 at most).
+    """
 
     __slots__ = ("N", "degree")
 
     def __init__(self, N: int):
         self.N = int(N)
+        if self.N > MAX_CYCLOTOMIC_ORDER:
+            raise InputDataError(
+                f"cyclotomic order {self.N} exceeds the supported maximum {MAX_CYCLOTOMIC_ORDER}")
         self.degree = len(cyclotomic_polynomial(self.N)) - 1
 
     def __eq__(self, other):

@@ -325,7 +325,6 @@ class GradedRing:
         grading_group: FgAbelianGroup,
         scalar_order: CycOrder,
         rules: Sequence[RewriteRule] = (),
-        irreducibles: Iterable[str] = (),
         declared_factorizations: Optional[Dict[str, Factorization]] = None,
         step_cap: int = DEFAULT_STEP_CAP,
     ):
@@ -340,15 +339,11 @@ class GradedRing:
         self.grading_group = grading_group
         self.scalar_order = scalar_order
         self.rules = tuple(rules)
-        self.irreducibles = frozenset(irreducibles)
         self._declared = dict(declared_factorizations or {})
         self.declared_factorizations = dict(
             filter(None, (r.root_factorization for r in self.rules)))
         self.declared_factorizations.update(self._declared)
         self.step_cap = int(step_cap)
-        unknown = self.irreducibles - set(names)
-        if unknown:
-            raise InputDataError(f"irreducible marks for unknown generators: {sorted(unknown)}")
         for r in self.rules:
             self._check_rule(r)
         self.weights = _derive_weights(names, self.rules)
@@ -413,15 +408,6 @@ class GradedRing:
             if not (d == degs[0]):
                 raise NotHomogeneousError(f"element {e.key()} is not homogeneous")
         return degs[0]
-
-    def is_homogeneous(self, e: HomogeneousElement) -> bool:
-        if e.is_zero():
-            return True
-        try:
-            self.degree_of(e)
-            return True
-        except NotHomogeneousError:
-            return False
 
     # -- rewriting ------------------------------------------------------------
 
@@ -805,7 +791,6 @@ class GradedRing:
         generators=None,
         grading_group=None,
         rules=None,
-        irreducibles=None,
         declared_factorizations=None,
     ) -> "GradedRing":
         return GradedRing(
@@ -813,7 +798,6 @@ class GradedRing:
             grading_group if grading_group is not None else self.grading_group,
             self.scalar_order,
             rules if rules is not None else self.rules,
-            irreducibles if irreducibles is not None else self.irreducibles,
             declared_factorizations
             if declared_factorizations is not None
             else self._declared,

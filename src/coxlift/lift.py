@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import combinations_with_replacement
-from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .abgroup import (
@@ -27,7 +25,6 @@ from .abgroup import (
     Subgroup,
     coordinate_inclusion,
     element_order,
-    kernel_basis_mod_p,
     relation_basis,
     solve_affine_mod_n,
     solve_linear_over_group,
@@ -353,6 +350,17 @@ def _exact_base_witness(ring: GradedRing, keys: Sequence[Monomial],
     return None
 
 
+def _coset_kernel_rows(classes: Sequence[int], p: int) -> List[Tuple[int, ...]]:
+    """Basis of {c : sum_j c_j * classes_j = 0 mod p} for classes in 1..p-1:
+    row f (f >= 1) is e_0 + t_f*e_f with t_f = -classes_0/classes_f mod p."""
+    rows = []
+    for f in range(1, len(classes)):
+        row = [0] * len(classes)
+        row[0], row[f] = 1, -classes[0] * pow(classes[f], -1, p) % p
+        rows.append(tuple(row))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # The engine
 
@@ -434,42 +442,14 @@ class _Engine:
             echelon form kept while walking the keys; any basis serves, and
             its entries bound the powers taken.
 
-        Only after an exact rejection, a bounded scan names a witness of at
-        most three keys: all pairs, then all triples, each in
-        `combinations_with_replacement` order of the keys sorted by
-        `Monomial.sort_key`; later products of a monomial are compared with
-        its first, and a triple reuses the unnormalised product of its first
-        two keys.  The first mismatch names its monomial; without one, the
-        exact witness is named.
+        The rejection names the witness ``_exact_base_witness`` returns.
         """
         ring = self.stack.cox_ring
         keys = sorted(self.table, key=lambda m: m.sort_key())
-        imgs = [self.table[k] for k in keys]
-        witness = _exact_base_witness(ring, keys, imgs)
-        if witness is None:
-            return
-
-        def inconsistent(mono: Monomial):
-            return InputDataError(f"base images are inconsistent on the monomial {mono.key()}")
-
-        names = sorted({n for k in keys for n in k.names()})
-        vecs = [tuple(k.exp(n) for n in names) for k in keys]
-        seen: Dict[tuple, HomogeneousElement] = {}
-
-        def compare(vec, prod):
-            img = ring.normal_form(prod)
-            ref = seen.setdefault(vec, img)
-            if ref != img:
-                raise inconsistent(Monomial(zip(names, vec)))
-
-        pairs = {}
-        for i, j in combinations_with_replacement(range(len(keys)), 2):
-            pairs[i, j] = (tuple(map(add, vecs[i], vecs[j])), imgs[i] * imgs[j])
-            compare(*pairs[i, j])
-        for i, j, k in combinations_with_replacement(range(len(keys)), 3):
-            vec, prod = pairs[i, j]
-            compare(tuple(map(add, vec, vecs[k])), prod * imgs[k])
-        raise inconsistent(witness)
+        witness = _exact_base_witness(ring, keys, [self.table[k] for k in keys])
+        if witness is not None:
+            raise InputDataError(
+                f"base images are inconsistent on the monomial {witness.key()}")
 
     # -- degree map -------------------------------------------------------
 
@@ -651,10 +631,10 @@ class _Engine:
         new_ring = new_stack.cox_ring
 
         # constraint system for the root-of-unity exponents
-        kernel = kernel_basis_mod_p([coset[j][2] for j in Jp], p)
+        kernel = _coset_kernel_rows([coset[j][2] for j in Jp], p)
         rows, rhs, kmonos = [], [], []
         for cvec in kernel:
-            # (index into coset, entry) for the at most two nonzero entries
+            # (index into coset, entry) for the two nonzero entries
             support = [(Jp[pos], c) for pos, c in enumerate(cvec) if c]
             mono = Monomial.one()
             for j, c in support:
@@ -698,9 +678,9 @@ class _Engine:
             rows.append(tuple(cvec))
             rhs.append((er // (self.N // p)) % p)
             kmonos.append(mono.key())
-        # the coset classes lie in 1..p-1, so each kernel row f is
-        # e_0 + t_f*e_f with t_f != 0: the system is consistent, x_0 is free,
-        # and the lex-min solution is x_0 = 0, x_f = r_f / t_f (one of p)
+        # each kernel row f is e_0 + t_f*e_f with t_f != 0: the system is
+        # consistent, x_0 is free, and the lex-min solution is x_0 = 0,
+        # x_f = r_f / t_f (one of p)
         alpha = (0,) + tuple(r * pow(row[f], -1, p) % p
                              for f, (row, r) in enumerate(zip(rows, rhs), 1))
         count = p
@@ -1072,12 +1052,12 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
             parts.append(part)
         if len(parts) == 1:
             return parts[0]
-        # multi-term: allowed only when no unit variables are involved
-        # (unit-variable vectors never go negative, so no factor carries one)
-        if any(any(part.varvec) for part in parts):
+        # multi-term: the parts must share their unit variables, whose root
+        # of unity then factors out of the sum
+        if len({part.varvec for part in parts}) > 1:
             return None
         acc = sum((part.element.scale(part.const) for part in parts), HomogeneousElement.zero())
-        return _SymTerm(CycScalar.one(cand_ring.scalar_order), (0,) * nvars_total, acc)
+        return _SymTerm(CycScalar.one(cand_ring.scalar_order), parts[0].varvec, acc)
 
     # group map, extended slot by slot along the result tower
     theta_group_images: List[GroupElement] = list(cand_base.inclusion.images)
@@ -1250,13 +1230,6 @@ def decompose_as_roots(stack: MdStackData,
                 f"monomial {mono.key()} does not normalize into the coarse subring"
             )
         images[mono] = img
-        if not img.is_zero():
-            want = stack.cox_ring.monomial_degree(mono)
-            got = coarse.inclusion(coarse.ring.degree_of(img))
-            if not (got == want):
-                raise InputDataError(
-                    f"coarse inclusion is degree-inconsistent at {mono.key()}"
-                )
     base = BaseMorphism(
         images=images,
         group_images=tuple(

@@ -162,9 +162,11 @@ def canonical_stack(cox_ring: GradedRing,
     cox_ring = _mature_declared_rules(cox_ring)
     irrelevant = tuple(irrelevant)
     for g in irrelevant:
-        if not cox_ring.is_homogeneous(cox_ring.normal_form(g)):
+        terms = cox_ring.normal_form(g).terms
+        if len({cox_ring.monomial_degree(m).canonical() for _, m in terms}) > 1:
             raise InputDataError(f"irrelevant generator {g.key()} is not homogeneous")
-    coarse = CoarseData(cox_ring, irrelevant, GroupHomomorphism.identity(cox_ring.grading_group))
+    coarse = CoarseData(cox_ring, irrelevant, coordinate_inclusion(
+        cox_ring.grading_group, cox_ring.grading_group))
     return MdStackData(cox_ring, irrelevant, (), coarse)
 
 

@@ -299,7 +299,9 @@ def _ring(block, group: FgAbelianGroup, order: CycOrder, step_cap: int) -> Grade
     for rule in rules:
         if not rule.rhs.support():
             raise InputDataError(f"rewrite rule {rule.key()} makes a generator zero or a unit")
-    ring = GradedRing(gens, group, order, rules, block["irreducibles"], step_cap=step_cap)
+    ring = GradedRing(gens, group, order, rules, step_cap=step_cap)
+    if unknown := set(block["irreducibles"]) - set(ring.gen_degrees):
+        raise InputDataError(f"irreducible marks for unknown generators: {sorted(unknown)}")
     if pair := ring.nonjoinable_pair():
         r1, r2, rest = pair
         raise InputDataError(f"rewrite rules {r1.key()} and {r2.key()} are not confluent: "

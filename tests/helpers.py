@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 from coxlift.abgroup import GroupHomomorphism
@@ -12,6 +13,13 @@ from coxlift.serialize import parse_problem
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
 _cache = {}
+
+
+def elements(G):
+    """All elements of the finite group G, in lex order of their canonical
+    coordinates."""
+    assert G.is_finite()
+    return [G.from_canonical(y) for y in product(*map(range, G.moduli))]
 
 
 def cyclic_problem(n, roots):
@@ -51,9 +59,41 @@ def cyclic_problem(n, roots):
     }
 
 
+def p1_into_p112_problem(xy_coeff=1):
+    """P^1 -> P(1,1,2), [s:t] -> [s:t:s^2+t^2], given on the Picard level 2Z
+    of Cl = Z, with x0*x1's image scaled by ``xy_coeff``: the keys are x0^2,
+    x0*x1, x1^2 and y, and the source's class group is free too."""
+
+    def image(*terms):
+        return {"terms": [{"c": str(c), "m": m} for c, m in terms]}
+
+    return {
+        "schema": "coxlift/1",
+        "name": "p1_into_p112",
+        "cyclotomic_order": 2,
+        "target": {
+            "class_group": {"ambient_rank": 1, "relations": []},
+            "pic_subgroup": [[2]],
+            "generators": [{"name": "x0", "degree": [1]}, {"name": "x1", "degree": [1]},
+                           {"name": "y", "degree": [2]}],
+        },
+        "source": {
+            "class_group": {"ambient_rank": 1, "relations": []},
+            "generators": [{"name": "s", "degree": [1]}, {"name": "t", "degree": [1]}],
+        },
+        "base_morphism": {"group_map": [[2]], "images": [
+            {"monomial": {"x0": 2}, "image": image((1, {"s": 2}))},
+            {"monomial": {"x0": 1, "x1": 1}, "image": image((xy_coeff, {"s": 1, "t": 1}))},
+            {"monomial": {"x1": 2}, "image": image((1, {"t": 2}))},
+            {"monomial": {"y": 1}, "image": image((1, {"s": 2}), (1, {"t": 2}))},
+        ]},
+    }
+
+
 # generated problems, loaded by name like the bundled ones: three pushout
-# steps (p = 2, 2, 3) of three roots each
-GENERATED = {"cyclic12": lambda: cyclic_problem(12, (1, -2, 3))}
+# steps (p = 2, 2, 3) of three roots each, and a free class group
+GENERATED = {"cyclic12": lambda: cyclic_problem(12, (1, -2, 3)),
+             "p1_into_p112": p1_into_p112_problem}
 
 
 def load_spec(name):

@@ -5,6 +5,7 @@ from itertools import combinations, product
 
 import pytest
 import sympy
+from helpers import elements
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import hermite_normal_form
@@ -16,7 +17,6 @@ from coxlift.abgroup import (
     Subgroup,
     _solve_mod,
     element_order,
-    kernel_basis_mod_p,
     pushout_root,
     quotient_group,
     relation_basis,
@@ -26,6 +26,7 @@ from coxlift.abgroup import (
     solve_linear_over_group,
 )
 from coxlift.errors import InputDataError
+from coxlift.lift import _coset_kernel_rows
 
 matrices = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(
@@ -118,7 +119,7 @@ def test_quotient_projection_kills_exactly_the_subgroup():
     subgroup = set()
     for a, b in product(range(2), repeat=2):
         subgroup.add((a * 2 % 4, b * 2 % 4))
-    for g in G.elements():
+    for g in elements(G):
         in_sub = K.express(g) is not None
         assert in_sub == proj(g).is_zero()
         assert in_sub == (tuple(c % 4 for c in g.canonical()) in subgroup)
@@ -169,7 +170,7 @@ def test_subgroup_matches_span_enumeration(data):
                     span.add(h + g)
                     nxt.append(h + g)
         frontier = nxt
-    for t in G.elements():
+    for t in elements(G):
         x = K.express(t)
         assert (x is not None) == (t in span)
         assert x == _express_per_call(G, gens, t)
@@ -242,7 +243,7 @@ def test_pushout_examples():
 def test_pushout_order_one_is_isomorphic(invs, seed):
     rels = [[invs[i] if i == j else 0 for j in range(len(invs))] for i in range(len(invs))]
     A = FgAbelianGroup(len(invs), rels)
-    elems = list(A.elements())
+    elems = elements(A)
     a = elems[seed % len(elems)]
     A2, incl, delta = pushout_root(A, a, 1)
     assert A2.canonical_form == A.canonical_form
@@ -253,7 +254,7 @@ def test_group_order_matches_enumeration():
     for rels, rank in [([[2]], 1), ([[4, 0], [0, 6]], 2), ([[2, 1], [0, 3]], 2)]:
         G = FgAbelianGroup(rank, rels)
         if G.is_finite() and G.order() <= 256:
-            assert len(set(G.elements())) == G.order()
+            assert len(set(elements(G))) == G.order()
 
 
 def test_homomorphism_rejects_bad_images():
@@ -457,27 +458,6 @@ def test_relation_basis_examples():
     assert relation_basis([[1, 0], [0, 1]]) == []
 
 
-def test_kernel_basis_examples():
-    assert kernel_basis_mod_p([1, 1], 3) == [(1, 2)]
-    assert kernel_basis_mod_p([1], 2) == []
-    basis = kernel_basis_mod_p([1, 2, 1], 3)
-    assert len(basis) == 2
-    brute = [
-        v
-        for v in product(range(3), repeat=3)
-        if (v[0] + 2 * v[1] + v[2]) % 3 == 0
-    ]
-    span = set()
-    for c1, c2 in product(range(3), repeat=2):
-        span.add(tuple((c1 * a + c2 * b) % 3 for a, b in zip(basis[0], basis[1])))
-    assert span == set(brute)
-
-
-def test_kernel_basis_rejects_all_zero():
-    with pytest.raises(InputDataError):
-        kernel_basis_mod_p([0, 0], 3)
-
-
 def test_solve_affine_examples():
     assert solve_affine_mod_p([[1, 1]], [0], 2, 3) == (0, 0)
     assert _solve_mod([[1, 1]], [0], 2, 3)[1] == 3
@@ -536,7 +516,7 @@ def test_solve_linear_over_group_examples():
 
     Z4 = FgAbelianGroup(1, [[4]])
     d = solve_linear_over_group(Z4, [(2, Z4.element([2]))])
-    sols = [g for g in Z4.elements() if 2 * g == Z4.element([2])]
+    sols = [g for g in elements(Z4) if 2 * g == Z4.element([2])]
     assert d in sols
     assert d.canonical() == min(s.canonical() for s in sols)
 
@@ -600,14 +580,14 @@ def test_solve_linear_over_group_matches_enumeration(group, data):
     and unsolvable systems are both drawn.  The exact coordinates are
     compared, because they are emitted as a step's delta."""
     G, targets = group
-    elements = list(G.elements())
-    d0 = data.draw(st.sampled_from(elements))
+    members = elements(G)
+    d0 = data.draw(st.sampled_from(members))
     eqs = []
     for t in targets:
         k = data.draw(st.integers(-6, 6))
         eqs.append((k, k * d0 if data.draw(st.booleans()) else t))
-    # G.elements() runs through the canonical coordinates in lex order
-    found = [g for g in elements if all(k * g == t for k, t in eqs)]
+    # elements(G) runs through the canonical coordinates in lex order
+    found = [g for g in members if all(k * g == t for k, t in eqs)]
     got = solve_linear_over_group(G, eqs)
     if not found:
         assert got is None
@@ -617,35 +597,17 @@ def test_solve_linear_over_group_matches_enumeration(group, data):
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.data())
-def test_kernel_basis_mod_p_spans_the_kernel(p, n, data):
-    classes = data.draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n)
-                        .filter(lambda c: any(x % p for x in c)))
-    basis = kernel_basis_mod_p(classes, p)
-    kernel = {v for v in product(range(p), repeat=n)
-              if sum(c * x for c, x in zip(classes, v)) % p == 0}
-    assert len(basis) == n - 1 and len(kernel) == p ** (n - 1)
-    for v in basis:
-        assert all(0 <= x < p for x in v)
-        assert next(x for x in v if x) == 1
-    span = {tuple(sum(c * v[i] for c, v in zip(cs, basis)) % p for i in range(n))
-            for cs in product(range(p), repeat=len(basis))}
-    assert span == kernel
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 6), st.data())
 def test_kernel_rows_count_their_solutions_in_closed_form(p, n, data):
-    # the lift engine reads a divisor step's solution count off its rows
-    classes = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n)
-                        .filter(lambda c: any(x % p for x in c)))
-    rows = kernel_basis_mod_p(classes, p)
-    assert p ** (n - len(rows)) == _solve_mod(rows, [0] * len(rows), n, p)[1]
-    # the engine's coset classes lie in 1..p-1: each row f is e_0 + t_f*e_f,
-    # and the lex-min solution of rows * x = r is x_0 = 0, x_f = r_f / t_f
+    # a divisor step's coset classes lie in 1..p-1; the lift engine's kernel
+    # rows are e_0 + t_f*e_f and it reads the lex-min solution of
+    # rows * x = r off them as x_0 = 0, x_f = r_f / t_f, one of p
     cosets = data.draw(st.lists(st.integers(1, p - 1), min_size=n, max_size=n))
-    rows = kernel_basis_mod_p(cosets, p)
-    for f, row in enumerate(rows, 1):
-        assert row[0] == 1 and row[f] and not any(row[1:f] + row[f + 1:])
+    rows = _coset_kernel_rows(cosets, p)
+    kernel = {v for v in product(range(p), repeat=n)
+              if sum(c * x for c, x in zip(cosets, v)) % p == 0}
+    span = {tuple(sum(c * v[i] for c, v in zip(cs, rows)) % p for i in range(n))
+            for cs in product(range(p), repeat=len(rows))}
+    assert len(rows) == n - 1 and span == kernel
     rhs = data.draw(st.lists(st.integers(0, p - 1), min_size=n - 1, max_size=n - 1))
     closed = (0,) + tuple(r * pow(row[f], -1, p) % p
                           for f, (row, r) in enumerate(zip(rows, rhs), 1))

@@ -6,7 +6,7 @@ import random
 from itertools import product
 
 import pytest
-from helpers import load_raw, load_spec, lift_of
+from helpers import elements, load_raw, load_spec, lift_of
 
 from coxlift.abgroup import FgAbelianGroup, GroupHomomorphism, element_order, pushout_root
 from coxlift.cyclo import CycOrder
@@ -317,7 +317,7 @@ def _random_tower_stack(rng):
     for _ in range(steps):
         n = rng.choice([2, 3])
         if rng.random() < 0.3:
-            members = list(stack.pic.elements())
+            members = elements(stack.pic)
             stack = root_line_bundle(stack, rng.choice(members), n)
         else:
             victim = rng.choice(rootable)

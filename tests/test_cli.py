@@ -2,11 +2,12 @@ import contextlib
 import copy
 import io
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from helpers import PROBLEMS, cyclic_problem, load_raw
+from helpers import PROBLEMS, cyclic_problem, load_raw, p1_into_p112_problem
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -58,6 +59,15 @@ def test_lift_mu3_constraint_record(tmp_path):
     assert step["constraints"]["human"] == ["i+j ≡ 0 (mod 3)"]
     assert step["solution_count"] == 3
     assert step["alpha"] == [0, 0]
+
+
+def test_free_class_group_lifts_and_verifies(tmp_path):
+    problem, result = tmp_path / "p112.json", tmp_path / "res.json"
+    problem.write_text(json.dumps(p1_into_p112_problem()))
+    assert run_cli("lift", str(problem), "--out", str(result)) == 0
+    assert json.loads(result.read_text())["final_stack"]["pic_canonical"] == {
+        "free_rank": 1, "invariants": []}
+    assert run_cli("verify", str(problem), str(result)) == 0
 
 
 def test_missing_file_gives_exit_2(capsys):
@@ -364,6 +374,31 @@ def test_malformed_problem_field_gives_exit_2(tmp_path, capsys, path, value, mes
     bad.write_text(json.dumps(raw))
     assert run_cli("lift", str(bad)) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path,value", [
+    (["cyclotomic_order"], 100003),
+    ([*BASE_IMAGE, "image", "terms", 0, "c"], {"coeffs": [1], "order": 100003}),
+], ids=["problem", "scalar"])
+def test_cyclotomic_order_above_the_maximum_gives_exit_2(tmp_path, capsys, path, value):
+    """Phi_N is not built: the order is rejected before any arithmetic."""
+    raw = load_raw("mu3")
+    _set(raw, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    start = time.perf_counter()
+    assert run_cli("lift", str(bad)) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "exceeds the supported maximum 2000" in capsys.readouterr().err
+
+
+def test_irreducible_mark_for_an_unknown_generator_gives_exit_2(tmp_path, capsys):
+    raw = load_raw("mu3")
+    raw["source"]["irreducibles"] = ["u", "q"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("lift", str(bad)) == 2
+    assert "irreducible marks for unknown generators: ['q']" in capsys.readouterr().err
 
 
 def test_scalars_are_exact_or_rejected():

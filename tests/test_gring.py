@@ -60,7 +60,7 @@ def ring_mu3_rooted(k: int = 0):
         RewriteRule(Monomial.gen("z1", 3), tmp.gen("u")),
         RewriteRule(Monomial.gen("z2", 3), tmp.gen("w")),
     ]
-    return GradedRing(gens, cl, N3, rules=rules, irreducibles=["u", "w"])
+    return GradedRing(gens, cl, N3, rules=rules)
 
 
 def test_degree_of_examples():
@@ -228,7 +228,7 @@ def test_verify_factorization_rejects_wrong_relation():
         RewriteRule(Monomial.gen("z1", 3), tmp.gen("u")),
         RewriteRule(Monomial.gen("z2", 3), tmp.gen("w")),
     ]
-    R = GradedRing(gens, cl, N3, rules=rules, irreducibles=["u", "w"])
+    R = GradedRing(gens, cl, N3, rules=rules)
     fact = Factorization(CycScalar.one(N3), ((R.gen("z1"), 1), (R.gen("z2"), 1)))
     ok, _, _ = R.verify_factorization(R.gen("v"), fact)
     assert not ok

@@ -35,7 +35,7 @@ N6 = CycOrder(6)
 
 def a1_stack(order=N2):
     clx = FgAbelianGroup(0, [])
-    ring = GradedRing([("t", clx.zero())], clx, order, irreducibles=["t"])
+    ring = GradedRing([("t", clx.zero())], clx, order)
     return canonical_stack(ring)
 
 
@@ -99,7 +99,6 @@ def test_root_divisor_mu3_double_root():
     ring = GradedRing(
         gens, cl, N3,
         rules=[RewriteRule(Monomial.gen("v", 3), tmp.mono({"u": 1, "w": 1}))],
-        irreducibles=["u", "w"],
     )
     S = canonical_stack(ring)
     S = root_divisor(S, S.cox_ring.gen("u"), 3, "z1")
