@@ -10,7 +10,8 @@ checkout; the first pair starts with the parent and later pairs alternate.
 For every end-to-end metric of ``BENCHMARK.json`` the record gives each
 side's runs, median and quartiles, how many pairs each side won (ties
 count for neither), and whether the medians differ by more than the
-parent's quartile spread.  It also keeps each side's ``src_lines``, and
+parent's quartile spread; it also prints that summary, one row per metric.
+The record also keeps each side's ``src_lines``, and
 per run ``correct``, ``failed``, and from the context line the number of
 timed ``passes`` and the unscaled ``raw_solve_s``: ``peak_rss_mb`` grows
 with the number of passes, so a memory change reads against them.  The
@@ -67,6 +68,19 @@ def summarize(parent_runs, change_runs, end_to_end) -> dict:
     return metrics
 
 
+def summary_rows(metrics) -> list:
+    """One line per metric: both medians, the change in %, wins per side and
+    whether the gap is past the parent's spread."""
+    rows = [f"{'metric':<15} {'parent':>10} {'change':>10} {'delta':>8}  wins p/c  past spread"]
+    for name, m in metrics.items():
+        p, c = m["parent"]["median"], m["change"]["median"]
+        delta = f"{(c - p) / p:+.1%}" if p else "n/a"
+        rows.append(f"{name:<15} {p:10.4g} {c:10.4g} {delta:>8}  "
+                    f"{m['parent_wins']:>4}/{m['change_wins']:<4} "
+                    f"{'yes' if m['gain_beyond_parent_spread'] else 'no'}")
+    return rows
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -105,6 +119,8 @@ def main(argv=None) -> int:
     book = json.loads(args.out.read_text()) if args.out.exists() else {}
     book[f"{args.workload}/{args.seed}"] = record
     args.out.write_text(json.dumps(book, indent=1, sort_keys=True) + "\n")
+    print(f"{args.workload}/{args.seed}, {args.pairs} pairs")
+    print("\n".join(summary_rows(record["metrics"])))
     return 0
 
 

@@ -20,6 +20,7 @@ elements are equal exactly when their normal forms are.
 from __future__ import annotations
 
 import math
+import re
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -117,7 +118,7 @@ class Monomial:
 class HomogeneousElement:
     """Term list (scalar, monomial) in canonical order; empty list is zero."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_key")
 
     def __init__(self, terms: Iterable[Tuple[CycScalar, Monomial]]):
         merged: Dict[Monomial, CycScalar] = {}
@@ -126,6 +127,7 @@ class HomogeneousElement:
         cleaned = [(c, m) for m, c in merged.items() if not c.is_zero()]
         cleaned.sort(key=lambda t: t[1].sort_key())
         object.__setattr__(self, "terms", tuple(cleaned))
+        object.__setattr__(self, "_key", None)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("HomogeneousElement is immutable")
@@ -193,9 +195,11 @@ class HomogeneousElement:
         return names
 
     def key(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c.as_string()}*{m.key()}" for c, m in self.terms)
+        """The element as text, built once: elements are immutable."""
+        if self._key is None:
+            object.__setattr__(self, "_key", " + ".join(
+                f"{c.as_string()}*{m.key()}" for c, m in self.terms) if self.terms else "0")
+        return self._key
 
     def __eq__(self, other):
         return isinstance(other, HomogeneousElement) and self.terms == other.terms
@@ -236,6 +240,8 @@ class RewriteRule:
         (name, n), = self.lhs.pairs
         c, _ = self.rhs.leading()
         z = HomogeneousElement.monomial(c.order, Monomial.gen(name))
+        if c == CycScalar.one(c.order):  # a monic section, as every engine root
+            return self.rhs.key(), Factorization(c, ((z, n),))
         return self.rhs.scale(c.inverse()).key(), Factorization(c.inverse(), ((z, n),))
 
 
@@ -309,9 +315,16 @@ _ROOT_SEARCH_BUDGET = 10**6
 # rewrite steps one normal form may take before RewriteDivergedError
 DEFAULT_STEP_CAP = 10000
 
+# generator names: a key joins names with "*", "^" and " + ", so a name
+# holds none of these
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
 
 class GradedRing:
     """Named generators graded by an abelian group, plus rewrite and factor data.
+
+    Generator names have the form [A-Za-z_][A-Za-z0-9_]*, so the keys of
+    elements, which index factorizations, name each element once.
 
     ``declared_factorizations`` holds every factorization the ring knows,
     keyed by element: s = c^-1 * z^n for each rule z^n -> c*s with n > 1,
@@ -327,15 +340,21 @@ class GradedRing:
         rules: Sequence[RewriteRule] = (),
         declared_factorizations: Optional[Dict[str, Factorization]] = None,
         step_cap: int = DEFAULT_STEP_CAP,
+        *,
+        _carried: int = 0,
     ):
-        names = [n for n, _ in generators]
+        self.generators = tuple((str(n), d) for n, d in generators)
+        names = [n for n, _ in self.generators]
         if len(set(names)) != len(names):
             raise InputDataError("duplicate generator names")
-        for n, d in generators:
+        for n, d in self.generators:
+            if not _NAME.fullmatch(n):
+                raise InputDataError(
+                    f"generator name {n!r} is not of the form [A-Za-z_][A-Za-z0-9_]*")
             if not d.group.same_presentation(grading_group):
                 raise InputDataError(f"degree of generator {n} lies outside the grading group")
-        self.generators = tuple((str(n), d) for n, d in generators)
         self.gen_degrees = {n: d for n, d in self.generators}
+        self._gen_coords = {n: d.coords for n, d in self.generators}
         self.grading_group = grading_group
         self.scalar_order = scalar_order
         self.rules = tuple(rules)
@@ -344,7 +363,9 @@ class GradedRing:
             filter(None, (r.root_factorization for r in self.rules)))
         self.declared_factorizations.update(self._declared)
         self.step_cap = int(step_cap)
-        for r in self.rules:
+        # the first _carried rules were checked in a ring this one carries
+        # (see ``with_data``)
+        for r in self.rules[_carried:]:
             self._check_rule(r)
         self.weights = _derive_weights(names, self.rules)
         # rules in order, keyed by the first generator of their lhs (None
@@ -393,21 +414,30 @@ class GradedRing:
 
     # -- graded structure ---------------------------------------------------
 
-    def monomial_degree(self, m: Monomial) -> GroupElement:
+    def _degree_coords(self, m: Monomial) -> tuple:
+        """Ambient coordinates of m's degree: its generators' degree vectors,
+        each times its exponent, summed."""
         self._check_names(m)
-        degs = [(e, self.gen_degrees[n].coords) for n, e in m.pairs]
-        return GroupElement(self.grading_group, tuple(
-            sum(e * c[j] for e, c in degs) for j in range(self.grading_group.ambient_rank)))
+        if not m.pairs:
+            return (0,) * self.grading_group.ambient_rank
+        coords = self._gen_coords
+        return tuple(map(sum, zip(*(coords[n] if e == 1 else [e * c for c in coords[n]]
+                                    for n, e in m.pairs))))
+
+    def monomial_degree(self, m: Monomial) -> GroupElement:
+        return GroupElement(self.grading_group, self._degree_coords(m))
 
     def degree_of(self, e: HomogeneousElement) -> GroupElement:
-        """Common degree of all terms; raises on mixed-degree term lists."""
+        """Common degree of all terms; raises on mixed-degree term lists.
+        Classes are compared only where two terms' coordinates differ."""
         if e.is_zero():
             raise NotHomogeneousError("zero element has no degree")
-        degs = [self.monomial_degree(m) for _, m in e.terms]
-        for d in degs[1:]:
-            if not (d == degs[0]):
+        first, *rest = (self._degree_coords(m) for _, m in e.terms)
+        d = GroupElement(self.grading_group, first)
+        for coords in rest:
+            if coords != first and GroupElement(self.grading_group, coords) != d:
                 raise NotHomogeneousError(f"element {e.key()} is not homogeneous")
-        return degs[0]
+        return d
 
     # -- rewriting ------------------------------------------------------------
 
@@ -793,13 +823,46 @@ class GradedRing:
         rules=None,
         declared_factorizations=None,
     ) -> "GradedRing":
+        """This ring with the given parts replaced, every rule checked to be
+        degree-preserving, except those carried from this ring.
+
+        The rules are carried when the new rule tuple begins with this
+        ring's rules (the same objects), every generator of this ring keeps
+        its name and its degree coordinates (zero-padded to the new ambient
+        rank), and the new group's relation rows begin with this group's
+        rows (zero-padded).  Padding then maps this group's relation lattice
+        into the new one, so the coordinate inclusion is a homomorphism of
+        the grading groups that sends each generator's degree to its degree
+        in the new ring.  A rule of this ring, degree-preserving here and
+        over this ring's generators, stays so in the new ring, and only the
+        rules after them are checked.  Otherwise every rule is checked, as
+        ``GradedRing(...)`` does.
+        """
+        generators = self.generators if generators is None else tuple(generators)
+        group = self.grading_group if grading_group is None else grading_group
+        rules = self.rules if rules is None else tuple(rules)
         return GradedRing(
-            generators if generators is not None else self.generators,
-            grading_group if grading_group is not None else self.grading_group,
-            self.scalar_order,
-            rules if rules is not None else self.rules,
+            generators, group, self.scalar_order, rules,
             declared_factorizations
             if declared_factorizations is not None
             else self._declared,
             self.step_cap,
+            _carried=len(self.rules) if self._carries(generators, group, rules) else 0,
         )
+
+    def _carries(self, generators, group: FgAbelianGroup, rules) -> bool:
+        """The carry condition of ``with_data``."""
+        old = self.grading_group
+        extra = group.ambient_rank - old.ambient_rank
+        if extra < 0 or len(rules) < len(self.rules):
+            return False
+        if any(a is not b for a, b in zip(rules, self.rules)):
+            return False
+        pad = (0,) * extra
+        if group is not old and (
+                group.relations.rows < old.relations.rows
+                or any(r + pad != n for r, n in zip(old.relations.entries,
+                                                     group.relations.entries))):
+            return False
+        new = {str(n): d.coords for n, d in generators}
+        return all(new.get(n) == c + pad for n, c in self._gen_coords.items())

@@ -1072,7 +1072,7 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
         target_sym = theta_sym(info.section)
         if target_sym is None:
             return NoFactor(f"cannot transport section {key} (unsupported shape)", step_idx)
-        section = cand_ring.normal_form(target_sym.element)
+        section = cand_ring.normal_form(target_sym.element.scale(target_sym.const))
         if section.is_zero():
             return NoFactor(f"section {key} vanishes in the candidate ring", step_idx)
         try:
@@ -1080,7 +1080,8 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
         except (FactorizationOracleRequired, InputDataError) as exc:
             return NoFactor(f"cannot factor section {key} in the candidate ring: {exc}",
                             step_idx)
-        # m = prod f^(e/n) has m^n = sigma * section with sigma = unit^-1
+        # the section is const * element, times the root of unity of its unit
+        # variables; m = prod f^(e/n) has m^n = sigma * section, sigma = unit^-1
         if any(e % info.order for _f, e in fact.factors):
             return NoFactor(f"candidate ring has no {info.order}-th root of {key}", step_idx)
         m_el = cand_ring.one()
@@ -1089,16 +1090,13 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
         k = fact.unit.inverse().as_root_of_unity()
         if k is None:
             return NoFactor(f"root of {key} differs by a non-root-of-unity scalar", step_idx)
-        kc = target_sym.const.as_root_of_unity()
-        if kc is None:
-            return NoFactor("accumulated unit is not a root of unity", step_idx)
         # w = zeta^x * m; w^order = theta(section) forces
-        # order*x - (section's unit variables) = dlog(const) - dlog(sigma)
+        # order*x - (section's unit variables) = -dlog(sigma)
         crow = [0] * nvars_total
         crow[var_cursor] = info.order
         for i, c in enumerate(target_sym.varvec):
             crow[i] -= c
-        equations.append((tuple(crow), (kc - k) % N))
+        equations.append((tuple(crow), -k % N))
         sym[info.name] = _SymTerm(
             CycScalar.one(cand_ring.scalar_order),
             tuple(int(i == var_cursor) for i in range(nvars_total)),

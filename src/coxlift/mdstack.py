@@ -199,11 +199,13 @@ def extend(S: MdStackData, *steps: RootStep) -> MdStackData:
     root rule z^n -> s never rewrites an earlier stage's monomial, which
     lacks z.  A rule matured later can, and maturing reads its stage's
     names, rules and grading, so a stage ring is built where a section is
-    not in normal form or a declaration may mature.  Stage rings are not
-    checked for confluence: root rules have fresh heads and matured rules
-    are checked (see ``_mature_declared_rules``), so a stage ring grown
-    from a confluent base is confluent, and ``normal_form``'s whole-power
-    steps give its unique normal forms.
+    not in normal form or a declaration may mature.  Each stage ring grows
+    from the last one built, whose rules, generator degrees and relation
+    rows it extends, so ``GradedRing.with_data`` checks only its new rules.
+    Stage rings are not checked for confluence: root rules have fresh heads
+    and matured rules are checked (see ``_mature_declared_rules``), so a
+    stage ring grown from a confluent base is confluent, and
+    ``normal_form``'s whole-power steps give its unique normal forms.
     """
     base = S.cox_ring
     width = S.pic.ambient_rank
@@ -214,8 +216,9 @@ def extend(S: MdStackData, *steps: RootStep) -> MdStackData:
     guarded = {n for r in rules for n in _rule_shape(r)}
     root_facts = dict(filter(None, (r.root_factorization for r in rules)))
     # the stage's group and ring once built, and (group, class, n) while the
-    # stage adds one root to a built group
+    # stage adds one root to a built group; built is the last ring built
     group, ring, pushout = S.pic, base, None
+    built = base
 
     def stage_group() -> FgAbelianGroup:
         nonlocal group
@@ -225,11 +228,11 @@ def extend(S: MdStackData, *steps: RootStep) -> MdStackData:
         return group
 
     def stage_ring() -> GradedRing:
-        nonlocal ring
+        nonlocal ring, built
         if ring is None:
             G = stage_group()
             gens = [(n, G.element(c + [0] * (width - len(c)))) for n, c in degrees.items()]
-            ring = base.with_data(generators=gens, grading_group=G, rules=rules)
+            ring = built = built.with_data(generators=gens, grading_group=G, rules=rules)
         return ring
 
     logged = []
@@ -291,7 +294,7 @@ def extend(S: MdStackData, *steps: RootStep) -> MdStackData:
             if fact := rule.root_factorization:
                 root_facts[fact[0]] = fact[1]
         if roots and _may_mature(base.declared_factorizations, root_facts, guarded, degrees):
-            ring = _mature_declared_rules(stage_ring())
+            ring = built = _mature_declared_rules(stage_ring())
             # matured rules are appended, and their lhs g has no root factorization
             guarded.update(n for r in ring.rules[len(rules):] for n in _rule_shape(r))
             rules = list(ring.rules)
@@ -400,6 +403,8 @@ def graded_factorial_spotcheck(S: MdStackData, degree_bound: int):
         if ring.normal_form(el) != el:
             continue
         candidates.append((name, el))
+    one = CycScalar.one(ring.scalar_order)
+    # generator names of the first multiset seen, by monic normal form's terms
     seen = {}
     # nonzero normal forms of the previous size's multisets, by index tuple
     prefixes = {(): ring.one()}
@@ -414,10 +419,10 @@ def graded_factorial_spotcheck(S: MdStackData, degree_bound: int):
                 continue
             products[combo] = nf
             lead_c, _ = nf.leading()
-            key = nf.scale(lead_c.inverse()).key()
+            monic = nf if lead_c == one else nf.scale(lead_c.inverse())
             names = tuple(sorted(candidates[i][0] for i in combo))
-            if key in seen and seen[key] != names:
-                return False, (key, seen[key], names)
-            seen.setdefault(key, names)
+            first = seen.setdefault(monic.terms, names)
+            if first != names:
+                return False, (monic.key(), first, names)
         prefixes = products
     return True, None

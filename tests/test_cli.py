@@ -401,6 +401,17 @@ def test_irreducible_mark_for_an_unknown_generator_gives_exit_2(tmp_path, capsys
     assert "irreducible marks for unknown generators: ['q']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("side", ["target", "source"])
+def test_generator_name_outside_the_identifier_form_gives_exit_2(tmp_path, capsys, side):
+    """A generator named x*y would share its key with the monomial x*y."""
+    raw = load_raw("a1_into_half11")
+    raw[side]["generators"].append({"name": "x*y", "degree": [0] if side == "target" else []})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("lift", str(bad)) == 2
+    assert "generator name 'x*y' is not of the form" in capsys.readouterr().err
+
+
 def test_scalars_are_exact_or_rejected():
     """JSON floats and bools carry no exact rational, so they are rejected."""
     order = CycOrder(3)

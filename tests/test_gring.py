@@ -2,6 +2,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
+from unittest.mock import patch
 
 import pytest
 import sympy
@@ -72,6 +73,8 @@ def test_degree_of_examples():
     cl3 = FgAbelianGroup(1, [[3]])
     R3 = GradedRing([("x", cl3.element([1])), ("y", cl3.element([2]))], cl3, N3)
     assert R3.degree_of(R3.mono({"x": 1, "y": 2})) == cl3.element([2])
+    # coordinates 4 and 1 differ, and name one class
+    assert R3.degree_of(R3.mono({"y": 2}) + R3.gen("x")) == cl3.element([1])
 
 
 def test_degree_of_rejects_mixed_terms():
@@ -79,6 +82,10 @@ def test_degree_of_rejects_mixed_terms():
     mixed = R.gen("x") + R.mono({"x": 2})
     with pytest.raises(NotHomogeneousError):
         R.degree_of(mixed)
+    cl3 = FgAbelianGroup(1, [[3]])
+    R3 = GradedRing([("x", cl3.element([1])), ("y", cl3.element([2]))], cl3, N3)
+    with pytest.raises(NotHomogeneousError):
+        R3.degree_of(R3.mono({"y": 2}) + R3.gen("x") + R3.gen("y"))
 
 
 def test_normal_form_examples():
@@ -113,6 +120,120 @@ def test_rewrite_rule_must_be_degree_preserving():
     tmp = GradedRing(gens, cl, N2)
     with pytest.raises(InputDataError):
         GradedRing(gens, cl, N2, rules=[RewriteRule(Monomial.gen("x", 1), tmp.gen("y"))])
+
+
+@pytest.mark.parametrize("name", ["a*b", "a^2", "1", "", "x y", "z-1"])
+def test_generator_names_must_be_identifiers(name):
+    """A key joins names with "*" and "^", so a generator named a*b would
+    have the key of the monomial a*b."""
+    cl = FgAbelianGroup(0, [])
+    gens = [("a", cl.zero()), ("b", cl.zero())]
+    with pytest.raises(InputDataError, match="generator name"):
+        GradedRing(gens + [(name, cl.zero())], cl, N2)
+    with pytest.raises(InputDataError, match="generator name"):
+        GradedRing(gens, cl, N2).with_data(generators=gens + [(name, cl.zero())])
+
+
+def _x2_to_y(cl, x, y):
+    """The ring with x, y of the given degrees in cl and the rule x^2 -> y."""
+    gens = [("x", cl.element(x)), ("y", cl.element(y))]
+    return GradedRing(gens, cl, N2, rules=[
+        RewriteRule(Monomial.gen("x", 2), HomogeneousElement.monomial(N2, Monomial.gen("y")))])
+
+
+def test_with_data_checks_carried_rules_when_the_relations_change():
+    """x^2 -> y holds in Z/2 with deg x = 1, deg y = 0, not in Z/4: a new
+    group whose rows do not begin with the old rows carries no rule."""
+    R = _x2_to_y(FgAbelianGroup(1, [[2]]), [1], [0])
+    cl4 = FgAbelianGroup(1, [[4]])
+    with pytest.raises(InputDataError, match="not degree-preserving"):
+        R.with_data(generators=[("x", cl4.element([1])), ("y", cl4.element([0]))],
+                    grading_group=cl4)
+    # rows that begin with the old rows, zero-padded, carry it
+    cl2 = FgAbelianGroup(2, [[2, 0], [1, -3]])
+    grown = R.with_data(generators=[("x", cl2.element([1, 0])), ("y", cl2.element([0, 0])),
+                                    ("z", cl2.element([0, 1]))], grading_group=cl2)
+    assert grown.rules == R.rules
+
+
+def test_with_data_checks_carried_rules_when_a_degree_changes():
+    cl = FgAbelianGroup(1, [[2]])
+    R = _x2_to_y(cl, [1], [0])
+    with pytest.raises(InputDataError, match="not degree-preserving"):
+        R.with_data(generators=[("x", cl.element([1])), ("y", cl.element([1]))])
+    # other coordinates of the same class: the rule is checked and holds
+    assert R.with_data(generators=[("x", cl.element([1])), ("y", cl.element([2]))]).rules == R.rules
+
+
+@st.composite
+def grown_rings(draw):
+    """A base ring over Z^r / (rows) with generators u (degree 0), x0, x1,
+    and up to three roots z_i^n -> c*m + c'*m*u^k, each section over the
+    generators before it; every stage appends the row (deg m, -n) and a
+    slot for z_i.  Returns the stages' (generators' coords, rows, rules)
+    and elements to normalize."""
+    rank = draw(st.integers(1, 2))
+    coords = st.lists(st.integers(-2, 3), min_size=rank, max_size=rank)
+    rows = draw(st.lists(coords, max_size=2))
+    gens = {"u": [0] * rank, "x0": draw(coords), "x1": draw(coords)}
+    stages, rules = [(dict(gens), list(rows), [])], []
+    scalars = st.sampled_from([CycScalar.one(N2), CycScalar.from_rational(N2, 2),
+                               CycScalar.from_rational(N2, -1)])
+    for i in range(1, draw(st.integers(1, 3)) + 1):
+        names = sorted(gens)
+        m = Monomial(dict(zip(names, draw(st.lists(st.integers(0, 2), min_size=len(names),
+                                                     max_size=len(names))))))
+        if m.is_one():
+            m = Monomial.gen("x0")
+        terms = [(draw(scalars), m)]
+        if draw(st.booleans()):
+            terms.append((draw(scalars), m * Monomial.gen("u", draw(st.integers(1, 2)))))
+        n = draw(st.integers(2, 3))
+        width = len(gens["u"])
+        deg = [sum(e * gens[g][j] for g, e in m.pairs) for j in range(width)]
+        rows = [r + [0] for r in rows] + [deg + [-n]]
+        gens = {g: c + [0] for g, c in gens.items()}
+        gens[f"z{i}"] = [0] * width + [1]
+        rules = rules + [RewriteRule(Monomial.gen(f"z{i}", n), HomogeneousElement(terms))]
+        stages.append((dict(gens), list(rows), list(rules)))
+    names = sorted(gens)
+    exps = st.lists(st.integers(0, 4), min_size=len(names), max_size=len(names))
+    elements = [HomogeneousElement([(CycScalar.one(N2), Monomial(dict(zip(names, v))))])
+                for v in draw(st.lists(exps, min_size=1, max_size=4))]
+    return stages, elements
+
+
+def _stage_ring(gens, rows, rules, grow=None):
+    cl = FgAbelianGroup(len(gens["u"]), rows)
+    gens = [(g, cl.element(c)) for g, c in gens.items()]
+    if grow is None:
+        return GradedRing(gens, cl, N2, rules=rules)
+    return grow.with_data(generators=gens, grading_group=cl, rules=grow.rules + tuple(
+        rules[len(grow.rules):]))
+
+
+@given(grown_rings())
+@settings(max_examples=80, deadline=None)
+def test_a_ring_grown_through_with_data_equals_one_built_from_scratch(case):
+    """Each stage grows from the last through ``with_data``, carrying the
+    checked rules and checking only the new one; the final ring has the
+    rules, weights, declared factorizations and normal forms of the ring
+    built at once."""
+    stages, elements = case
+    ring = _stage_ring(*stages[0])
+    for gens, rows, rules in stages[1:]:
+        checked = []
+        with patch.object(GradedRing, "_check_rule", lambda self, r: checked.append(r)):
+            ring = _stage_ring(gens, rows, rules, grow=ring)
+        assert checked == rules[-1:]
+    scratch = _stage_ring(*stages[-1])
+    assert ring.rules == scratch.rules
+    assert ring.weights == scratch.weights
+    assert ring.declared_factorizations == scratch.declared_factorizations
+    assert [(g, d.coords) for g, d in ring.generators] == [
+        (g, d.coords) for g, d in scratch.generators]
+    for e in elements:
+        assert ring.normal_form(e) == scratch.normal_form(e)
 
 
 def test_rule_orientation_failure_is_reported():

@@ -1227,7 +1227,7 @@ def _obstructions():
     ("section shape", "cannot transport section 1*z2 + 1*z1^2 (unsupported shape)"),
     ("section vanishes", "section 1*t vanishes in the candidate ring"),
     ("section unit", "root of 1*t differs by a non-root-of-unity scalar"),
-    ("section scalar", "accumulated unit is not a root of unity"),
+    ("section scalar", "root of 2*t differs by a non-root-of-unity scalar"),
     ("class slot", "class slot 0 is not in the image of the lift's group map"),
     ("image vanishing", "images of x disagree about vanishing"),
     ("image shape", "cannot transport the image of y"),
@@ -1249,6 +1249,17 @@ def test_factoring_names_each_obstruction(case, reason):
     candidate ring."""
     out = check_factors_through(*_obstructions()[case])
     assert isinstance(out, NoFactor) and out.reason.startswith(reason), out
+
+
+def test_a_tower_section_with_a_coefficient_factors_through_itself():
+    """The section's coefficient is folded in before factoring: a1's source
+    rooted by z1^2 -> 2t factors through itself, its unit 1/2 cancelling."""
+    a1 = lift_of("a1_into_half11")
+    source = a1.source_stack
+    two = CycScalar.from_rational(source.cox_ring.scalar_order, 2)
+    res = _rooted(a1, source, source.cox_ring.gen("t").scale(two), 2, "z1")
+    theta = check_factors_through(res, res)
+    assert isinstance(theta, Theta), theta
 
 
 def test_factoring_needs_coarse_data_on_both_stacks():
