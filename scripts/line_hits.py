@@ -6,10 +6,13 @@
 Runs pytest in this process (by default ``-q tests``) under a
 ``sys.settrace`` line tracer that records only lines of this checkout's
 ``src/coxlift`` files, then prints, per module, how many statement lines
-never ran out of all, followed by those line numbers.  A statement line is
-the first line of an ``ast`` statement that the compiler gives code, so
-docstrings and ``global``/``nonlocal`` declarations do not count.  Only the
-standard library is used.  The exit status is pytest's.
+never ran out of all, followed by those line numbers, and then each of
+those lines with the dotted name of the function or class around it and
+its source text, so checks can be named by function and message.  A
+statement line is the first line of an ``ast`` statement that the
+compiler gives code, so docstrings and ``global``/``nonlocal``
+declarations do not count.  Only the standard library is used.  The exit
+status is pytest's.
 """
 
 from __future__ import annotations
@@ -33,6 +36,22 @@ def statement_lines(path: Path) -> set:
         coded.update(line for _, _, line in code.co_lines() if line is not None)
         todo.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
     return starts & coded
+
+
+def owners(path: Path) -> dict:
+    """Line -> dotted name of the innermost function or class around it."""
+    out = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            name = prefix
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}.{child.name}" if prefix else child.name
+                out.update(dict.fromkeys(range(child.lineno, child.end_lineno + 1), name))
+            visit(child, name)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return out
 
 
 def ranges(lines) -> str:
@@ -77,6 +96,10 @@ def main(argv) -> int:
         print(f"{Path(name).name}: {len(missed)} of {len(stmts)} never run")
         if missed:
             print(f"    {ranges(missed)}")
+            text = Path(name).read_text(encoding="utf-8").splitlines()
+            owner = owners(Path(name))
+            for n in sorted(missed):
+                print(f"    {n} {owner.get(n, '<module>')}: {text[n - 1].strip()}")
     return int(status)
 
 

@@ -795,7 +795,10 @@ class GradedRing:
         The two sides match directly when their normal forms are equal.
         Otherwise the candidate powers p are 2 to 8 and the total degree of
         every rule's left side above 1, in increasing order; the first p
-        at which the p-th powers agree modulo the rules is a match.
+        at which the p-th powers agree modulo the rules is a match.  Powers
+        are compared because the ring need not be a domain: in the scratch
+        ring where declarations are checked, v^3 = (z1*z2)^3 holds in mu3,
+        but v - zeta*z1*z2 reduces to 0 only once the declaration is a rule.
         Returns (ok, power, diagnostic); power records the exponent at which
         the two sides became comparable (1 for a direct match).
         """

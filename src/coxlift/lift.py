@@ -271,10 +271,10 @@ def pic_level_generators(T: TargetData, K: Subgroup) -> List[Monomial]:
 def choose_extension_class(T: TargetData, K: Subgroup):
     """Deterministic next divisor class: first nontrivial canonical slot of
     Cl/K, smallest prime p dividing its order, lifted as (order/p) times the
-    canonical generator."""
+    canonical generator.  Cl/K is finite: the engine calls this after
+    ``TargetData.validate``, on K containing Pic, so Cl/K is a quotient of
+    the finite group Cl/Pic."""
     Q, _ = K.quotient()
-    if not Q.is_finite():
-        raise InputDataError("not Q-factorial data")
     if Q.order() == 1:
         raise InputDataError("already complete: K equals the class group")
     slot = next(i for i, d in enumerate(Q.moduli) if d not in (0, 1))
@@ -382,9 +382,16 @@ class _Engine:
     # -- validation ------------------------------------------------------
 
     def _validate_inputs(self):
-        self.T.validate()
+        order = self.T.validate().order()
         if self.T.ring.scalar_order != self.order:
             raise InputDataError("target and source rings use different cyclotomic orders")
+        # the step primes are the prime factors of |Cl/Pic|, since each step
+        # divides |Cl/K| by its prime; they all divide N iff N^b = 0 mod
+        # |Cl/Pic| for b its bit length, which no prime's multiplicity exceeds
+        if pow(self.N, order.bit_length(), order):
+            raise InputDataError(
+                f"cyclotomic order {self.N} misses a step prime: every prime factor of "
+                f"|Cl/Pic| = {order} must divide it; raise cyclotomic_order")
         ring0 = self.stack.cox_ring
         if len(self.base.group_images) != len(self.K.gens):
             raise InputDataError("base morphism needs one group image per Picard generator")
@@ -471,49 +478,58 @@ class _Engine:
 
     # -- evaluation of tabulated monomials ---------------------------------
 
-    def _decompositions(self, mono: Monomial):
-        """At most two factorizations of mono into table keys: evaluate
-        checks that the first two agree."""
-        limit = 2
-        keys = sorted(self.table, key=lambda m: (-m.total_degree(), m.key()))
-        results: List[tuple] = []
-
-        def rec(rem, start, acc):
-            if len(results) >= limit:
-                return
-            if rem.is_one():
-                results.append(tuple(acc))
-                return
-            for idx in range(start, len(keys)):
-                if keys[idx].divides(rem):
-                    rec(rem.div(keys[idx]), idx, acc + [idx])
-                    if len(results) >= limit:
-                        return
-
-        rec(mono, 0, [])
-        return [[keys[i] for i in dec] for dec in results]
-
     def evaluate(self, mono: Monomial) -> HomogeneousElement:
-        """Image of a monomial whose degree already lies in the subgroup."""
+        """Image of a monomial whose class lies in the current subgroup K.
+
+        mono is decomposed into table keys greedily twice, taking each time
+        the first key that divides what is left, in the keys' order (degree
+        down, then by key) and in the reverse order; the two products of
+        images must agree.  Neither scan dead-ends, and each makes at most
+        |keys| + 2*deg(mono) divisibility tests:
+        - every key has its class in K, and every minimal K-level monomial
+          is a key: ``_validate_inputs`` requires the Picard-level ones, and
+          each step adds the minimal K1-level monomials of class outside K
+          (one of class in K is a minimal K-level one, a key already);
+        - K-level monomials are cut out by a congruence, so a key dividing
+          one leaves one, and one other than 1 has a minimal K-level divisor;
+        - a key that does not divide what is left divides no divisor of it,
+          so a scan resumes where it stopped: at most |keys| failed tests,
+          and two per key taken (one inside ``Monomial.div``), each of
+          degree at least 1 once the key 1 is left out.
+        A monomial outside K has no decomposition: products of keys lie in K.
+        """
         if mono in self.table:
             return self.table[mono]
         ring = self.stack.cox_ring
-        decs = self._decompositions(mono)
-        if not decs:
-            raise LiftInconsistencyError(
-                f"generator table incomplete: no decomposition for {mono.key()}"
-            )
-        values = []
-        for dec in decs:
+        keys = sorted((k for k in self.table if not k.is_one()),
+                      key=lambda m: (-m.total_degree(), m.key()))
+
+        def scan(order):
+            dec, rem, i = [], mono, 0
+            while not rem.is_one():
+                while i < len(order) and not order[i].divides(rem):
+                    i += 1
+                if i == len(order):
+                    raise LiftInconsistencyError(
+                        f"generator table incomplete: no decomposition for {mono.key()}")
+                dec.append(order[i])
+                rem = rem.div(order[i])
+            return dec
+
+        def image(dec):
             img = ring.one()
             for k in dec:
                 img = img * self.table[k]
-            values.append(ring.normal_form(img))
-        if len(values) == 2 and values[0] != values[1]:
+            return ring.normal_form(img)
+
+        first, last = scan(keys), scan(keys[::-1])
+        value = image(first)
+        # both list their keys in table order, the last one reversed
+        if last[::-1] != first and image(last) != value:
             raise LiftInconsistencyError(
                 f"inconsistent image table: two decompositions of {mono.key()} disagree"
             )
-        return values[0]
+        return value
 
     # -- the loop -----------------------------------------------------------
 
@@ -530,11 +546,6 @@ class _Engine:
             if step > guard:
                 raise InternalInvariantError("lift loop exceeded its termination bound")
             D, p = choose_extension_class(self.T, self.K)
-            if self.N % p:
-                raise InputDataError(
-                    f"cyclotomic order {self.N} does not contain the step prime {p}; "
-                    "raise cyclotomic_order"
-                )
             K1, coset = coset_generators(self.T, self.K, D, p)
             pullbacks = [self.stack.cox_ring.normal_form(self.evaluate(mono ** p))
                          for mono, *_ in coset]
@@ -583,22 +594,17 @@ class _Engine:
         ring = self.stack.cox_ring
         Jp = [j for j, e in enumerate(pullbacks) if not e.is_zero()]
         facts = {j: ring.h_factorize(pullbacks[j]) for j in Jp}
-        qlist: List[HomogeneousElement] = []
-        qkeys: List[str] = []
-        for j in Jp:
-            for f, _e in facts[j].factors:
-                if f.key() not in qkeys:
-                    qkeys.append(f.key())
-                    qlist.append(f)
-        a = [[0] * len(coset) for _ in qlist]
+        # each h-irreducible factor by key, with its exponent in each pullback
+        qs: Dict[str, HomogeneousElement] = {}
+        a: Dict[str, List[int]] = {}
         for j in Jp:
             for f, e in facts[j].factors:
-                a[qkeys.index(f.key())][j] = e
+                qs.setdefault(f.key(), f)
+                a.setdefault(f.key(), [0] * len(coset))[j] = e
         # p is prime, so a factor is rooted (by p) iff some exponent is prime to p
-        rooted = [l for l, row in enumerate(a) if any(e % p for e in row)]
+        rooted = [k for k, row in a.items() if any(e % p for e in row)]
 
         # base p-th roots for the factorization units of the pullbacks
-        xi = CycScalar.zeta(self.order, self.N // p)
         base_roots: Dict[int, CycScalar] = {}
         for j in Jp:
             u = facts[j].unit
@@ -610,112 +616,77 @@ class _Engine:
                 )
             base_roots[j] = c0
 
-        # names for the new root generators, by factor index: every available
+        # names for the new root generators, by factor key: every available
         # pin first, so a fresh name cannot take a later factor's pin
         pins = self.opts.pins()
-        pinned: Dict[int, str] = {}
+        pinned: Dict[str, str] = {}
         used = set(ring.gen_degrees)
-        for l in rooted:
-            pin = pins.get((qlist[l].key(), p))
+        for k in rooted:
+            pin = pins.get((k, p))
             if pin and pin not in used:
-                pinned[l] = pin
+                pinned[k] = pin
                 used.add(pin)
-        names: Dict[int, str] = {}
-        for l in rooted:
-            names[l] = pinned.get(l) or fresh_root_name(used)
-            used.add(names[l])
+        names: Dict[str, str] = {}
+        for k in rooted:
+            names[k] = pinned.get(k) or fresh_root_name(used)
+            used.add(names[k])
 
         new_stack, incl, delta, mode = self._extend_group_and_ring(
-            D, p, coset, Jp, qlist, a, names
+            D, p, coset, Jp, qs, a, names
         )
         new_ring = new_stack.cox_ring
 
-        # constraint system for the root-of-unity exponents
+        def product(exps: Dict[str, int]) -> HomogeneousElement:
+            """prod z_k^e over the rooted factors k and q_k^(e/p) over the
+            others.  exps is an integer combination of the pullbacks'
+            exponent columns, and an unrooted factor's exponents are all
+            divisible by p (that is what unrooted means), so e/p is whole."""
+            out = new_ring.one()
+            for k, e in exps.items():
+                if e:
+                    out = out * (new_ring.gen(names[k]) ** e if k in names
+                                 else qs[k] ** (e // p))
+            return out
+
+        # constraint system for the root-of-unity exponents: by unique
+        # factorization, each kernel monomial maps to rho * denom * product,
+        # with rho a p-th root of unity fixed by the choices of roots
         kernel = _coset_kernel_rows([coset[j][2] for j in Jp], p)
-        rows, rhs, kmonos = [], [], []
+        rhs, kmonos = [], []
         for cvec in kernel:
             # (index into coset, entry) for the two nonzero entries
             support = [(Jp[pos], c) for pos, c in enumerate(cvec) if c]
             mono = Monomial.one()
-            for j, c in support:
-                mono = mono * (coset[j][0] ** c)
-            E = self.evaluate(mono)
-            if E.is_zero():
-                raise LiftInconsistencyError(
-                    f"kernel monomial {mono.key()} evaluated to zero; data inconsistent"
-                )
-            kfact = new_ring.h_factorize(E)
-            expected: Dict[str, int] = {}
-            for l in range(len(qlist)):
-                s = sum(c * a[l][j] for j, c in support)
-                if l in names:
-                    if s:
-                        expected[new_ring.gen(names[l]).key()] = s
-                else:
-                    if s % p:
-                        raise LiftInconsistencyError(
-                            f"inconsistent factorization data: exponent {s}/{p} of "
-                            f"{qkeys[l]} in {mono.key()} is fractional"
-                        )
-                    if s // p:
-                        expected[qkeys[l]] = s // p
-            got = {f.key(): e for f, e in kfact.factors}
-            if got != expected:
-                raise LiftInconsistencyError(
-                    f"inconsistent factorization data at {mono.key()}: "
-                    f"expected {expected}, found {got}"
-                )
             denom = CycScalar.one(self.order)
             for j, c in support:
+                mono = mono * (coset[j][0] ** c)
                 denom = denom * (base_roots[j] ** c)
-            rho = kfact.unit * denom.inverse()
-            er = rho.as_root_of_unity()
+            want = product({k: sum(c * row[j] for j, c in support) for k, row in a.items()})
+            rho = _unit_ratio(new_ring, want.scale(denom), self.evaluate(mono))
+            er = None if rho is None else rho.as_root_of_unity()
             if er is None or er % (self.N // p):
                 raise LiftInconsistencyError(
-                    f"factorization unit at {mono.key()} is not a {p}-th root of unity: "
-                    f"{rho.as_string()}"
+                    f"kernel monomial {mono.key()} does not map to a {p}-th root of "
+                    f"unity times {want.key()}"
                 )
-            rows.append(tuple(cvec))
             rhs.append((er // (self.N // p)) % p)
             kmonos.append(mono.key())
         # each kernel row f is e_0 + t_f*e_f with t_f != 0: the system is
         # consistent, x_0 is free, and the lex-min solution is x_0 = 0,
         # x_f = r_f / t_f (one of p)
         alpha = (0,) + tuple(r * pow(row[f], -1, p) % p
-                             for f, (row, r) in enumerate(zip(rows, rhs), 1))
-        count = p
+                             for f, (row, r) in enumerate(zip(kernel, rhs), 1))
 
         # generator images
-        new_images: Dict[Monomial, HomogeneousElement] = {}
+        xi = CycScalar.zeta(self.order, self.N // p)
         for jpos, j in enumerate(Jp):
-            coeff = base_roots[j] * (xi ** alpha[jpos])
-            img = new_ring.const(coeff)
-            for l in range(len(qlist)):
-                if not a[l][j]:
-                    continue
-                if l in names:
-                    img = img * new_ring.gen(names[l]) ** a[l][j]
-                else:
-                    img = img * (qlist[l] ** (a[l][j] // p))
-            new_images[coset[j][0]] = new_ring.normal_form(img)
-        for j, (mono, F, mj, kj) in enumerate(coset):
+            img = product({k: row[j] for k, row in a.items()})
+            self.table[coset[j][0]] = new_ring.normal_form(
+                img.scale(base_roots[j] * (xi ** alpha[jpos])))
+        for j, (mono, *_) in enumerate(coset):
             if j not in Jp:
-                new_images[mono] = HomogeneousElement.zero()
-
-        self.table.update(new_images)
+                self.table[mono] = HomogeneousElement.zero()
         self._adopt(new_stack, incl, K1, delta)
-        # degree coherence: every new image matches the extended degree map
-        for mono, F, mj, kj in coset:
-            img = self.table[mono]
-            if img.is_zero():
-                continue
-            if not (new_ring.degree_of(img) == self._lambda_of(F)):
-                raise LiftInconsistencyError(
-                    f"degree mismatch for the image of {mono.key()}"
-                )
-        varnames = tuple(
-            _VAR_LETTERS[i % len(_VAR_LETTERS)] for i in range(len(Jp))
-        )
         self.steps.append(
             StepRecord(
                 index=index,
@@ -727,38 +698,43 @@ class _Engine:
                 zero_pullbacks=tuple(
                     coset[j][0].key() for j in range(len(coset)) if j not in Jp
                 ),
-                roots=tuple((qkeys[l], p, name) for l, name in names.items()),
-                constraint_rows=tuple(rows),
+                roots=tuple((k, p, name) for k, name in names.items()),
+                constraint_rows=tuple(kernel),
                 constraint_rhs=tuple(rhs),
                 kernel_monomials=tuple(kmonos),
                 alpha=tuple(alpha),
-                alpha_vars=varnames,
-                solution_count=count,
+                alpha_vars=tuple(_VAR_LETTERS[i % len(_VAR_LETTERS)] for i in range(len(Jp))),
+                solution_count=p,
                 delta_coords=tuple(delta.coords),
                 group_mode=mode,
             )
         )
 
-    def _extend_group_and_ring(self, D, p, coset, Jp, qlist, a, names):
-        """Extend ring and grading group for one divisor step; ``names``
-        maps the index of each rooted factor in qlist to its generator.
+    def _extend_group_and_ring(self, D, p, coset, Jp, qs, a, names):
+        """Extend ring and grading group for one divisor step; ``qs`` and
+        ``a`` hold each factor and its exponents by key, and ``names`` maps
+        the key of each rooted factor to its generator.
 
         The factors are certified prime once, then one ``extend`` tries
         the iterated pushouts ("divisor" steps) with a solved image for the
         new class; when the degree equations have no solution there, one
         "divisor_batch" step is a universal extension whose relations force
         the degree map to exist (recorded in the tower for exact replay).
+        The degree equations say that each new generator image has the
+        degree lambda(F) = lambda(k) + m * delta of its class F = k + m*D.
+        In pushout mode delta solves them, and in universal mode the batch
+        rows are these equations, so no image needs a degree check later.
         """
         ring = self.stack.cox_ring
-        infos = tuple(DivisorRootInfo(prime_section(ring, qlist[l]), p, name)
-                      for l, name in names.items())
+        infos = tuple(DivisorRootInfo(prime_section(ring, qs[k]), p, name)
+                      for k, name in names.items())
         pic = self.stack.pic
         unrooted_deg: Dict[int, GroupElement] = {}
         for j in Jp:
             acc = pic.zero()
-            for l in range(len(qlist)):
-                if l not in names and a[l][j]:
-                    acc = acc + (a[l][j] // p) * ring.degree_of(qlist[l])
+            for k, row in a.items():
+                if k not in names and row[j]:
+                    acc = acc + (row[j] // p) * ring.degree_of(qs[k])
             unrooted_deg[j] = acc
         lam_pD = self._lambda_of(p * D)
         lam_k = {j: self._lambda_of(coset[j][3]) for j in Jp}
@@ -772,9 +748,9 @@ class _Engine:
         eqs = [(p, incl(lam_pD))]
         for j in Jp:
             deg_img = G_seq.zero()
-            for l, name in names.items():
-                if a[l][j]:
-                    deg_img = deg_img + a[l][j] * seq_stack.cox_ring.gen_degrees[name]
+            for k, name in names.items():
+                if a[k][j]:
+                    deg_img = deg_img + a[k][j] * seq_stack.cox_ring.gen_degrees[name]
             deg_img = deg_img + incl(unrooted_deg[j])
             eqs.append((coset[j][2], deg_img - incl(lam_k[j])))
         delta = solve_linear_over_group(G_seq, eqs)
@@ -785,8 +761,8 @@ class _Engine:
         n_old = pic.ambient_rank
         R = len(names)
         rows = []
-        for pos, l in enumerate(names):
-            dq = ring.degree_of(qlist[l])
+        for pos, k in enumerate(names):
+            dq = ring.degree_of(qs[k])
             row = [-c for c in dq.coords] + [0] * (R + 1)
             row[n_old + pos] = p
             rows.append(row)
@@ -796,8 +772,8 @@ class _Engine:
         for j in Jp:
             base = lam_k[j] - unrooted_deg[j]
             row = list(base.coords) + [0] * (R + 1)
-            for pos, l in enumerate(names):
-                row[n_old + pos] = -a[l][j]
+            for pos, k in enumerate(names):
+                row[n_old + pos] = -a[k][j]
             row[n_old + R] = coset[j][2]
             rows.append(row)
         # the sections were certified prime before the pushout attempt

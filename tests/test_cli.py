@@ -283,6 +283,17 @@ def test_base_key_outside_the_picard_level_subring_is_rejected(tmp_path, capsys,
     assert "base key x is not in the Picard-level subring" in capsys.readouterr().err
 
 
+def test_group_map_that_breaks_a_picard_relation_is_rejected(tmp_path, capsys):
+    """With the source's class group made free, the Picard generator of
+    order 2 maps to 1, of infinite order: no degree map exists on Pic."""
+    raw = load_raw("identity_half11")
+    raw["source"]["class_group"]["relations"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli("lift", str(bad)) == 2
+    assert "degree map is not well defined on the current subgroup" in capsys.readouterr().err
+
+
 def test_negative_spotcheck_bound_is_rejected(tmp_path, capsys):
     """A negative bound would report a spot-check that compared nothing."""
     raw = load_raw("mu3")

@@ -114,6 +114,18 @@ def test_normal_form_idempotent_on_samples():
         assert R.normal_form(once) == once
 
 
+def test_normal_form_skips_a_queued_term_that_a_rewrite_cancels():
+    """In x^2 - y^3 with x^2 -> y^3 -> w^3, rewriting x^2 first cancels
+    -y^3, which was queued for the rule y^3 -> w^3."""
+    cl = FgAbelianGroup(0, [])
+    tmp = GradedRing([(n, cl.zero()) for n in "wxy"], cl, N2)
+    R = tmp.with_data(rules=[RewriteRule(Monomial.gen("x", 2), tmp.mono({"y": 3})),
+                             RewriteRule(Monomial.gen("y", 3), tmp.mono({"w": 3}))])
+    assert R.normal_form(R.mono({"x": 2}) - R.mono({"y": 3})).is_zero()
+    assert R.normal_form(R.mono({"x": 2}) + R.mono({"y": 3})) == R.mono({"w": 3}).scale(
+        CycScalar.from_rational(N2, 2))
+
+
 def test_rewrite_rule_must_be_degree_preserving():
     cl = FgAbelianGroup(1, [[2]])
     gens = [("x", cl.element([1])), ("y", cl.element([0]))]

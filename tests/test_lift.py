@@ -321,6 +321,118 @@ def test_evaluate_table_incomplete():
         engine.evaluate(Monomial({"x": 3}))  # odd degree: not in the subring
 
 
+def _tampered_mu3_engine(c=2):
+    """The engine of mu3 once its inputs are validated, with the image of
+    the key x*y scaled by c: v -> 2v is off by a scalar that is not a root
+    of unity, v -> 0 is zero (the base check would reject both up front)."""
+    spec = load_spec("mu3")
+    engine = _Engine(spec.target, spec.source_stack, spec.base, spec.options)
+    xy = Monomial({"x": 1, "y": 1})
+    engine.table[xy] = engine.table[xy].scale(CycScalar.from_rational(engine.order, c))
+    return engine
+
+
+def test_evaluate_rejects_two_decompositions_that_disagree():
+    # (x^3)(y^3) -> uw against (x*y)^3 -> 8v^3 = 8uw
+    engine = _tampered_mu3_engine()
+    with pytest.raises(LiftInconsistencyError,
+                       match=r"two decompositions of x\^3\*y\^3 disagree"):
+        engine.evaluate(Monomial({"x": 3, "y": 3}))
+
+
+@pytest.mark.parametrize("c", [2, 0])
+def test_divisor_step_rejects_a_kernel_image_off_by_a_scalar(c):
+    """The step roots u and w by z1, z2 and fixes x*y's image as a cube
+    root of unity times z1*z2; neither 2v = 2*z1*z2 nor 0 is one."""
+    with pytest.raises(LiftInconsistencyError,
+                       match=r"^kernel monomial x\*y does not map to a 3-th root of unity "):
+        _tampered_mu3_engine(c).run()
+    spec = load_spec("mu3")
+    _Engine(spec.target, spec.source_stack, spec.base, spec.options).run()
+
+
+def _cyclic_quotient_problem(k, n, j):
+    """A^1 -> C^k / mu_n with x_j^n -> t and every other degree-n key -> 0,
+    the bench's wide family."""
+    cl = FgAbelianGroup(1, [[n]])
+    names = [f"x{i}" for i in range(k)]
+    ring = GradedRing([(name, cl.element([1])) for name in names], cl, CycOrder(n))
+    trivial = FgAbelianGroup(0, [])
+    source = canonical_stack(GradedRing([("t", trivial.element(()))], trivial, CycOrder(n)))
+    t, zero = source.cox_ring.gen("t"), HomogeneousElement.zero()
+    images = {Monomial({name: combo.count(name) for name in names}):
+              t if combo == (names[j],) * n else zero
+              for combo in combinations_with_replacement(names, n)}
+    return (TargetData(cl=cl, pic_gens=(), ring=ring), source,
+            BaseMorphism(images=images, group_images=()))
+
+
+def _divides_calls(call):
+    """The number of ``Monomial.divides`` calls that call() makes."""
+    calls = [0]
+    divides = Monomial.divides
+
+    def counted(self, other):
+        calls[0] += 1
+        return divides(self, other)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Monomial, "divides", counted)
+        call()
+    return calls[0]
+
+
+def test_decompositions_make_linearly_many_divisibility_tests():
+    """Two greedy scans of at most |keys| + 2*deg tests each, as
+    ``_Engine.evaluate`` states."""
+    target, source, base = _cyclic_quotient_problem(4, 5, 1)
+    engine = _Engine(target, source, base, LiftOptions())
+    engine.run()  # the keys are now the 56 degree-5 monomials and x0..x3
+    keys = len(engine.table)
+    assert keys == 60
+    mono = Monomial({"x0": 17, "x1": 9, "x2": 23, "x3": 11})
+    calls = _divides_calls(lambda: engine.evaluate(mono))
+    assert calls <= 2 * (keys + 2 * mono.total_degree()) < mono.total_degree() * keys
+    # two class-zero generators: a search that backtracks over the orders
+    # of the keys would try quadratically many partial products here
+    cl = FgAbelianGroup(1, [[2]])
+    ring = GradedRing([("x", cl.element([0])), ("y", cl.element([0])),
+                       ("w", cl.element([1]))], cl, CycOrder(2))
+    trivial = FgAbelianGroup(0, [])
+    source = canonical_stack(GradedRing([("t", trivial.element(()))], trivial, CycOrder(2)))
+    target = TargetData(cl=cl, pic_gens=(), ring=ring)
+    t = source.cox_ring.gen("t")
+    images = {m: t for m in pic_level_generators(target, target.pic)}
+    engine = _Engine(target, source, BaseMorphism(images=images, group_images=()),
+                     LiftOptions())
+    assert sorted(m.key() for m in engine.table) == ["w^2", "x", "y"]
+    mono = Monomial({"x": 20, "y": 20})
+    calls = _divides_calls(lambda: engine.evaluate(mono))
+    assert calls <= 2 * (3 + 2 * 40)
+
+
+@pytest.mark.parametrize("n,N,missed", [(3, 1, True), (6, 2, True), (12, 3, True),
+                                         (8, 2, False), (12, 6, False)])
+def test_step_prime_outside_the_cyclotomic_order_is_rejected_before_any_step(n, N, missed):
+    """C / mu_n over A^1 with x^n -> t: the steps root by the primes of n,
+    and N must contain each of them.  Documents never miss one, because
+    the reader takes N as the lcm with the exponent of Cl/Pic."""
+    cl = FgAbelianGroup(1, [[n]])
+    target = TargetData(cl=cl, pic_gens=(), ring=GradedRing([("x", cl.element([1]))], cl,
+                                                                CycOrder(N)))
+    trivial = FgAbelianGroup(0, [])
+    source = canonical_stack(GradedRing([("t", trivial.element(()))], trivial, CycOrder(N)))
+    base = BaseMorphism(images={Monomial({"x": n}): source.cox_ring.gen("t")},
+                        group_images=())
+    if not missed:
+        assert _Engine(target, source, base, LiftOptions()).steps == []
+        return
+    with pytest.raises(InputDataError,
+                       match=f"cyclotomic order {N} misses a step prime: every prime "
+                             rf"factor of \|Cl/Pic\| = {n} must divide it"):
+        _Engine(target, source, base, LiftOptions())
+
+
 def test_trivial_lift_is_verbatim():
     spec = load_spec("identity_half11")
     res = lift_of("identity_half11")
