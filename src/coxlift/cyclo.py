@@ -8,7 +8,8 @@ unique, so equality is a tuple comparison.  Phi_N is monic and integral, so
 products stay in integers: the high terms of a product fold back through a
 table of x^k mod Phi_N, kept once per N together with the N roots of unity.
 The same table maps zeta to zeta^j, so the inverse of a nonzero scalar is
-the product of its other Galois conjugates over its norm, a rational.
+the product of its other Galois conjugates over its norm, a rational; a
+rational multiple of a root of unity is inverted in closed form.
 """
 
 from __future__ import annotations
@@ -287,10 +288,19 @@ class CycScalar:
             raise ZeroDivisionError("inverse of zero scalar")
         if self.is_rational():
             return CycScalar.from_rational(self.order, Fraction(self.den, self.num[0]))
+        N, order = self.order.N, self.order
+        # q * zeta^k, with q = +-g/den for the content g of num: the inverse
+        # is q^-1 * zeta^-k (gcd(g, den) = 1, so den/g is reduced)
+        powers, index = _power_table(N)
+        g = math.gcd(*self.num)
+        unit = tuple(a // g for a in self.num)
+        for sign in (1, -1):
+            k = index.get(unit if sign == 1 else tuple(-a for a in unit))
+            if k is not None:
+                return CycScalar._make(order, powers[-k % N])._scaled(sign * self.den, g)
         # a^-1 = rest / N(a) with rest the product of the conjugates sigma_j(a),
         # j != 1.  The conjugates of the numerator stay integral; N(num) is a
         # positive integer, as Q(zeta_N) with N >= 3 is totally complex.
-        N, order = self.order.N, self.order
         rest = CycScalar.one(order)
         for j in range(2, N):
             if math.gcd(j, N) == 1:
@@ -310,8 +320,9 @@ class CycScalar:
         while k:
             if k & 1:
                 acc = acc * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return acc
 
     # -- roots of unity -----------------------------------------------------

@@ -40,23 +40,40 @@ from .errors import (
 
 
 class Monomial:
-    """Finitely supported exponent map over generator names."""
+    """Finitely supported exponent map over generator names.
 
-    __slots__ = ("pairs",)
+    ``pairs`` is the sorted tuple of (name, exponent > 0).  The total degree
+    and the hash are kept once computed.  ``__init__`` validates names and
+    exponents from documents and callers; products, powers and exact
+    quotients of canonical monomials are canonical, so they build their
+    pairs directly (``_of``)."""
+
+    __slots__ = ("pairs", "_degree", "_hash")
 
     def __init__(self, exps: Dict[str, int] | Iterable[Tuple[str, int]] = ()):
         items = exps.items() if isinstance(exps, dict) else exps
         pairs = tuple(sorted((str(n), int(e)) for n, e in items if int(e) != 0))
         if any(e < 0 for _, e in pairs):
             raise InputDataError("monomial exponents must be nonnegative")
-        object.__setattr__(self, "pairs", pairs)
+        _set_pairs(self, pairs)
+        _set_degree(self, None)
+        _set_hash(self, None)
+
+    @classmethod
+    def _of(cls, pairs: tuple, degree: Optional[int] = None) -> "Monomial":
+        """The monomial of canonical pairs: sorted by name, exponents > 0."""
+        m = _new(cls)
+        _set_pairs(m, pairs)
+        _set_degree(m, degree)
+        _set_hash(m, None)
+        return m
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Monomial is immutable")
 
     @classmethod
     def one(cls) -> "Monomial":
-        return cls(())
+        return cls._of((), 0)
 
     @classmethod
     def gen(cls, name: str, exp: int = 1) -> "Monomial":
@@ -72,30 +89,53 @@ class Monomial:
         return not self.pairs
 
     def total_degree(self) -> int:
-        return sum(e for _, e in self.pairs)
+        d = self._degree
+        if d is None:
+            d = sum(e for _, e in self.pairs)
+            _set_degree(self, d)
+        return d
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        d = dict(self.pairs)
-        for n, e in other.pairs:
+        a, b = self.pairs, other.pairs
+        if not b:
+            return self
+        if not a:
+            return other
+        d = dict(a)
+        for n, e in b:
             d[n] = d.get(n, 0) + e
-        return Monomial(d)
+        da, db = self._degree, other._degree
+        return Monomial._of(tuple(sorted(d.items())),
+                            None if da is None or db is None else da + db)
 
     def __pow__(self, k: int) -> "Monomial":
         if k < 0:
             raise InputDataError("negative monomial power")
-        return Monomial({n: e * k for n, e in self.pairs})
+        if k == 1:
+            return self
+        if k == 0:
+            return Monomial._of((), 0)
+        d = self._degree
+        return Monomial._of(tuple((n, e * k) for n, e in self.pairs),
+                            None if d is None else d * k)
 
     def divides(self, other: "Monomial") -> bool:
         o = dict(other.pairs)
         return all(o.get(n, 0) >= e for n, e in self.pairs)
 
     def div(self, other: "Monomial") -> "Monomial":
-        if not other.divides(self):
+        q = dict(other.pairs)
+        pairs = []
+        for n, e in self.pairs:
+            f = q.pop(n, 0)
+            if e > f:
+                pairs.append((n, e - f))
+            elif e < f:
+                q[n] = f
+        if q:
             raise InputDataError("monomial division is not exact")
-        d = dict(self.pairs)
-        for n, e in other.pairs:
-            d[n] -= e
-        return Monomial(d)
+        da, db = self._degree, other._degree
+        return Monomial._of(tuple(pairs), None if da is None or db is None else da - db)
 
     def sort_key(self):
         return (self.total_degree(), self.pairs)
@@ -109,14 +149,29 @@ class Monomial:
         return isinstance(other, Monomial) and self.pairs == other.pairs
 
     def __hash__(self):
-        return hash(self.pairs)
+        h = self._hash
+        if h is None:
+            h = hash(self.pairs)
+            _set_hash(self, h)
+        return h
 
     def __repr__(self):
         return f"Monomial({self.key()})"
 
 
+_new = object.__new__
+_set_pairs = Monomial.pairs.__set__
+_set_degree = Monomial._degree.__set__
+_set_hash = Monomial._hash.__set__
+
+
 class HomogeneousElement:
-    """Term list (scalar, monomial) in canonical order; empty list is zero."""
+    """Term list (scalar, monomial) in canonical order; empty list is zero.
+
+    ``__init__`` merges equal monomials, drops zero terms and sorts by
+    ``Monomial.sort_key``.  Q(zeta_N) is a field, so scaling by a nonzero
+    scalar, negation, and products and powers of one-term elements keep a
+    canonical term list canonical, and build it directly (``_of``)."""
 
     __slots__ = ("terms", "_key")
 
@@ -125,21 +180,31 @@ class HomogeneousElement:
         for c, m in terms:
             merged[m] = merged[m] + c if m in merged else c
         cleaned = [(c, m) for m, c in merged.items() if not c.is_zero()]
-        cleaned.sort(key=lambda t: t[1].sort_key())
-        object.__setattr__(self, "terms", tuple(cleaned))
-        object.__setattr__(self, "_key", None)
+        if len(cleaned) > 1:
+            cleaned.sort(key=_term_order)
+        _set_terms(self, tuple(cleaned))
+        _set_key(self, None)
+
+    @classmethod
+    def _of(cls, terms: tuple) -> "HomogeneousElement":
+        """The element of a canonical term tuple: nonzero scalars, distinct
+        monomials in ``sort_key`` order."""
+        e = _new(cls)
+        _set_terms(e, terms)
+        _set_key(e, None)
+        return e
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("HomogeneousElement is immutable")
 
     @classmethod
     def zero(cls) -> "HomogeneousElement":
-        return cls(())
+        return cls._of(())
 
     @classmethod
     def monomial(cls, order: CycOrder, m: Monomial, coeff=None) -> "HomogeneousElement":
         c = coeff if coeff is not None else CycScalar.one(order)
-        return cls([(c, m)])
+        return cls._of(((c, m),) if c else ())
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -150,7 +215,9 @@ class HomogeneousElement:
         return self.terms[-1]
 
     def scale(self, c: CycScalar) -> "HomogeneousElement":
-        return HomogeneousElement([(c * a, m) for a, m in self.terms])
+        if c.is_zero():
+            return HomogeneousElement._of(())
+        return HomogeneousElement._of(tuple((c * a, m) for a, m in self.terms))
 
     def __add__(self, other):
         return HomogeneousElement(self.terms + other.terms)
@@ -159,9 +226,13 @@ class HomogeneousElement:
         return HomogeneousElement(self.terms + tuple((-c, m) for c, m in other.terms))
 
     def __neg__(self):
-        return HomogeneousElement(tuple((-c, m) for c, m in self.terms))
+        return HomogeneousElement._of(tuple((-c, m) for c, m in self.terms))
 
     def __mul__(self, other):
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            (c1, m1), = self.terms
+            (c2, m2), = other.terms
+            return HomogeneousElement._of(((c1 * c2, m1 * m2),))
         out = []
         for c1, m1 in self.terms:
             for c2, m2 in other.terms:
@@ -173,6 +244,11 @@ class HomogeneousElement:
             raise InputDataError("negative element power")
         if not self.terms and k == 0:
             raise InputDataError("0^0 is undefined here")
+        if k == 1:
+            return self
+        if len(self.terms) == 1:
+            (c, m), = self.terms
+            return HomogeneousElement._of(((c ** k, m ** k),))
         acc = None
         base = self
         while k:
@@ -181,11 +257,9 @@ class HomogeneousElement:
             k >>= 1
             if k:
                 base = base * base
-        if acc is None:
-            one = CycScalar.one(self.terms[0][0].order) if self.terms else None
-            if one is None:
-                raise InputDataError("cannot build 1 without a scalar order")
-            return HomogeneousElement([(one, Monomial.one())])
+        if acc is None:  # k = 0, and self has two or more terms
+            return HomogeneousElement._of(((CycScalar.one(self.terms[0][0].order),
+                                            Monomial.one()),))
         return acc
 
     def support(self):
@@ -197,7 +271,7 @@ class HomogeneousElement:
     def key(self) -> str:
         """The element as text, built once: elements are immutable."""
         if self._key is None:
-            object.__setattr__(self, "_key", " + ".join(
+            _set_key(self, " + ".join(
                 f"{c.as_string()}*{m.key()}" for c, m in self.terms) if self.terms else "0")
         return self._key
 
@@ -209,6 +283,14 @@ class HomogeneousElement:
 
     def __repr__(self):
         return f"El({self.key()})"
+
+
+_set_terms = HomogeneousElement.terms.__set__
+_set_key = HomogeneousElement._key.__set__
+
+
+def _term_order(term):
+    return term[1].sort_key()
 
 
 @dataclass(frozen=True)
@@ -373,6 +455,8 @@ class GradedRing:
         self._rules_by_head: Dict[Optional[str], list] = {}
         # generator -> least e of a rule z^e -> ... on that generator alone
         self._single_heads: Dict[str, int] = {}
+        # (generator, k) -> nf(generator^k), filled by _reduce_powers
+        self._power_nfs: Dict[Tuple[str, int], HomogeneousElement] = {}
         for i, r in enumerate(self.rules):
             head = r.lhs.pairs[0][0] if r.lhs.pairs else None
             self._rules_by_head.setdefault(head, []).append((i, r))
@@ -383,7 +467,7 @@ class GradedRing:
     # -- constructors -----------------------------------------------------
 
     def one(self) -> HomogeneousElement:
-        return HomogeneousElement([(CycScalar.one(self.scalar_order), Monomial.one())])
+        return HomogeneousElement._of(((CycScalar.one(self.scalar_order), Monomial.one()),))
 
     def const(self, scalar: CycScalar) -> HomogeneousElement:
         return HomogeneousElement([(scalar, Monomial.one())])
@@ -476,28 +560,47 @@ class GradedRing:
         return self._rewrite(e, self.step_cap)
 
     def _rewrite(self, e: HomogeneousElement, step_cap: int) -> HomogeneousElement:
-        """``normal_form`` under the given step budget."""
+        """``normal_form`` under the given step budget.
+
+        A one-term element stays in locals (c, m and its first rule) for
+        as long as each rule applied has a one-term right side, as a root
+        rule z^n -> monomial has; the terms move into ``terms`` and the
+        heap of reducible terms once a rewrite makes a second term (or
+        none).  The steps are the same either way."""
         if not self.rules:
             return e
-        terms = {m: c for c, m in e.terms}
-        heap = []
-        # a cancelled monomial can come back and be queued twice; seq breaks
-        # that sort_key tie before the unordered Monomials are compared
-        seq = count()
-        for m in terms:
-            hit = self._first_rule(m)
-            if hit is not None:
-                heap.append((m.sort_key(), next(seq), m, hit))
-        if not heap:
-            return e
-        heapify(heap)
+        first_rule = self._first_rule
+        terms = heap = None
+        if len(e.terms) == 1:
+            (c, m), = e.terms
+            hit = first_rule(m)
+            if hit is None:
+                return e
+        else:
+            terms = {m: c for c, m in e.terms}
+            heap = []
+            # a cancelled monomial can come back and be queued twice; seq
+            # breaks that sort_key tie before the unordered Monomials are
+            # compared
+            seq = count()
+            for m in terms:
+                hit = first_rule(m)
+                if hit is not None:
+                    heap.append((m.sort_key(), next(seq), m, hit))
+            if not heap:
+                return e
+            heapify(heap)
         steps = 0
         trace = deque(maxlen=10)
-        while heap:
-            _, _, m, (r, k) = heappop(heap)
-            c = terms.pop(m, None)
-            if c is None:
-                continue  # cancelled since it was queued
+        while True:
+            if terms is not None:
+                if not heap:
+                    break
+                _, _, m, hit = heappop(heap)
+                c = terms.pop(m, None)
+                if c is None:
+                    continue  # cancelled since it was queued
+            r, k = hit
             steps += 1
             if steps > step_cap:
                 raise RewriteDivergedError(
@@ -507,13 +610,22 @@ class GradedRing:
             trace.append((m, r))
             lhs, rhs = r.power(k) if k > 1 else (r.lhs, r.rhs)
             cof = m.div(lhs)
+            if terms is None:
+                if len(rhs.terms) == 1:
+                    (a, mr), = rhs.terms
+                    c, m = c * a, mr * cof
+                    hit = first_rule(m)
+                    if hit is None:
+                        return HomogeneousElement._of(((c, m),))
+                    continue
+                terms, heap, seq = {}, [], count()
             for a, mr in rhs.terms:
                 nm = mr * cof
                 ca = c * a
                 old = terms.get(nm)
                 if old is None:
                     terms[nm] = ca
-                    hit = self._first_rule(nm)
+                    hit = first_rule(nm)
                     if hit is not None:
                         heappush(heap, (nm.sort_key(), next(seq), nm, hit))
                 else:
@@ -586,7 +698,8 @@ class GradedRing:
 
     def _reduce_powers(self, e: HomogeneousElement) -> HomogeneousElement:
         """e with each term of two or more reducible generator powers
-        normalized power by power (see ``elements_equal``)."""
+        normalized power by power (see ``elements_equal``), each nf(z^k)
+        taken once per ring."""
         heads = self._single_heads
         if not heads:
             return e
@@ -595,11 +708,14 @@ class GradedRing:
             if len(m.pairs) > 1:
                 powers = [(n, k) for n, k in m.pairs if k >= heads.get(n, k + 1)]
                 if len(powers) > 1:
-                    acc = HomogeneousElement([(c, Monomial(p for p in m.pairs
-                                                           if p not in powers))])
+                    acc = HomogeneousElement._of(((c, Monomial._of(
+                        tuple(p for p in m.pairs if p not in powers))),))
                     for n, k in powers:
-                        z = HomogeneousElement.monomial(self.scalar_order, Monomial.gen(n, k))
-                        acc = self.normal_form(acc * self.normal_form(z))
+                        z = self._power_nfs.get((n, k))
+                        if z is None:
+                            z = self._power_nfs[n, k] = self.normal_form(
+                                HomogeneousElement.monomial(self.scalar_order, Monomial.gen(n, k)))
+                        acc = self.normal_form(acc * z)
                     terms.extend(acc.terms)
                     split = True
                     continue

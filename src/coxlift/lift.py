@@ -798,10 +798,15 @@ class _Engine:
             images[name] = ring.normal_form(self.table[mono])
         cl = self.T.cl
         hom_images = [self._lambda_of(cl.basis_element(i)) for i in range(cl.ambient_rank)]
+        # No input reaches this raise.  lam is a homomorphism on K.abstract(),
+        # whose relations generate every relation among K's generators
+        # (``Subgroup.relations``), and the loop ends with K = Cl.  A relation
+        # r of Cl goes to lam of sum r_i * express(e_i), a relation among K's
+        # generators, so to zero.
         try:
             group_map = GroupHomomorphism(cl, self.stack.pic, hom_images)
         except InputDataError as exc:
-            raise LiftInconsistencyError(f"final group map is ill defined: {exc}")
+            raise InternalInvariantError(f"final group map is ill defined: {exc}")
         return self.stack, images, group_map, dict(self.table), tuple(self.steps)
 
 
@@ -830,20 +835,28 @@ def run_cox_lift(target: TargetData, source_stack: MdStackData, base: BaseMorphi
 
 
 def _map_monomial(images: Dict[str, HomogeneousElement], ring: GradedRing,
-                  mono: Monomial) -> HomogeneousElement:
+                  mono: Monomial, powers: Optional[dict] = None) -> HomogeneousElement:
     """The product of the images of mono's generator powers.
 
     It is 0, with no product built, when any image is 0.  A generator
     without an image is an ``InputDataError``: ``verify_lift`` reaches it
     through a base key that names a generator the target ring lacks, which
     only a ``BaseMorphism`` built in code can hold (documents reject such
-    keys at parse).
+    keys at parse).  With ``powers``, a dict the caller keeps, each factor
+    is nf(image^e), with image^e reduced power by power first
+    (``GradedRing._reduce_powers``), built once per (generator, e).  The
+    product then equals the plain one in a confluent ring, though not
+    term for term.
     """
     factors = []
     for name, e in mono.pairs:
         img = images.get(name)
         if img is None:
             raise InputDataError(f"no image recorded for generator {name}")
+        if powers is not None:
+            if (name, e) not in powers:
+                powers[name, e] = ring.normal_form(ring._reduce_powers(img ** e))
+            img, e = powers[name, e], 1
         factors.append((img, e))
     if any(img.is_zero() for img, _ in factors):
         return HomogeneousElement.zero()
@@ -854,10 +867,10 @@ def _map_monomial(images: Dict[str, HomogeneousElement], ring: GradedRing,
 
 
 def map_element(images: Dict[str, HomogeneousElement], ring: GradedRing,
-                e: HomogeneousElement) -> HomogeneousElement:
+                e: HomogeneousElement, powers: Optional[dict] = None) -> HomogeneousElement:
     acc = HomogeneousElement.zero()
     for c, m in e.terms:
-        part = _map_monomial(images, ring, m)
+        part = _map_monomial(images, ring, m, powers)
         acc = acc + part.scale(c)
     return acc
 
@@ -878,9 +891,11 @@ def verify_lift(target: TargetData, source_stack: MdStackData, base: BaseMorphis
     source checked confluent at parse is).  It normalizes a product one
     generator power at a time, each normal form under the ring's
     ``step_cap`` on its own, so a check can pass where one normal form of
-    the whole product would exceed the cap.  A target generator without
-    an image is an ``InputDataError``, not a failed check: the mapped
-    products that contain it cannot be formed."""
+    the whole product would exceed the cap.  Each factor nf(image^e) is
+    built once per call, for both checks (``_map_monomial``'s ``powers``);
+    normal forms commute with products there, so no verdict changes.  A
+    target generator without an image is an ``InputDataError``, not a
+    failed check: the mapped products that contain it cannot be formed."""
     ring = result.stack.cox_ring
     checks: List[VerificationCheck] = []
     for name, _deg in target.ring.generators:
@@ -902,10 +917,11 @@ def verify_lift(target: TargetData, source_stack: MdStackData, base: BaseMorphis
             break
     checks.append(VerificationCheck("homogeneity", ok, detail))
 
+    powers: dict = {}
     ok, detail = True, "all target ring relations map to zero"
     for rule in target.ring.rules:
-        lhs = _map_monomial(result.images, ring, rule.lhs)
-        rhs = map_element(result.images, ring, rule.rhs)
+        lhs = _map_monomial(result.images, ring, rule.lhs, powers)
+        rhs = map_element(result.images, ring, rule.rhs, powers)
         if not ring.elements_equal(lhs, rhs):
             ok, detail = False, f"relation {rule.key()} does not map to zero"
             break
@@ -913,7 +929,7 @@ def verify_lift(target: TargetData, source_stack: MdStackData, base: BaseMorphis
 
     ok, detail = True, "lift restricts to the base morphism on the Picard level"
     for mono, img0 in base.images.items():
-        via_lift = _map_monomial(result.images, ring, mono)
+        via_lift = _map_monomial(result.images, ring, mono, powers)
         if not ring.elements_equal(via_lift, img0):
             ok, detail = False, (
                 f"restriction differs from the base morphism at {mono.key()}"

@@ -404,7 +404,11 @@ def graded_factorial_spotcheck(S: MdStackData, degree_bound: int):
             continue
         candidates.append((name, el))
     one = CycScalar.one(ring.scalar_order)
-    # generator names of the first multiset seen, by monic normal form's terms
+
+    def names(combo):
+        return tuple(sorted(candidates[i][0] for i in combo))
+
+    # index tuple of the first multiset seen, by monic normal form's terms
     seen = {}
     # nonzero normal forms of the previous size's multisets, by index tuple
     prefixes = {(): ring.one()}
@@ -420,9 +424,8 @@ def graded_factorial_spotcheck(S: MdStackData, degree_bound: int):
             products[combo] = nf
             lead_c, _ = nf.leading()
             monic = nf if lead_c == one else nf.scale(lead_c.inverse())
-            names = tuple(sorted(candidates[i][0] for i in combo))
-            first = seen.setdefault(monic.terms, names)
-            if first != names:
-                return False, (monic.key(), first, names)
+            first = seen.setdefault(monic.terms, combo)
+            if first != combo:
+                return False, (monic.key(), names(first), names(combo))
         prefixes = products
     return True, None

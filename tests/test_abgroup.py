@@ -526,6 +526,28 @@ def test_solve_linear_over_group_inconsistent():
     assert solve_linear_over_group(Z4, [(2, Z4.element([1]))]) is None
 
 
+@pytest.mark.parametrize("eqs, want", [
+    ([(0, [1])], None),  # 0*d = 1
+    ([(2, [3])], None),  # 3 is not a multiple of 2
+    ([(1, [1]), (1, [2])], None),  # d = 1 and d = 2
+    ([(0, [0]), (2, [-4]), (-1, [2])], [-2]),
+    ([], [0]),  # no equation: d = 0 on the free slot
+])
+def test_solve_linear_over_group_on_a_free_slot(eqs, want):
+    """Each of the free slot's three ways to have no solution, and the
+    solution when there is one, on Z and on Z + Z/4."""
+    Z = FgAbelianGroup(1, [])
+    got = solve_linear_over_group(Z, [(k, Z.element(t)) for k, t in eqs])
+    assert got == (None if want is None else Z.element(want))
+    G = FgAbelianGroup(2, [[0, 4]])
+    got = solve_linear_over_group(G, [(k, G.element(t + [2 * k])) for k, t in eqs])
+    if want is None:
+        assert got is None
+    else:
+        assert all(k * got == G.element(t + [2 * k]) for k, t in eqs)
+        assert got.canonical()[G.moduli.index(0)] == want[0]
+
+
 def _solutions_mod(rows, rhs, ncols, n):
     return [
         v for v in product(range(n), repeat=ncols)

@@ -14,6 +14,7 @@ from coxlift.cyclo import (
     CycScalar,
     _pdivmod,
     _pgcd,
+    _substituted,
     cyclotomic_polynomial,
     root_of_unity_pth_root,
 )
@@ -236,6 +237,52 @@ def test_inverse_of_rational_scalar(N, q):
     a = CycScalar.from_rational(order, q)
     assert a.inverse() == CycScalar.from_rational(order, 1 / Fraction(q))
     assert a * a.inverse() == CycScalar.one(order)
+
+
+def conjugate_product_inverse(a):
+    """Oracle: a^-1 as the product of a's other Galois conjugates over its
+    norm, as ``CycScalar.inverse`` computes it for a general scalar."""
+    N, order = a.order.N, a.order
+    rest = CycScalar.one(order)
+    for j in range(2, N):
+        if math.gcd(j, N) == 1:
+            rest = rest * CycScalar._make(order, _substituted(a.num, N, j))
+    norm = (CycScalar._make(order, a.num) * rest).rational_value()
+    return rest * CycScalar.from_rational(order, Fraction(a.den) / norm)
+
+
+_INVERSE_ORDERS = st.sampled_from([3, 4, 12, 15, 60, 105]).map(CycOrder)
+_NONZERO_Q = st.fractions(min_value=-9, max_value=9, max_denominator=5).filter(bool)
+
+
+@given(_INVERSE_ORDERS, st.integers(0, 104), _NONZERO_Q)
+@settings(max_examples=150, deadline=None)
+def test_unit_times_rational_inverse_matches_the_conjugate_product(order, k, q):
+    a = CycScalar.zeta(order, k) * CycScalar.from_rational(order, q)
+    assert a.inverse() == conjugate_product_inverse(a)
+    assert (-a).inverse() == conjugate_product_inverse(-a)
+
+
+@given(_INVERSE_ORDERS, st.data())
+@settings(max_examples=30, deadline=None)
+def test_general_inverse_matches_the_conjugate_product(order, data):
+    coeffs = data.draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4),
+                                min_size=order.degree, max_size=order.degree))
+    a = CycScalar(order, coeffs)
+    if a.is_zero():
+        return
+    assert a.inverse() == conjugate_product_inverse(a)
+
+
+def test_unit_times_rational_inverts_at_order_1999_in_under_half_a_second():
+    """The conjugate product takes minutes at this order, so the inverse
+    is only checked by its product."""
+    order = CycOrder(1999)
+    start = time.perf_counter()
+    for a in (CycScalar.zeta(order, 5) * CycScalar.from_rational(order, 3),
+              -CycScalar.zeta(order, 7)):
+        assert a * a.inverse() == CycScalar.one(order)
+    assert time.perf_counter() - start < 0.5
 
 
 # -- differential test against sympy's arithmetic in Q[x] / Phi_N -------------------

@@ -560,28 +560,129 @@ def rewriting_cases(draw):
     return names, rules, HomogeneousElement(terms), draw(st.integers(0, 8))
 
 
+@st.composite
+def one_term_chain_cases(draw):
+    """A chain of root rules b^n -> c*m, ..., e^n -> c*m, each m a monomial
+    over the generators before its head, in a random rule order; one rule,
+    or none, has a right side of 0, 2 or 3 terms instead, so a rewrite of a
+    one-term element meets it after some one-term steps.  The element is
+    one term with a high power of at least one head; the step cap is 0-8."""
+    names = ["a", "b", "c", "d", "e"]
+    wide = draw(st.sampled_from([None, 1, 2, 3, 4]))
+    rules = []
+    for i, head in enumerate(names[1:], 1):
+        width = draw(st.sampled_from([0, 2, 3])) if i == wide else 1
+        rhs = [(draw(_scalars(N3)), Monomial(dict(zip(names[:i], v))))
+               for v in draw(st.lists(st.lists(st.integers(0, 2), min_size=i, max_size=i),
+                                      min_size=width, max_size=width))]
+        rules.append(RewriteRule(Monomial.gen(head, draw(st.integers(1, 3))),
+                                 HomogeneousElement(rhs)))
+    exps = draw(st.lists(st.integers(0, 3), min_size=5, max_size=5))
+    exps[draw(st.integers(1, 4))] += draw(st.integers(3, 9))
+    e = HomogeneousElement([(draw(_scalars(N3)), Monomial(dict(zip(names, exps))))])
+    return names, draw(st.permutations(rules)), e, draw(st.integers(0, 8))
+
+
 def _outcome(normal_form, e):
     try:
         return normal_form(e).terms
     except RewriteDivergedError as err:
-        return ("diverged", err.trace)
+        return ("diverged", str(err), tuple(err.trace))
 
 
-@given(rewriting_cases())
+@given(st.one_of(rewriting_cases(), one_term_chain_cases()))
 @example((["w", "x"], [RewriteRule(Monomial.gen("w"), HomogeneousElement(
     [(CycScalar.one(N3), Monomial.one())]))], HomogeneousElement.monomial(
         N3, Monomial.gen("w", 2)), 1))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_normal_form_matches_rescanning_oracle(case):
     """The same steps, trace and step-cap outcome as the oracle, which
     rewrites a whole power of a left side in one step too (w -> 1 takes w^2
-    to 1 in one step)."""
+    to 1 in one step).  Half the cases rewrite one term through one-term
+    right sides, and some meet a wider one after the first steps."""
     names, rules, e, cap = case
     cl = FgAbelianGroup(0, [])
     gens = [(n, cl.zero()) for n in names]
     for step_cap in (10000, cap):
         R = GradedRing(gens, cl, N3, rules=rules, step_cap=step_cap)
         assert _outcome(R.normal_form, e) == _outcome(lambda el: rescanning_normal_form(R, el), e)
+
+
+_NAMES = st.sampled_from(["a", "b", "x", "y", "z1", "z2"])
+_monomials = st.dictionaries(_NAMES, st.integers(0, 4), max_size=4).map(Monomial)
+
+
+def _nonzero_scalars(order):
+    """Roots of unity times rationals, and scalars with two nonzero
+    coordinates, which no root of unity times a rational is in Q(zeta_3)."""
+    q = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    return st.one_of(
+        st.builds(lambda k, r: CycScalar.zeta(order, k) * CycScalar.from_rational(order, r),
+                  st.integers(0, order.N - 1), q),
+        st.builds(lambda r, s: CycScalar(order, [r, s]), q, q))
+
+
+def _same_monomial(got, exps):
+    want = Monomial(exps)
+    assert got == want and got.pairs == want.pairs
+    assert hash(got) == hash(want) and got.sort_key() == want.sort_key()
+
+
+@given(_monomials, _monomials, st.integers(0, 4), st.booleans(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_monomial_products_powers_and_quotients_match_the_validating_constructor(
+        a, b, k, warm_a, warm_b):
+    """``Monomial.one()``, and products, powers and exact quotients of
+    monomials whose degree is already known or not yet, and of their
+    products again, equal what ``Monomial(exps)`` builds; an inexact
+    quotient still raises."""
+    for m, warm in ((a, warm_a), (b, warm_b)):
+        if warm:
+            m.total_degree()
+    A, B = dict(a.pairs), dict(b.pairs)
+    AB = {n: A.get(n, 0) + B.get(n, 0) for n in {*A, *B}}
+    _same_monomial(Monomial.one(), {})
+    _same_monomial(a * b, AB)
+    _same_monomial(a ** k, {n: e * k for n, e in A.items()})
+    _same_monomial((a * b).div(b), A)
+    _same_monomial((a * b * a).div(a * b), A)
+    _same_monomial((a ** k * b).div(a ** k), B)
+    if b.divides(a):
+        _same_monomial(a.div(b), {n: e - B.get(n, 0) for n, e in A.items()})
+    else:
+        with pytest.raises(InputDataError):
+            a.div(b)
+
+
+_elements = st.lists(st.tuples(_nonzero_scalars(N3), _monomials), max_size=4).map(
+    HomogeneousElement)
+
+
+def _same_element(got, terms):
+    want = HomogeneousElement(terms)
+    assert got == want and got.terms == want.terms and hash(got) == hash(want)
+    assert [m.sort_key() for _, m in got.terms] == [m.sort_key() for _, m in want.terms]
+
+
+@given(_elements, _elements, _nonzero_scalars(N3))
+@settings(max_examples=200, deadline=None)
+def test_element_scale_negation_and_one_term_products_match_the_validating_constructor(
+        e, f, c):
+    """Scaling by a nonzero scalar or by 0, negation, and the product of two
+    one-term elements and the powers of one equal what
+    ``HomogeneousElement(terms)`` builds from monomials that
+    ``Monomial(exps)`` builds."""
+    _same_element(e.scale(c), [(c * a, m) for a, m in e.terms])
+    _same_element(e.scale(CycScalar.zero(N3)), [])
+    _same_element(-e, [(-a, m) for a, m in e.terms])
+    for (c1, m1), (c2, m2) in zip(e.terms, f.terms):
+        x, y = HomogeneousElement([(c1, m1)]), HomogeneousElement([(c2, m2)])
+        exps = dict(m1.pairs)
+        for n, k in m2.pairs:
+            exps[n] = exps.get(n, 0) + k
+        _same_element(x * y, [(c1 * c2, Monomial(exps))])
+        for k in range(4):
+            _same_element(x ** k, [(c1 ** k, Monomial({n: e * k for n, e in m1.pairs}))])
 
 
 def one_step_rewrites(R, e):

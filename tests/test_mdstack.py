@@ -151,6 +151,23 @@ def test_spotcheck_fails_after_forced_reducible_root():
     assert (ok, ce) == _spotcheck_from_scratch(forced.cox_ring, 4)
 
 
+@pytest.mark.parametrize("section, n, root, clash", [
+    ({"w": 1, "x": 1, "y": 1}, 3, "a", ("1*w*x*y", ("w", "x", "y"), ("a", "a", "a"))),
+    ({"x": 2, "y": 1}, 3, "b", ("1*x^2*y", ("x", "x", "y"), ("b", "b", "b"))),
+])
+def test_spotcheck_names_a_planted_clash_in_name_order(section, n, root, clash):
+    """Generators y, w, x in that order, and a forced root of a reducible
+    section: the report names each multiset by sorted generator names, not
+    by generator order, and the new root sorts first by name."""
+    cl0 = FgAbelianGroup(0, [])
+    ring = GradedRing([(name, cl0.zero()) for name in ("y", "w", "x")], cl0, N3)
+    sec = ring.mono(section, CycScalar.from_rational(N3, 2))
+    forced = extend(canonical_stack(ring),
+                    RootStep(kind="divisor", roots=(DivisorRootInfo(sec, n, root),)))
+    assert graded_factorial_spotcheck(forced, 4) == (False, clash)
+    assert _spotcheck_from_scratch(forced.cox_ring, 4) == (False, clash)
+
+
 def _spotcheck_from_scratch(ring, degree_bound):
     """Oracle: the spot-check with every multiset multiplied out from 1 and
     normalized as a whole."""
