@@ -174,10 +174,8 @@ def smith_normal_form_full(M: IntMatrix, track=("U", "V", "Vinv")):
                 if A[i][t]:
                     q = A[i][t] // A[t][t]
                     row_add(i, t, -q)
-                    if A[i][t]:
+                    if A[i][t]:  # 0 < remainder < pivot: the new pivot is positive
                         row_swap(t, i)
-                        if A[t][t] < 0:  # pragma: no cover - remainders stay >= 0
-                            row_neg(t)
                         moved = True
             for j in range(t + 1, n):
                 if A[t][j]:

@@ -877,9 +877,9 @@ class GradedRing:
         from fractions import Fraction
 
         lead = coeffs[-1].rational_value()
+        # nonzero: ``_univariate_split`` strips the monomial content, and
+        # deflating by t - r with r != 0 keeps the constant nonzero
         const = coeffs[0].rational_value()
-        if const == 0:
-            return None  # content is stripped before root extraction
 
         def divisors(n):
             """Positive divisors of n > 0, ascending, pairing each d <= sqrt(n) with n/d."""

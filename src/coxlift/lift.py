@@ -72,6 +72,8 @@ class TargetData:
         return tuple(pic_level_generators(self, self.pic))
 
     def validate(self):
+        """Cl/Pic, after two checks that guard ``run_cox_lift`` (documents
+        pass both at parse): the ring is graded by Cl, and Cl/Pic is finite."""
         if not self.ring.grading_group.same_presentation(self.cl):
             raise InputDataError("target ring must be graded by the target class group")
         Q, _ = self.pic.quotient()
@@ -213,6 +215,8 @@ def pic_level_generators(T: TargetData, K: Subgroup) -> List[Monomial]:
     bitsets: per coordinate i and bound t, the kept vectors with exponent
     <= t at i; v lies above a kept vector iff the bitsets at v's
     exponents share a bit, so no candidate scans the kept list.
+    Its check that Cl/K is finite guards direct callers, ``decompose_as_roots``
+    among them; the engine calls it after ``TargetData.validate``.
     """
     Q, proj = K.quotient()
     if not Q.is_finite():
@@ -533,64 +537,50 @@ class _Engine:
 
     # -- the loop -----------------------------------------------------------
 
-    def complete(self) -> bool:
-        Q, _ = self.K.quotient()
-        return Q.order() == 1
-
     def run(self):
+        """Root one class D of prime order p per step until K = Cl.  Each
+        step returns the new stack, the inclusion of the old Picard group,
+        delta = lambda(D) and its own record fields.  Then keys with a zero
+        pullback map to 0 (after the step, whose ``evaluate`` calls must see
+        only keys of class in K), and the engine moves to K1 = K + <D>."""
         Q0, _ = self.K.quotient()
         guard = (Q0.order() or 2).bit_length() + 2
-        step = 0
-        while not self.complete():
-            step += 1
-            if step > guard:
+        while self.K.quotient()[0].order() != 1:
+            index = len(self.steps)
+            if index >= guard:
                 raise InternalInvariantError("lift loop exceeded its termination bound")
             D, p = choose_extension_class(self.T, self.K)
             K1, coset = coset_generators(self.T, self.K, D, p)
             pullbacks = [self.stack.cox_ring.normal_form(self.evaluate(mono ** p))
                          for mono, *_ in coset]
             if any(not e.is_zero() for e in pullbacks):
-                self._divisor_step(step - 1, K1, D, p, coset, pullbacks)
+                new_stack, incl, delta, fields = self._divisor_step(D, p, coset, pullbacks)
             else:
-                self._line_step(step - 1, K1, D, p, coset)
+                new_stack, incl, delta, fields = self._line_step(D, p)
+            zeros = [mono for (mono, *_), e in zip(coset, pullbacks) if e.is_zero()]
+            for mono in zeros:
+                self.table[mono] = HomogeneousElement.zero()
+            self.steps.append(StepRecord(
+                index=index, cls_coords=tuple(D.coords), p=p,
+                gens=tuple(mono for mono, *_ in coset), cosets=tuple(c[2] for c in coset),
+                zero_pullbacks=tuple(mono.key() for mono in zeros),
+                delta_coords=tuple(delta.coords), **fields))
+            images = [incl(i) for i in self.lam.images] + [delta]
+            self.stack, self.K = new_stack, K1
+            self._set_lambda(images)
         return self._finish()
-
-    def _adopt(self, new_stack, incl, K1, delta):
-        """Move to the extended stack (incl: old pic -> new pic) and to the
-        subgroup K1 = K + <D>, whose last generator D has degree-map image
-        delta."""
-        images = [incl(i) for i in self.lam.images] + [delta]
-        self.stack = new_stack
-        self.K = K1
-        self._set_lambda(images)
 
     # -- line-bundle step ----------------------------------------------------
 
-    def _line_step(self, index, K1, D, p, coset):
-        L = self._lambda_of(p * D)
-        new_stack = root_line_bundle(self.stack, L, p)
+    def _line_step(self, D, p):
+        new_stack = root_line_bundle(self.stack, self._lambda_of(p * D), p)
         incl = coordinate_inclusion(self.stack.pic, new_stack.pic)
         delta = new_stack.pic.basis_element(self.stack.pic.ambient_rank)
-        for mono, F, mj, kj in coset:
-            self.table[mono] = HomogeneousElement.zero()
-        self._adopt(new_stack, incl, K1, delta)
-        self.steps.append(
-            StepRecord(
-                index=index,
-                cls_coords=tuple(D.coords),
-                p=p,
-                kind="line_bundle",
-                gens=tuple(m for m, _, _, _ in coset),
-                cosets=tuple(mj for _, _, mj, _ in coset),
-                zero_pullbacks=tuple(m.key() for m, _, _, _ in coset),
-                delta_coords=tuple(delta.coords),
-                group_mode="line",
-            )
-        )
+        return new_stack, incl, delta, dict(kind="line_bundle", group_mode="line")
 
     # -- divisor step ----------------------------------------------------------
 
-    def _divisor_step(self, index, K1, D, p, coset, pullbacks):
+    def _divisor_step(self, D, p, coset, pullbacks):
         ring = self.stack.cox_ring
         Jp = [j for j, e in enumerate(pullbacks) if not e.is_zero()]
         facts = {j: ring.h_factorize(pullbacks[j]) for j in Jp}
@@ -683,32 +673,11 @@ class _Engine:
             img = product({k: row[j] for k, row in a.items()})
             self.table[coset[j][0]] = new_ring.normal_form(
                 img.scale(base_roots[j] * (xi ** alpha[jpos])))
-        for j, (mono, *_) in enumerate(coset):
-            if j not in Jp:
-                self.table[mono] = HomogeneousElement.zero()
-        self._adopt(new_stack, incl, K1, delta)
-        self.steps.append(
-            StepRecord(
-                index=index,
-                cls_coords=tuple(D.coords),
-                p=p,
-                kind="divisor",
-                gens=tuple(m for m, _, _, _ in coset),
-                cosets=tuple(mj for _, _, mj, _ in coset),
-                zero_pullbacks=tuple(
-                    coset[j][0].key() for j in range(len(coset)) if j not in Jp
-                ),
-                roots=tuple((k, p, name) for k, name in names.items()),
-                constraint_rows=tuple(kernel),
-                constraint_rhs=tuple(rhs),
-                kernel_monomials=tuple(kmonos),
-                alpha=tuple(alpha),
-                alpha_vars=tuple(_VAR_LETTERS[i % len(_VAR_LETTERS)] for i in range(len(Jp))),
-                solution_count=p,
-                delta_coords=tuple(delta.coords),
-                group_mode=mode,
-            )
-        )
+        return new_stack, incl, delta, dict(
+            kind="divisor", group_mode=mode, roots=tuple((k, p, z) for k, z in names.items()),
+            constraint_rows=tuple(kernel), constraint_rhs=tuple(rhs),
+            kernel_monomials=tuple(kmonos), alpha=alpha, solution_count=p,
+            alpha_vars=tuple(_VAR_LETTERS[i % len(_VAR_LETTERS)] for i in range(len(Jp))))
 
     def _extend_group_and_ring(self, D, p, coset, Jp, qs, a, names):
         """Extend ring and grading group for one divisor step; ``qs`` and
@@ -720,69 +689,49 @@ class _Engine:
         new class; when the degree equations have no solution there, one
         "divisor_batch" step is a universal extension whose relations force
         the degree map to exist (recorded in the tower for exact replay).
-        The degree equations say that each new generator image has the
-        degree lambda(F) = lambda(k) + m * delta of its class F = k + m*D.
-        In pushout mode delta solves them, and in universal mode the batch
-        rows are these equations, so no image needs a degree check later.
+        The degree equations m * delta = t say that each new generator
+        image has the degree lambda(F) = lambda(k) + m * delta of its class
+        F = k + m*D.  In pushout mode delta solves them, and in universal
+        mode the batch rows are these equations, as rows (-t, m) after one
+        row (-t, 0) per root, t = deg q - p * deg z, so no image needs a
+        degree check later.  The pushouts' coordinates serve the batch: the
+        inclusion pads with zeros and each root's degree is its slot's basis
+        vector.
         """
         ring = self.stack.cox_ring
         infos = tuple(DivisorRootInfo(prime_section(ring, qs[k]), p, name)
                       for k, name in names.items())
         pic = self.stack.pic
-        unrooted_deg: Dict[int, GroupElement] = {}
-        for j in Jp:
-            acc = pic.zero()
-            for k, row in a.items():
-                if k not in names and row[j]:
-                    acc = acc + (row[j] // p) * ring.degree_of(qs[k])
-            unrooted_deg[j] = acc
-        lam_pD = self._lambda_of(p * D)
-        lam_k = {j: self._lambda_of(coset[j][3]) for j in Jp}
 
         # --- pushout attempt
         seq_stack = extend(self.stack, *(RootStep(kind="divisor", roots=(info,))
                                          for info in infos))
         G_seq = seq_stack.pic
+        z_deg = seq_stack.cox_ring.gen_degrees
         # each pushout only appends a coordinate, so their composite is one inclusion
         incl = coordinate_inclusion(pic, G_seq)
-        eqs = [(p, incl(lam_pD))]
+        eqs = [(p, incl(self._lambda_of(p * D)))]
         for j in Jp:
-            deg_img = G_seq.zero()
-            for k, name in names.items():
-                if a[k][j]:
-                    deg_img = deg_img + a[k][j] * seq_stack.cox_ring.gen_degrees[name]
-            deg_img = deg_img + incl(unrooted_deg[j])
-            eqs.append((coset[j][2], deg_img - incl(lam_k[j])))
+            # deg of F's image (as ``product`` builds it) - lambda(k)
+            t = incl(-self._lambda_of(coset[j][3]))
+            for key, row in a.items():
+                if row[j]:
+                    t = t + (row[j] * z_deg[names[key]] if key in names
+                             else incl((row[j] // p) * ring.degree_of(qs[key])))
+            eqs.append((coset[j][2], t))
         delta = solve_linear_over_group(G_seq, eqs)
         if delta is not None:
             return seq_stack, incl, delta, "pushout"
 
         # --- universal extension
-        n_old = pic.ambient_rank
-        R = len(names)
-        rows = []
-        for pos, k in enumerate(names):
-            dq = ring.degree_of(qs[k])
-            row = [-c for c in dq.coords] + [0] * (R + 1)
-            row[n_old + pos] = p
-            rows.append(row)
-        row = [-c for c in lam_pD.coords] + [0] * (R + 1)
-        row[n_old + R] = p
-        rows.append(row)
-        for j in Jp:
-            base = lam_k[j] - unrooted_deg[j]
-            row = list(base.coords) + [0] * (R + 1)
-            for pos, k in enumerate(names):
-                row[n_old + pos] = -a[k][j]
-            row[n_old + R] = coset[j][2]
-            rows.append(row)
+        roots = [(0, incl(ring.degree_of(qs[k])) - p * z_deg[name]) for k, name in names.items()]
+        rows = tuple(tuple([-c for c in t.coords] + [m]) for m, t in roots + eqs)
         # the sections were certified prime before the pushout attempt
         new_stack = extend(self.stack, RootStep(kind="divisor_batch", roots=infos,
-                                                group_relations=tuple(map(tuple, rows))))
+                                                group_relations=rows))
         G_new = new_stack.pic
-        incl = coordinate_inclusion(pic, G_new)
-        delta = G_new.basis_element(n_old + R)
-        return new_stack, incl, delta, "universal"
+        delta = G_new.basis_element(G_new.ambient_rank - 1)
+        return new_stack, coordinate_inclusion(pic, G_new), delta, "universal"
 
     # -- finish -----------------------------------------------------------------
 
@@ -835,44 +784,39 @@ def run_cox_lift(target: TargetData, source_stack: MdStackData, base: BaseMorphi
 
 
 def _map_monomial(images: Dict[str, HomogeneousElement], ring: GradedRing,
-                  mono: Monomial, powers: Optional[dict] = None) -> HomogeneousElement:
+                  mono: Monomial, powers: dict) -> HomogeneousElement:
     """The product of the images of mono's generator powers.
 
     It is 0, with no product built, when any image is 0.  A generator
     without an image is an ``InputDataError``: ``verify_lift`` reaches it
     through a base key that names a generator the target ring lacks, which
     only a ``BaseMorphism`` built in code can hold (documents reject such
-    keys at parse).  With ``powers``, a dict the caller keeps, each factor
-    is nf(image^e), with image^e reduced power by power first
-    (``GradedRing._reduce_powers``), built once per (generator, e).  The
-    product then equals the plain one in a confluent ring, though not
-    term for term.
+    keys at parse).  Each factor is nf(image^e), with image^e reduced
+    power by power first (``GradedRing._reduce_powers``), built once per
+    (generator, e) in ``powers``, a dict the caller keeps for one ring and
+    one set of images.  The product then equals the plain one in a
+    confluent ring, though not term for term.
     """
     factors = []
     for name, e in mono.pairs:
         img = images.get(name)
         if img is None:
             raise InputDataError(f"no image recorded for generator {name}")
-        if powers is not None:
-            if (name, e) not in powers:
-                powers[name, e] = ring.normal_form(ring._reduce_powers(img ** e))
-            img, e = powers[name, e], 1
-        factors.append((img, e))
-    if any(img.is_zero() for img, _ in factors):
+        if (name, e) not in powers:
+            powers[name, e] = ring.normal_form(ring._reduce_powers(img ** e))
+        factors.append(powers[name, e])
+    if any(img.is_zero() for img in factors):
         return HomogeneousElement.zero()
     acc = ring.one()
-    for img, e in factors:
-        acc = acc * (img ** e)
+    for img in factors:
+        acc = acc * img
     return acc
 
 
 def map_element(images: Dict[str, HomogeneousElement], ring: GradedRing,
-                e: HomogeneousElement, powers: Optional[dict] = None) -> HomogeneousElement:
-    acc = HomogeneousElement.zero()
-    for c, m in e.terms:
-        part = _map_monomial(images, ring, m, powers)
-        acc = acc + part.scale(c)
-    return acc
+                e: HomogeneousElement, powers: dict) -> HomogeneousElement:
+    return sum((_map_monomial(images, ring, m, powers).scale(c) for c, m in e.terms),
+               HomogeneousElement.zero())
 
 
 def verify_lift(target: TargetData, source_stack: MdStackData, base: BaseMorphism,
@@ -1008,6 +952,11 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
     rule, each root's z^n -> s included, must hold in the candidate.
     Returns a Theta on success and a NoFactor with the obstruction
     otherwise.
+
+    The transported generator images are not compared with the
+    candidate's: once the unit equations hold, each is lhs * zeta^k, which
+    equals the candidate image modulo the rules (``_unit_ratio``), so on a
+    confluent candidate ring (as document rings are) they agree.
     """
     res_base = result.stack.coarse
     cand_base = candidate.stack.coarse
@@ -1160,15 +1109,10 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
                 "group maps are incompatible: the candidate's class-group map "
                 "does not factor through the computed lift"
             )
-    for name, _deg in result.target.ring.generators:
-        res_img = result.images[name]
-        cand_img = candidate.images[name]
-        transported = map_element(ring_images, cand_ring, res_img)
-        if not cand_ring.elements_equal(transported, cand_img):
-            return NoFactor(f"ring images are incompatible at generator {name}")
+    powers: dict = {}
     for rule in result.stack.cox_ring.rules:
-        lhs = _map_monomial(ring_images, cand_ring, rule.lhs)
-        rhs = map_element(ring_images, cand_ring, rule.rhs)
+        lhs = _map_monomial(ring_images, cand_ring, rule.lhs, powers)
+        rhs = map_element(ring_images, cand_ring, rule.rhs, powers)
         if not cand_ring.elements_equal(lhs, rhs):
             return NoFactor(f"result ring relation {rule.key()} breaks in the candidate")
     return Theta(ring_images, theta_group)
@@ -1198,7 +1142,9 @@ def _unit_ratio(ring: GradedRing, a: HomogeneousElement,
 def decompose_as_roots(stack: MdStackData,
                        options: LiftOptions = LiftOptions()) -> CoxLiftResult:
     """Present a stack as a root tower over the canonical stack of its coarse
-    space by lifting the identity map through the engine."""
+    space by lifting the identity map through the engine.  Its check for
+    coarse data guards direct callers (documents have it), and its check on
+    the Picard-level monomials guards documents too."""
     coarse = stack.coarse
     if coarse is None:
         raise InputDataError("decomposition needs coarse base data on the stack")

@@ -310,6 +310,8 @@ def _ring(block, group: FgAbelianGroup, order: CycOrder, step_cap: int) -> Grade
 
 
 def _global_order(doc, target_cl, pic_gens) -> CycOrder:
+    """lcm(cyclotomic_order, exponent of Cl/Pic).  Its checks, Cl/Pic finite
+    and the order positive, guard documents."""
     Q, _ = quotient_group(target_cl, pic_gens)
     if not Q.is_finite():
         raise InputDataError("class group is not torsion over the Picard subgroup")

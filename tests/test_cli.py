@@ -15,6 +15,7 @@ from coxlift.cli import main
 from coxlift.cyclo import CycOrder, CycScalar
 from coxlift.errors import InputDataError
 from coxlift.serialize import (
+    emit_scalar,
     parse_element,
     parse_problem,
     replay_result,
@@ -438,6 +439,22 @@ def test_scalars_are_exact_or_rejected():
             parse_scalar(bad)
 
 
+@pytest.mark.parametrize("N", [3, 5, 12])
+def test_emitted_scalars_read_back_equal(N):
+    """Every zeta_N^k and a dense scalar survive ``emit_scalar``, JSON and
+    the document reader; the non-rational powers are written as {"zeta": k}."""
+    order = CycOrder(N)
+    dense = CycScalar(order, [1, 2, Fraction(-1, 3), 5][:order.degree])
+    for s in [CycScalar.zeta(order, k) for k in range(N)] + [dense]:
+        emitted = json.loads(json.dumps(emit_scalar(s)))
+        if s == dense:
+            assert emitted == {"order": N, "coeffs": [str(c) for c in s.coeffs]}
+        elif not s.is_rational():
+            assert set(emitted) == {"zeta"}
+        (got, _m), = parse_element({"terms": [{"c": emitted, "m": {}}]}, order).terms
+        assert got == s, (s, emitted)
+
+
 def test_snf_rejects_a_negative_ambient_rank(capsys):
     assert run_cli("snf", "--matrix", "[]", "--ambient-rank", "-1") == 2
     assert "ambient rank must be nonnegative, got -1" in capsys.readouterr().err
@@ -646,3 +663,32 @@ def test_base_image_of_the_wrong_degree_is_rejected(tmp_path, capsys):
     assert run_cli("lift", str(bad)) == 2
     assert ("base image of x has degree [2], expected the group-map image of its class"
             in capsys.readouterr().err)
+
+
+def _drop_the_picard_subgroup(raw):
+    raw["target"]["pic_subgroup"] = []
+    raw["base_morphism"]["group_map"] = []
+
+
+def _add_a_stack_generator_of_trivial_class(raw):
+    raw["decompose"]["stack"]["generators"].append({"name": "w", "degree": [0]})
+
+
+@pytest.mark.parametrize("command,name,edit,message", [
+    ("lift", "p1_into_p112", _drop_the_picard_subgroup,
+     "class group is not torsion over the Picard subgroup"),
+    ("lift", "mu3", lambda raw: _set(raw, ["cyclotomic_order"], 0),
+     "cyclotomic_order must be positive"),
+    ("decompose", "decompose_half11_root", _add_a_stack_generator_of_trivial_class,
+     "monomial w does not normalize into the coarse subring"),
+], ids=["cl_z_without_pic", "cyclotomic_order_0", "key_outside_the_coarse_ring"])
+def test_documents_failing_a_group_or_coarse_ring_check_give_exit_2(
+        tmp_path, capsys, command, name, edit, message):
+    """Cl = Z over a trivial Picard subgroup is not Q-factorial; w has the
+    trivial class, so it is a Picard-level key, but it is no coarse generator."""
+    raw = p1_into_p112_problem() if name == "p1_into_p112" else load_raw(name)
+    edit(raw)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(raw))
+    assert run_cli(command, str(bad)) == 2
+    assert message in capsys.readouterr().err

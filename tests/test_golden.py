@@ -59,3 +59,19 @@ def test_run_examples_script_reports_every_problem():
                 if lines[i] == "=" * 72 and lines[i + 2] == "=" * 72]
     assert sections == sorted(GOLDEN_SHA256)
     assert "FAILED" not in out.stdout
+
+
+# the result document of the Z/150 chain x1 rooted by 5, 5, 3, 2, which ends
+# in a failed reconstruction check; a change that mends that re-pins it
+CHAIN_SHA256 = "d4adb4b2f9b4c629763dfbfd0a001d217e3bb892de9673a023802701d60900f1"
+
+
+def test_chain_time_script_reports_the_pinned_digest():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "chain_time.py")],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    assert "status: failed:reconstruction" in lines
+    assert f"sha256: {CHAIN_SHA256}" in lines

@@ -1431,3 +1431,42 @@ def test_decompose_factors_each_subgroup_matrix_once(monkeypatch):
             gens.append(cl.element(step.cls_coords))
         matrices.append(tuple(g.coords for g in gens) + cl.relations.entries)
     assert [factored.count(m) for m in matrices] == [1] * len(matrices)
+
+
+def _free_class_group_target():
+    """Cl = Z, generated by x, over the trivial Picard subgroup: Cl/Pic is
+    infinite, so the data is not Q-factorial."""
+    cl = FgAbelianGroup(1, [])
+    ring = GradedRing([("x", cl.element([1]))], cl, CycOrder(2))
+    return TargetData(cl=cl, pic_gens=(), ring=ring)
+
+
+def test_run_cox_lift_rejects_a_target_that_fails_validate():
+    """Documents never reach these checks: ``serialize`` grades the ring by
+    Cl and rejects an infinite Cl/Pic first."""
+    c0 = FgAbelianGroup(0, [])
+    source = canonical_stack(GradedRing([("s", c0.zero())], c0, CycOrder(2)))
+    base = BaseMorphism({}, ())
+    free = _free_class_group_target()
+    with pytest.raises(InputDataError, match="the class group is not torsion over the Picard"):
+        run_cox_lift(free, source, base)
+    z2 = FgAbelianGroup(1, [[2]])
+    regraded = replace(free, ring=GradedRing([("x", z2.element([1]))], z2, CycOrder(2)))
+    with pytest.raises(InputDataError, match="ring must be graded by the target class group"):
+        run_cox_lift(regraded, source, base)
+
+
+def test_pic_level_generators_and_decompose_reject_an_infinite_quotient():
+    free = _free_class_group_target()
+    with pytest.raises(InputDataError, match="Cl/K is infinite"):
+        pic_level_generators(free, free.pic)
+    # the same stack over a coarse space with a trivial class group, and
+    # with no coarse data at all
+    stack = canonical_stack(free.ring)
+    c0 = FgAbelianGroup(0, [])
+    coarse = mdstack.CoarseData(GradedRing([], c0, CycOrder(2)), (),
+                                GroupHomomorphism(c0, free.cl, []))
+    with pytest.raises(InputDataError, match="Cl/K is infinite"):
+        decompose_as_roots(replace(stack, coarse=coarse))
+    with pytest.raises(InputDataError, match="decomposition needs coarse base data"):
+        decompose_as_roots(replace(stack, coarse=None))
