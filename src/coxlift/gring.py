@@ -732,9 +732,10 @@ class GradedRing:
 
         Backends: declared factorizations, single-term splitting into
         generator powers, and univariate splitting by rational roots plus
-        square-free parts (total degree at most 8).  Factors are
-        normalized with leading coefficient one; the residual scalar
-        lives in the unit.
+        square-free parts (total degree at most 8).  Each factor is
+        monic, its own normal form (declared factors are normalized when
+        queued) and re-factors as 1 * f^1, since the lookups that settled
+        it run again in the same order; the residual scalar is the unit.
         """
         e = self.normal_form(e)
         if e.is_zero():
@@ -774,7 +775,7 @@ class GradedRing:
             if decl is not None and not self._is_trivial_declaration(f, decl):
                 unit = unit * (decl.unit ** mult)
                 for g, k in decl.factors:
-                    queue.append((g, k * mult))
+                    queue.append((self.normal_form(g), k * mult))
                 continue
             if len(f.terms) == 1:
                 _, m = f.terms[0]

@@ -45,7 +45,6 @@ from .mdstack import (
     extend,
     fresh_root_name,
     graded_factorial_spotcheck,
-    prime_section,
     root_line_bundle,
 )
 
@@ -684,23 +683,26 @@ class _Engine:
         ``a`` hold each factor and its exponents by key, and ``names`` maps
         the key of each rooted factor to its generator.
 
-        The factors are certified prime once, then one ``extend`` tries
-        the iterated pushouts ("divisor" steps) with a solved image for the
+        The factors are ``h_factorize``'s, so each is rooted as it stands:
+        monic, in normal form and h-irreducible.  One ``extend`` tries the
+        iterated pushouts ("divisor" steps) with a solved image for the
         new class; when the degree equations have no solution there, one
         "divisor_batch" step is a universal extension whose relations force
         the degree map to exist (recorded in the tower for exact replay).
         The degree equations m * delta = t say that each new generator
         image has the degree lambda(F) = lambda(k) + m * delta of its class
-        F = k + m*D.  In pushout mode delta solves them, and in universal
-        mode the batch rows are these equations, as rows (-t, m) after one
-        row (-t, 0) per root, t = deg q - p * deg z, so no image needs a
-        degree check later.  The pushouts' coordinates serve the batch: the
-        inclusion pads with zeros and each root's degree is its slot's basis
-        vector.
+        F = k + m*D.  In pushout mode delta solves them, and with
+        p * delta = lambda(pD) and some m prime to p (every coset's is), it
+        is unique: u*m + v*p = 1 gives delta = u*t + v*lambda(pD), so
+        ``solve_linear_over_group``'s lex-min tie-break never acts here.  In
+        universal mode the batch rows are these equations, as rows (-t, m)
+        after one row (-t, 0) per root, t = deg q - p * deg z, so no image
+        needs a degree check later.  The pushouts' coordinates serve the
+        batch: the inclusion pads with zeros and each root's degree is its
+        slot's basis vector.
         """
         ring = self.stack.cox_ring
-        infos = tuple(DivisorRootInfo(prime_section(ring, qs[k]), p, name)
-                      for k, name in names.items())
+        infos = tuple(DivisorRootInfo(qs[k], p, name) for k, name in names.items())
         pic = self.stack.pic
 
         # --- pushout attempt
@@ -726,7 +728,6 @@ class _Engine:
         # --- universal extension
         roots = [(0, incl(ring.degree_of(qs[k])) - p * z_deg[name]) for k, name in names.items()]
         rows = tuple(tuple([-c for c in t.coords] + [m]) for m, t in roots + eqs)
-        # the sections were certified prime before the pushout attempt
         new_stack = extend(self.stack, RootStep(kind="divisor_batch", roots=infos,
                                                 group_relations=rows))
         G_new = new_stack.pic
@@ -915,26 +916,6 @@ def verify_lift(target: TargetData, source_stack: MdStackData, base: BaseMorphis
 # Minimality: factoring a candidate through the computed lift
 
 
-class _SymTerm:
-    """coeff * zeta^(linear form in unit variables) * element (coeff-1)."""
-
-    def __init__(self, const: CycScalar, varvec: Tuple[int, ...],
-                 element: HomogeneousElement):
-        self.const = const
-        self.varvec = varvec
-        self.element = element
-
-    def mul(self, other: "_SymTerm") -> "_SymTerm":
-        return _SymTerm(
-            self.const * other.const,
-            tuple(x + y for x, y in zip(self.varvec, other.varvec)),
-            self.element * other.element,
-        )
-
-    def pow(self, k: int) -> "_SymTerm":
-        return _SymTerm(self.const ** k, tuple(x * k for x in self.varvec), self.element ** k)
-
-
 def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
     """Build the factoring map Theta from the result's stack to the candidate's.
 
@@ -953,6 +934,12 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
     Returns a Theta on success and a NoFactor with the obstruction
     otherwise.
 
+    Theta sends root i to zeta^(x_i) * m_i, with m_i the root read off its
+    section and x the unit variables, solved mod N at the end, and fixes
+    each base generator.  So a term c*mono goes to zeta^(v.x) times its
+    image at x = 0, v being mono's exponents on the roots in tower order,
+    and an element transports only when its terms share one v.
+
     The transported generator images are not compared with the
     candidate's: once the unit equations hold, each is lhs * zeta^k, which
     equals the candidate image modulo the rules (``_unit_ratio``), so on a
@@ -970,90 +957,63 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
     cand_pic = candidate.stack.pic
     N = cand_ring.scalar_order.N
 
-    nvars_total = sum(len(step.roots) for step in result.stack.tower)
-
-    sym: Dict[str, _SymTerm] = {}
+    roots = {info.name: i for i, info in enumerate(
+        info for step in result.stack.tower for info in step.roots)}
+    # the images at x = 0: each base generator, then each root once processed
+    images: Dict[str, HomogeneousElement] = {}
     for name, _d in res_base.ring.generators:
         if name not in cand_ring.gen_degrees:
             return NoFactor(f"candidate ring lacks base generator {name}")
-        sym[name] = _SymTerm(
-            CycScalar.one(cand_ring.scalar_order),
-            (0,) * nvars_total,
-            cand_ring.gen(name),
-        )
+        images[name] = cand_ring.gen(name)
+    memo: dict = {}  # map_element's powers, for the whole call: no image is rebound
 
-    def theta_sym(e: HomogeneousElement) -> Optional[_SymTerm]:
-        parts = []
-        for c, m in e.terms:
-            part = _SymTerm(c, (0,) * nvars_total, cand_ring.one())
-            for nm, ex in m.pairs:
-                if nm not in sym:
-                    return None
-                part = part.mul(sym[nm].pow(ex))
-            parts.append(part)
-        if len(parts) == 1:
-            return parts[0]
-        # multi-term: the parts must share their unit variables, whose root
-        # of unity then factors out of the sum
-        if len({part.varvec for part in parts}) > 1:
+    def transport(e: HomogeneousElement):
+        """(v, nf of e's image at x = 0), or None when e's terms have
+        different vectors v or e names a generator without an image (which
+        ``map_element`` would raise on)."""
+        vs = {tuple(m.exp(z) for z in roots) for _c, m in e.terms}
+        if len(vs) != 1 or not e.support().issubset(images):
             return None
-        acc = sum((part.element.scale(part.const) for part in parts), HomogeneousElement.zero())
-        return _SymTerm(CycScalar.one(cand_ring.scalar_order), parts[0].varvec, acc)
+        return vs.pop(), cand_ring.normal_form(map_element(images, cand_ring, e, memo))
 
     # group map, extended slot by slot along the result tower
     theta_group_images: List[GroupElement] = list(cand_base.inclusion.images)
     equations: List[Tuple[Tuple[int, ...], int]] = []  # rows over unit vars mod N
-    var_cursor = 0
     psi = candidate.group_map
     phi_image = Subgroup(result.stack.pic, result.group_map.images)
-
-    def process_root(info, step_idx):
-        nonlocal var_cursor
-        key = info.section.key()
-        target_sym = theta_sym(info.section)
-        if target_sym is None:
-            return NoFactor(f"cannot transport section {key} (unsupported shape)", step_idx)
-        section = cand_ring.normal_form(target_sym.element.scale(target_sym.const))
-        if section.is_zero():
-            return NoFactor(f"section {key} vanishes in the candidate ring", step_idx)
-        try:
-            fact = cand_ring.h_factorize(section)
-        except (FactorizationOracleRequired, InputDataError) as exc:
-            return NoFactor(f"cannot factor section {key} in the candidate ring: {exc}",
-                            step_idx)
-        # the section is const * element, times the root of unity of its unit
-        # variables; m = prod f^(e/n) has m^n = sigma * section, sigma = unit^-1
-        if any(e % info.order for _f, e in fact.factors):
-            return NoFactor(f"candidate ring has no {info.order}-th root of {key}", step_idx)
-        m_el = cand_ring.one()
-        for f, e in fact.factors:
-            m_el = m_el * f ** (e // info.order)
-        k = fact.unit.inverse().as_root_of_unity()
-        if k is None:
-            return NoFactor(f"root of {key} differs by a non-root-of-unity scalar", step_idx)
-        # w = zeta^x * m; w^order = theta(section) forces
-        # order*x - (section's unit variables) = -dlog(sigma)
-        crow = [0] * nvars_total
-        crow[var_cursor] = info.order
-        for i, c in enumerate(target_sym.varvec):
-            crow[i] -= c
-        equations.append((tuple(crow), -k % N))
-        sym[info.name] = _SymTerm(
-            CycScalar.one(cand_ring.scalar_order),
-            tuple(int(i == var_cursor) for i in range(nvars_total)),
-            m_el,
-        )
-        theta_group_images.append(cand_ring.degree_of(m_el))
-        var_cursor += 1
-        return None
 
     rank = res_base.group.ambient_rank
     for step_idx, entry in enumerate(result.stack.tower):
         rank += entry.new_slots
         for info in entry.roots:
-            fail = process_root(info, step_idx)
-            if fail is not None:
-                return fail
+            key = info.section.key()
+            moved = transport(info.section)
+            if moved is None:
+                return NoFactor(f"cannot transport section {key} (unsupported shape)", step_idx)
+            v, section = moved
+            if section.is_zero():
+                return NoFactor(f"section {key} vanishes in the candidate ring", step_idx)
+            try:
+                fact = cand_ring.h_factorize(section)
+            except (FactorizationOracleRequired, InputDataError) as exc:
+                return NoFactor(f"cannot factor section {key} in the candidate ring: {exc}",
+                                step_idx)
+            # m = prod f^(e/n) has m^n = sigma * section, sigma = unit^-1
+            if any(e % info.order for _f, e in fact.factors):
+                return NoFactor(f"candidate ring has no {info.order}-th root of {key}", step_idx)
+            m_el = cand_ring.one()
+            for f, e in fact.factors:
+                m_el = m_el * f ** (e // info.order)
+            k = fact.unit.inverse().as_root_of_unity()
+            if k is None:
+                return NoFactor(f"root of {key} differs by a non-root-of-unity scalar", step_idx)
+            # w = zeta^x_i * m; w^order = theta(section) = zeta^(v.x) * section
+            # forces order*x_i - v.x = -dlog(sigma)
+            row = [-c for c in v]
+            row[roots[info.name]] += info.order
+            equations.append((tuple(row), -k % N))
+            images[info.name] = m_el
+            theta_group_images.append(cand_ring.degree_of(m_el))
         # every other new slot s is a rooted class: theta(e_s) = psi(D) for
         # any D with phi(D) = e_s, where phi is the result's group map
         for slot in range(len(theta_group_images), rank):
@@ -1071,10 +1031,10 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
             return NoFactor(f"images of {name} disagree about vanishing")
         if res_img.is_zero():
             continue
-        st = theta_sym(res_img)
-        if st is None:
+        moved = transport(res_img)
+        if moved is None:
             return NoFactor(f"cannot transport the image of {name}")
-        lhs = cand_ring.normal_form(st.element.scale(st.const))
+        v, lhs = moved
         if lhs.is_zero():
             return NoFactor(f"transported image of {name} vanishes unexpectedly")
         ratio = _unit_ratio(cand_ring, lhs, cand_img)
@@ -1083,20 +1043,17 @@ def check_factors_through(result: CoxLiftResult, candidate: CoxLiftResult):
         k = ratio.as_root_of_unity()
         if k is None:
             return NoFactor(f"images of {name} differ by a non-root-of-unity scalar")
-        equations.append((tuple(st.varvec), k % N))
+        equations.append((v, k % N))
 
     xs = solve_affine_mod_n([list(r) for r, _ in equations],
-                            [b for _, b in equations], nvars_total, N)
+                            [b for _, b in equations], len(roots), N)
     if xs is None:
         return NoFactor("unit constraints for the factoring map are unsolvable")
 
-    ring_images: Dict[str, HomogeneousElement] = {}
     zeta = CycScalar.zeta(cand_ring.scalar_order)
-    for name, st in sym.items():
-        exp = sum(c * x for c, x in zip(st.varvec, xs)) % N if nvars_total else 0
-        ring_images[name] = cand_ring.normal_form(
-            st.element.scale(st.const * (zeta ** exp))
-        )
+    ring_images = {name: cand_ring.normal_form(
+        img.scale(zeta ** xs[roots[name]]) if name in roots else img)
+        for name, img in images.items()}
     try:
         theta_group = GroupHomomorphism(result.stack.pic, cand_pic, theta_group_images)
     except InputDataError as exc:

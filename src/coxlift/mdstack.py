@@ -5,8 +5,8 @@ A stack grows only through ``extend``, which applies a sequence of tower
 steps in one construction.  A step roots a prime divisor (adjoin z with
 z^n = s and push the grading group out by an n-th root of the class of
 s), several divisors over an explicitly presented group extension, or a
-line bundle (grading group only).  ``root_divisor`` (after
-``prime_section``) and ``root_line_bundle`` pass one step, the lift engine
+line bundle (grading group only).  ``root_divisor`` (after certifying
+its section prime) and ``root_line_bundle`` pass one step, the lift engine
 the roots of one lift step, and ``replay_tower`` a whole tower log, which
 records every step so a stack can be replayed from its base with one
 Smith form and one ring build (and each batch step's collapse check).
@@ -321,12 +321,12 @@ def _may_mature(declared, root_facts, guarded, degrees) -> bool:
     )
 
 
-def prime_section(ring: GradedRing, s: HomogeneousElement) -> HomogeneousElement:
-    """s monic in ring's normal form, certified h-irreducible.
-
-    A divisor to be rooted must be prime: rooting a reducible one destroys
-    unique homogeneous factorization (z^n = s1*s2 against z*...*z).
-    """
+def root_divisor(S: MdStackData, s: HomogeneousElement, n: int,
+                 zname: Optional[str] = None) -> MdStackData:
+    """Adjoin an n-th root z of the section s, made monic in normal form and
+    certified h-irreducible (rooting a reducible divisor breaks unique
+    factorization: z^n = s1*s2 against z*...*z), by one ``extend``."""
+    ring = S.cox_ring
     s = ring.normal_form(s)
     if s.is_zero():
         raise InputDataError("cannot root the zero section")
@@ -343,16 +343,8 @@ def prime_section(ring: GradedRing, s: HomogeneousElement) -> HomogeneousElement
             f"root along non-prime divisor breaks graded factoriality: "
             f"{s.key()} factors as {[(f.key(), e) for f, e in fact.factors]}"
         )
-    return s
-
-
-def root_divisor(S: MdStackData, s: HomogeneousElement, n: int,
-                 zname: Optional[str] = None) -> MdStackData:
-    """Adjoin an n-th root z of the section s along its prime divisor:
-    ``prime_section``, then one ``extend`` with the rule z^n -> s."""
-    s = prime_section(S.cox_ring, s)
     if zname is None:
-        zname = fresh_root_name(S.cox_ring.gen_degrees)
+        zname = fresh_root_name(ring.gen_degrees)
     return extend(S, RootStep(kind="divisor", roots=(DivisorRootInfo(s, n, zname),)))
 
 

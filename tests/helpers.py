@@ -6,6 +6,7 @@ from itertools import product
 from pathlib import Path
 
 from coxlift.abgroup import GroupHomomorphism
+from coxlift.cyclo import CycScalar
 from coxlift.lift import run_cox_lift
 from coxlift.mdstack import canonical_stack, root_divisor, root_line_bundle
 from coxlift.serialize import parse_problem
@@ -144,3 +145,15 @@ def stack_as_lift(res, stack, group_map=None):
         )
     images = {name: stack.cox_ring.gen(name) for name, _ in res.target.ring.generators}
     return replace(res, stack=stack, images=images, group_map=group_map, steps=())
+
+
+def assert_factors_settle(ring, fact):
+    """Each factor of ``fact``, an ``h_factorize`` result in ring, is monic,
+    its own normal form, and re-factors as 1 * f^1: the postcondition that
+    lets the lift engine root the factors as they stand."""
+    one = CycScalar.one(ring.scalar_order)
+    for f, _e in fact.factors:
+        assert f.leading()[0] == one, f.key()
+        assert ring.normal_form(f) == f, f.key()
+        again = ring.h_factorize(f)
+        assert again.unit == one and again.factors == ((f, 1),), f.key()

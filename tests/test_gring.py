@@ -6,6 +6,7 @@ from unittest.mock import patch
 
 import pytest
 import sympy
+from helpers import assert_factors_settle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -1106,3 +1107,93 @@ def test_h_factorize_matches_sympy_over_q_zeta(N, case):
     got = [(key(coeffs(f)), mult) for f, mult in fact.factors]
     assert key(coeffs(R.const(fact.unit))) == key([content])
     assert sorted(got) == sorted(want)
+
+
+# -- h_factorize's postcondition: each factor is monic, normal and settles again
+
+
+def test_h_factorize_scales_a_declared_non_monic_factor():
+    """(t + 1)^2 declared as 1/4 * (2t + 2)^2: the factor is made monic and
+    its scalar moves into the unit."""
+    cl0 = FgAbelianGroup(0, [])
+    R0 = GradedRing([("t", cl0.zero())], cl0, N2)
+    t1 = R0.gen("t") + R0.one()
+    quarter, two = (CycScalar.from_rational(N2, q) for q in (Fraction(1, 4), 2))
+    R = R0.with_data(declared_factorizations={
+        (t1 ** 2).key(): Factorization(quarter, ((t1.scale(two), 2),))})
+    fact = R.h_factorize(t1 ** 2)
+    assert fact.unit == CycScalar.one(N2)
+    assert fact.factors == ((t1, 2),)
+    assert_factors_settle(R, fact)
+
+
+def test_h_factorize_keeps_a_declared_residual_of_a_partial_split():
+    """(t - 1)(t^2 + 1) over Q(zeta_4): the rational root 1 splits off, and
+    the residual t^2 + 1, which splits no further, is kept because it is
+    declared, as (t - zeta)(t + zeta)."""
+    N4 = CycOrder(4)
+    cl0 = FgAbelianGroup(0, [])
+    R0 = GradedRing([("t", cl0.zero())], cl0, N4)
+    t, one, i = R0.gen("t"), R0.one(), R0.const(CycScalar.zeta(N4))
+    e = (t - one) * (t ** 2 + one)
+    with pytest.raises(FactorizationOracleRequired):
+        R0.h_factorize(e)
+    R = R0.with_data(declared_factorizations={
+        (t ** 2 + one).key(): Factorization(CycScalar.one(N4), ((t - i, 1), (t + i, 1)))})
+    fact = R.h_factorize(e)
+    assert fact.unit == CycScalar.one(N4)
+    assert sorted(f.key() for f, _k in fact.factors) == sorted(
+        f.key() for f in (t - one, t - i, t + i))
+    assert fact.expand() == e
+    assert_factors_settle(R, fact)
+
+
+def test_h_factorize_normalizes_declared_factors():
+    """t^2 + t declared as t * (g + 1) in a ring with the rule g -> t: the
+    declared factor g + 1 is not in normal form, and is factored as t + 1."""
+    cl0 = FgAbelianGroup(0, [])
+    R0 = GradedRing([("g", cl0.zero()), ("t", cl0.zero())], cl0, N2)
+    g, t, one = R0.gen("g"), R0.gen("t"), R0.one()
+    e = t ** 2 + t
+    R = R0.with_data(rules=[RewriteRule(Monomial.gen("g"), t)], declared_factorizations={
+        e.key(): Factorization(CycScalar.one(N2), ((t, 1), (g + one, 1)))})
+    fact = R.h_factorize(e)
+    assert fact.factors == ((t + one, 1), (t, 1))  # by key: "1*1 + 1*t" first
+    assert_factors_settle(R, fact)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rational_products())
+def test_h_factorize_factors_settle_again(case):
+    """unit * t^k * prod (t - r)^m over Q(zeta_3), the quadratic left out,
+    in a ring where z^2 -> t makes t = z^2 a declared factorization."""
+    (q, j), k, roots, _quad = case
+    cl0 = FgAbelianGroup(0, [])
+    R0 = GradedRing([("t", cl0.zero()), ("z", cl0.zero())], cl0, N3)
+    t = R0.gen("t")
+    R = R0.with_data(rules=[RewriteRule(Monomial.gen("z", 2), t)])
+    e = R.const(CycScalar.from_rational(N3, q) * CycScalar.zeta(N3, j)) * t ** k
+    for r, m in roots:
+        e = e * (t - R.const(CycScalar.from_rational(N3, r))) ** m
+    assert_factors_settle(R, R.h_factorize(e))
+
+
+def test_a_power_zero_of_a_sum_is_one():
+    R = ring_kxy_z2()
+    assert (R.gen("x") + R.gen("y")) ** 0 == R.one()
+
+
+def test_with_data_checks_every_rule_when_the_rules_are_equal_copies():
+    """Equal rules that are not this ring's own objects carry nothing: the
+    new ring checks each of them again."""
+    R = _x2_to_y(FgAbelianGroup(1, [[2]]), [1], [0])
+    copies = [RewriteRule(r.lhs, r.rhs) for r in R.rules]
+    assert copies == list(R.rules)
+    checked = []
+    real = GradedRing._check_rule
+    with patch.object(GradedRing, "_check_rule",
+                      lambda ring, r: checked.append(r) or real(ring, r)):
+        assert R.with_data(rules=R.rules).rules == R.rules
+        assert checked == []
+        R.with_data(rules=copies)
+    assert checked == copies

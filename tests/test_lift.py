@@ -7,8 +7,8 @@ from itertools import product as iproduct
 from operator import add, le, sub
 
 import pytest
-from helpers import (PROBLEMS, cyclic_problem, lift_of, load_raw, load_spec,
-                     p1_into_p112_problem, stack_as_lift, tower_over)
+from helpers import (GENERATED, PROBLEMS, assert_factors_settle, cyclic_problem, lift_of,
+                     load_raw, load_spec, p1_into_p112_problem, stack_as_lift, tower_over)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -1470,3 +1470,65 @@ def test_pic_level_generators_and_decompose_reject_an_infinite_quotient():
         decompose_as_roots(replace(stack, coarse=coarse))
     with pytest.raises(InputDataError, match="decomposition needs coarse base data"):
         decompose_as_roots(replace(stack, coarse=None))
+
+
+@pytest.mark.parametrize("name", [p.stem for p in sorted(PROBLEMS.glob("*.json"))]
+                         + sorted(GENERATED))
+def test_every_factor_of_a_run_settles_again(monkeypatch, name):
+    """Each factor ``h_factorize`` returns while a bundled or generated
+    problem is read and run, its pullbacks' among them, is monic, its own
+    normal form and re-factors as 1 * f^1, and the divisor steps root
+    these factors as they stand."""
+    seen = []
+    real = GradedRing.h_factorize
+
+    def recording(ring, e):
+        fact = real(ring, e)
+        seen.append((ring, fact))
+        return fact
+
+    monkeypatch.setattr(GradedRing, "h_factorize", recording)
+    if name not in GENERATED and "decompose" in load_raw(name):
+        spec = parse_decompose(str(PROBLEMS / f"{name}.json"))
+        res = decompose_as_roots(spec.stack, spec.options)
+    else:
+        spec = parse_problem(GENERATED[name]() if name in GENERATED
+                             else str(PROBLEMS / f"{name}.json"))
+        res = run_cox_lift(spec.target, spec.source_stack, spec.base, spec.options)
+    monkeypatch.undo()
+    for ring, fact in seen:
+        assert_factors_settle(ring, fact)
+    factors = {f for _ring, fact in seen for f, _e in fact.factors}
+    for step in res.stack.tower[len(res.source_stack.tower):]:
+        assert {info.section for info in step.roots} <= factors
+
+
+def test_bundled_decomposition_factors_through_itself_as_identity():
+    spec = parse_decompose(str(PROBLEMS / "decompose_half11_root.json"))
+    assert_factors_through_itself_as_identity(decompose_as_roots(spec.stack, spec.options))
+
+
+def test_factoring_solves_unit_variables_that_are_not_zero():
+    """mu3's lift (x -> z1, y -> z2) against itself twisted by
+    x -> zeta*z1, y -> zeta^2*z2, still a lift as x^3, x*y and y^3 keep
+    their images.  Theta must send z1 to zeta*z1 and z2 to zeta^2*z2, fix
+    u, v = z1*z2 and w, and carry each image of the lift to the
+    candidate's; the other way round it untwists."""
+    res = lift_of("mu3")
+    ring = res.stack.cox_ring
+    zeta = CycScalar.zeta(ring.scalar_order)
+    z1, z2 = ring.gen("z1"), ring.gen("z2")
+    cand = _with_images(res, x=z1.scale(zeta), y=z2.scale(zeta ** 2))
+    assert verify_lift(res.target, res.source_stack, res.base, cand).passed
+    for a, b, twist in ((res, cand, 1), (cand, res, 2)):
+        theta = check_factors_through(a, b)
+        assert isinstance(theta, Theta), theta
+        assert theta.ring_images == {"u": ring.gen("u"), "v": z1 * z2, "w": ring.gen("w"),
+                                     "z1": z1.scale(zeta ** twist),
+                                     "z2": z2.scale(zeta ** (2 * twist))}
+        pic = ring.grading_group
+        assert list(theta.group_map.images) == [pic.basis_element(i)
+                                                for i in range(pic.ambient_rank)]
+        for name, img in a.images.items():
+            moved = lift.map_element(theta.ring_images, ring, img, {})
+            assert ring.elements_equal(moved, b.images[name]), name
